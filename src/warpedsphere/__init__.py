@@ -18,7 +18,7 @@ from .metrics import (ClassParams, GeometrySummary, MembershipReport,
                       load_profile_table, save_profile_table,
                       scalar_curvature, scalar_deficit, summarize,
                       validate, volume)
-from .distance import diameter_bounds, meridian_arclength, surface_distance
+from .distance import diameter_bounds, meridian_arclength
 from .families import (FAMILIES, FAMILY_CATALOG, bubble_sphere, bump_sphere,
                        make, round_sphere, scaled_sphere, tendril_sphere)
 from .potential import (PotentialSolution, SolverConfig, flux_residual,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import inspect
 import sys
 
 from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
@@ -154,7 +155,13 @@ def _build_metric(config: dict):
         if key not in fam.FAMILY_CATALOG[family]:
             raise ConfigError(
                 f"parameter {key!r} not accepted by family {family!r}")
-        params[key] = float(value)
+        params[key] = _float(sec, key)
+    signature = inspect.signature(fam.FAMILIES[family]).parameters
+    missing = [name for name, p in signature.items()
+               if p.default is p.empty and name not in params]
+    if missing:
+        raise ConfigError(
+            f"family {family!r} requires parameter(s): {', '.join(missing)}")
     return fam.make(family, grid=grid, **params)
 
 

@@ -288,39 +288,36 @@ def solve_bvp(metric: WarpedMetric,
 # residual
 # ----------------------------------------------------------------------
 
-def _fornberg_weights(x: np.ndarray, x0: float, m: int = 1) -> np.ndarray:
-    """Finite-difference weights for the m-th derivative at x0 (Fornberg)."""
-    n = x.size
-    c = np.zeros((n, m + 1))
-    c1, c4 = 1.0, x[0] - x0
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2, c5, c4 = 1.0, c4, x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
-            for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
-        c1 = c2
-    return c[:, m]
+#: nodes per batch of stencil systems in `_derivative_high_order`
+_NODE_BLOCK = 512
 
 
 def _derivative_high_order(y: np.ndarray, x: np.ndarray, stencil: int = 9
                            ) -> np.ndarray:
-    """High-order first derivative on an arbitrary strictly increasing grid."""
+    """High-order first derivative on an arbitrary strictly increasing grid.
+
+    Node i uses the `stencil` nodes centred on it (shifted inward at the
+    ends).  Its finite-difference weights c solve the Vandermonde system
+    sum_m c_m (x_m - x_i)^p = [p == 1], p < stencil, as Fornberg's
+    recursion (Fornberg 1988, Math. Comp. 51) would give them.  The
+    offsets are divided by the stencil width W, which keeps every system
+    on [-1, 1] whatever the local spacing; the scaled weights are W c.
+    The systems are solved in batches of _NODE_BLOCK nodes.
+    """
     n = x.size
-    half = stencil // 2
+    powers = np.arange(stencil)
+    unit = np.zeros((stencil, 1))
+    unit[1] = 1.0
     out = np.empty(n)
-    for i in range(n):
-        lo = min(max(i - half, 0), n - stencil)
-        sl = slice(lo, lo + stencil)
-        out[i] = _fornberg_weights(x[sl], x[i]) @ y[sl]
+    for lo in range(0, n, _NODE_BLOCK):
+        i = np.arange(lo, min(lo + _NODE_BLOCK, n))
+        idx = np.clip(i - stencil // 2, 0, n - stencil)[:, None] + powers
+        xs = x[idx]
+        width = xs[:, -1] - xs[:, 0]
+        offsets = (xs - x[i, None]) / width[:, None]
+        vander = offsets[:, None, :] ** powers[None, :, None]
+        weights = np.linalg.solve(vander, unit)[..., 0]
+        out[i] = np.einsum("im,im->i", weights, y[idx]) / width
     return out
 
 

@@ -45,6 +45,26 @@ class TestExitCodes:
         assert main(["analyze", "--family", "scaled",
                      "--param", "c=0.5"]) == 2  # c < 1 rejected
 
+    def test_non_numeric_param_is_config_error(self, capsys):
+        assert main(["analyze", "--family", "bump",
+                     "--param", "eta=abc"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "eta" in err
+
+    def test_missing_required_param_is_config_error(self, capsys):
+        assert main(["analyze", "--family", "bump"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "eta" in err
+
+    def test_optional_param_may_be_omitted(self, tmp_path):
+        # tendril's theta0 defaults to 2.5 width, so it is not required
+        out = tmp_path / "t.json"
+        assert main(["analyze", "--family", "tendril",
+                     "--param", "length=1", "--grid-size", "301",
+                     "--output", str(out)]) == 0
+
 
 class TestConfigDriven:
     def test_full_ini_scenario(self, tmp_path):
