@@ -97,6 +97,7 @@ def _merge_cli(config: dict, args) -> dict:
             raise ConfigError(f"unknown metric parameter {key!r}")
         config.setdefault("metric", {})[key] = value
     put("grid", "n", getattr(args, "grid_size", None))
+    put("solver", "method", getattr(args, "solver", None))
     put("solver", "epsilon", getattr(args, "epsilon", None))
     put("suites", "tolerance", getattr(args, "tolerance", None))
     put("suites", "run", getattr(args, "suites", None))
@@ -139,6 +140,12 @@ def _build_grid(config: dict) -> RadialGrid | None:
     return RadialGrid.uniform(n)
 
 
+def _required_params(family: str) -> list:
+    """Parameters the family constructor gives no default."""
+    signature = inspect.signature(fam.FAMILIES[family]).parameters
+    return [name for name, p in signature.items() if p.default is p.empty]
+
+
 def _build_metric(config: dict):
     sec = config.get("metric", {})
     grid = _build_grid(config)
@@ -156,9 +163,8 @@ def _build_metric(config: dict):
             raise ConfigError(
                 f"parameter {key!r} not accepted by family {family!r}")
         params[key] = _float(sec, key)
-    signature = inspect.signature(fam.FAMILIES[family]).parameters
-    missing = [name for name, p in signature.items()
-               if p.default is p.empty and name not in params]
+    missing = [name for name in _required_params(family)
+               if name not in params]
     if missing:
         raise ConfigError(
             f"family {family!r} requires parameter(s): {', '.join(missing)}")
@@ -323,9 +329,15 @@ def cmd_families(config: dict) -> int:
         catalog = fam.FAMILY_CATALOG[name]
         if not catalog:
             lines.append("    (no parameters)")
+        required = _required_params(name)
         for pname in sorted(catalog):
             default, admissible, meaning = catalog[pname]
-            shown = "required" if default is None else f"default {default}"
+            if pname in required:
+                shown = "required"
+            elif default is None:
+                shown = "optional"
+            else:
+                shown = f"default {default}"
             lines.append(f"    {pname}: {meaning} [{admissible}; {shown}]")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_PASS
@@ -347,6 +359,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--seed", help="seed recorded in the report")
         if solver:
+            p.add_argument("--solver", choices=("quadrature", "bvp"),
+                           help="potential solver (bvp needs scipy)")
             p.add_argument("--epsilon", help="BVP truncation epsilon")
             p.add_argument("--tolerance", help="check tolerance override")
 

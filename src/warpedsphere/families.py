@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .grids import PI, RadialGrid, integrate
+from .grids import PI, RadialGrid, simpson_rule
 from .metrics import ProfileFns, WarpedMetric
 
 #: integral of the C^2 bump (1 - x^2)^3 over [-1, 1]
@@ -391,23 +391,76 @@ def tendril_sphere(length: float, width: float = 0.1,
 
 def _tendril_normalize(length, shape, breaks):
     """Solve int (phi - 1) d theta = length for the squash depth c_max."""
-    from scipy.optimize import brentq
-
+    if length == 0.0:
+        return 0.0
     segs = [np.linspace(breaks[i], breaks[i + 1], 4001)
             for i in range(len(breaks) - 1)]
     t = np.unique(np.concatenate(segs))
     s, _, _ = shape(t)
+    simpson = simpson_rule(t)
 
     def excess(c_max):
-        return integrate((1.0 - c_max * s) ** -0.5 - 1.0, t) - length
+        return simpson((1.0 - c_max * s) ** -0.5 - 1.0) - length
 
-    if length == 0.0:
-        return 0.0
     hi = (1.0 - 1e-15) / float(np.max(s))
     if excess(hi) < 0.0:
         raise ConstructionError(
             "length", "requested tendril length is not attainable")
-    return float(brentq(excess, 1e-15, hi, xtol=1e-15, rtol=8.9e-16))
+    try:
+        return float(_brentq(excess, 1e-15, hi, xtol=1e-15, rtol=8.9e-16))
+    except ValueError:
+        raise ConstructionError(
+            "length", "requested tendril length is too small to resolve; "
+            "use length = 0") from None
+
+
+def _brentq(f, xpre, xcur, xtol, rtol, maxiter=100):
+    """Root of f between xpre and xcur by Brent's method (Brent 1973).
+
+    A line-for-line port of scipy's ``Zeros/brentq.c``, so the root is
+    bit-identical to ``scipy.optimize.brentq`` with the same tolerances.
+    Raises ValueError when f(xpre) and f(xcur) have the same sign and
+    RuntimeError after `maxiter` iterations without convergence.
+    """
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry      # good short step
+            else:
+                spre = scur = sbis           # bisect
+        else:
+            spre = scur = sbis               # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,

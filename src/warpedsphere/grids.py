@@ -5,6 +5,13 @@ colatitude theta; composite Simpson is used throughout, with an optional
 uniform subdivision of each cell ("refinement") when the integrand is
 available analytically.  Cumulative integrals are needed both for the
 potential solvers and for level-set volume scans.
+
+The two Simpson rules are fixed numpy ports of the 1-D paths of scipy
+1.17's ``scipy.integrate.simpson`` and ``cumulative_simpson`` (Cartwright
+2017, eq. 8): the same floating-point operations in the same order, so
+every integral on strictly increasing x, and so every report, is
+bit-identical to scipy's and no longer depends on which scipy version is
+installed.  The tests keep scipy as the oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
 
 from .errors import StructuralError
 
@@ -71,13 +77,99 @@ def refine_nodes(nodes: np.ndarray, k: int = ANALYTIC_REFINE) -> np.ndarray:
     return np.append(fine, nodes[-1])
 
 
+def _div(num, den):
+    """num / den, and 0 where den == 0 (scipy's guarded division)."""
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def simpson_rule(x: np.ndarray):
+    """`integrate(., x)` as a function of the samples y alone.
+
+    Composite Simpson on strictly increasing x (scipy's `simpson`); an
+    even number of samples gets Simpson on all but the last interval plus
+    the Cartwright correction for the last one.  The factors that depend
+    on x only are computed once, so integrating many y on one grid costs
+    about a third of the array operations, with the same result bit for
+    bit.
+    """
+    x = np.asarray(x)
+    n = x.shape[0]
+    if n == 2:
+        half = 0.5 * (x[-1] - x[-2])
+        return lambda y: float(0.0 + half * (y[-1] + y[-2]))
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _div(h0, h1)
+    w = hsum / 6.0
+    c0 = 2.0 - _div(1.0, h0divh1)
+    c1 = hsum * _div(hsum, hprod)
+    c2 = 2.0 - h0divh1
+
+    def panels(y):
+        return np.sum(w * (y[0:stop:2] * c0 + y[1:stop + 1:2] * c1
+                           + y[2:stop + 2:2] * c2))
+
+    if n % 2:
+        return lambda y: float(panels(y))
+    # 0-d arrays, as in scipy: a numpy scalar's ** 3 can round 1 ulp
+    # differently from the array power
+    hm2 = np.squeeze(h[-2:-1])
+    hm1 = np.squeeze(h[-1:])
+    alpha = _div(2 * hm1 ** 2 + 3 * hm2 * hm1, 6 * (hm1 + hm2))
+    beta = _div(hm1 ** 2 + 3.0 * hm2 * hm1, 6 * hm2)
+    eta = _div(1 * hm1 ** 3, 6 * hm2 * (hm2 + hm1))
+    return lambda y: float(panels(y) + (alpha * y[-1] + beta * y[-2]
+                                        - eta * y[-3]))
+
+
 def integrate(y: np.ndarray, x: np.ndarray) -> float:
-    return float(simpson(y=y, x=x))
+    """Composite Simpson of y on strictly increasing x; see `simpson_rule`."""
+    return simpson_rule(x)(np.asarray(y))
+
+
+def _simpson_first_halves(y, dx):
+    """Simpson integral over [x_i, x_i+1] from the parabola through
+    x_i, x_i+1, x_i+2, for every i (Cartwright 2017, eq. 8)."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
 
 
 def cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral from x[0], same length as x, starts at 0."""
-    return cumulative_simpson(y=y, x=x, initial=0.0)
+    """Cumulative integral from x[0], same length as x, starts at 0.
+
+    scipy's `cumulative_simpson(y, x=x, initial=0.0)`: every interval
+    takes its Simpson integral from the parabola through its left
+    neighbourhood (forward pass) or its right one (reversed pass),
+    alternately, and the last interval from the reversed pass.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    dx = np.diff(x)
+    if y.shape[0] < 3:
+        sub = dx * (y[1:] + y[:-1]) / 2.0
+    else:
+        if np.any(dx <= 0):
+            raise ValueError("Input x must be strictly increasing.")
+        fwd = _simpson_first_halves(y, dx)
+        rev = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
+        sub = np.empty(dx.shape[0])
+        sub[:-1:2] = fwd[::2]
+        sub[1::2] = rev[::2]
+        sub[-1] = rev[-1]
+    # the + 0.0 is scipy's `initial` offset; it turns -0.0 into 0.0
+    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
 
 
 def cumulative_on(nodes: np.ndarray, fn, k: int = ANALYTIC_REFINE):

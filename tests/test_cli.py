@@ -1,10 +1,16 @@
 """Command-line front end: exit codes, configs, determinism."""
 
+import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import warpedsphere
+from warpedsphere import families as fam
 from warpedsphere.cli import main
 
 
@@ -64,6 +70,12 @@ class TestExitCodes:
         assert main(["analyze", "--family", "tendril",
                      "--param", "length=1", "--grid-size", "301",
                      "--output", str(out)]) == 0
+
+    def test_unresolvable_tendril_length_is_config_error(self, capsys):
+        assert main(["analyze", "--family", "tendril",
+                     "--param", "length=1e-20", "--grid-size", "301"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "too small" in err
 
 
 class TestConfigDriven:
@@ -134,6 +146,64 @@ class TestSubcommands:
         # sorted listing
         order = [l for l in text.splitlines() if l and not l.startswith(" ")]
         assert order == sorted(order)
+
+    def test_families_marks_required_by_constructor_default(self, capsys):
+        assert main(["families"]) == 0
+        shown = {}
+        for line in capsys.readouterr().out.splitlines():
+            if not line.startswith(" "):
+                family = line
+            elif ":" in line:
+                pname = line.split(":", 1)[0].strip()
+                shown[family, pname] = line.endswith("; required]")
+        listed = set()
+        for name, build in fam.FAMILIES.items():
+            for pname, param in inspect.signature(build).parameters.items():
+                if pname in fam.FAMILY_CATALOG[name]:
+                    listed.add((name, pname))
+                    no_default = param.default is param.empty
+                    assert shown[name, pname] == no_default, (name, pname)
+        assert set(shown) == listed
+        assert not shown["tendril", "theta0"]
+
+
+def _modules_after(*argvs):
+    """Run each argv through `main` in a fresh interpreter; return the
+    exit codes and the scipy modules loaded by then."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from warpedsphere.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+        "    if m == 'scipy' or m.startswith('scipy.'))]))\n")
+    src = os.path.dirname(os.path.dirname(warpedsphere.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env,
+                          check=True)
+    return json.loads(done.stdout)
+
+
+class TestImportFootprint:
+    def test_commands_load_no_scipy(self):
+        codes, scipy_modules = _modules_after(
+            ["verify", "--family", "tendril", "--param", "length=1"],
+            ["sequence", "--family", "bubble", "--count", "1"],
+            ["pointpick"],
+            ["analyze", "--family", "bump", "--param", "eta=0.5"],
+            ["families"])
+        assert codes == [0, 0, 0, 0, 0]
+        assert scipy_modules == []
+
+    def test_bvp_solver_still_runs(self):
+        codes, scipy_modules = _modules_after(
+            ["verify", "--family", "round", "--solver", "bvp"])
+        assert codes == [0]
+        assert "scipy.linalg" in scipy_modules
 
 
 class TestDeterminism:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+import warpedsphere.families as fam
 from warpedsphere import (bubble_sphere, bump_sphere, make, round_sphere,
                           scalar_deficit, scaled_sphere, tendril_sphere,
                           validate, volume)
@@ -119,6 +121,75 @@ class TestTendril:
         rep = validate(metric)
         assert rep.ok
         assert np.all(metric.phi >= 1.0 - 1e-12)
+
+
+def _c_max(length, width, theta0=None):
+    """Squash depth of a tendril, from the root finder in `fam._brentq`."""
+    _, breaks, thin = fam._tendril_layout(length, width, theta0)
+    shape = fam._tendril_shape(breaks, thin)
+    return fam._tendril_normalize(length, shape, breaks)
+
+
+def _outcome(root, *args, **kwargs):
+    """The root, or the type of the exception the root finder raised."""
+    try:
+        return root(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+#: (length, width, theta0): the catalog edges of length and width, and
+#: explicit finger positions and long fingers beyond the catalog
+TENDRIL_CASES = [(length, width, None)
+                 for width in (0.05, 0.07, 0.1, 0.12)
+                 for length in (0.0, 1e-12, 1e-6, 0.01, 0.1, 0.25, 0.5,
+                                0.75, 1.0, 1.25, 1.5, 1.75, 2.0)] + [
+    (1.0, 0.1, 0.3), (2.0, 0.05, 0.5), (0.5, 0.12, 0.19),
+    (1e3, 0.1, None), (1e6, 0.05, None)]
+
+
+class TestBrentqPort:
+    """The Brent port returns scipy's `brentq` root bit for bit."""
+
+    def test_tendril_normalization_matches_scipy(self, monkeypatch):
+        ours = [_c_max(*case) for case in TENDRIL_CASES]
+        assert ours[1] == tendril_sphere(1e-12, 0.05).params["c_max"]
+        monkeypatch.setattr(fam, "_brentq", brentq)
+        assert [_c_max(*case) for case in TENDRIL_CASES] == ours
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: np.cos(x) - x, 0.0, 1.0),
+        (lambda x: np.exp(x) - 1e6, 0.0, 30.0),
+        (lambda x: (x - 0.7) ** 5, 0.0, 1.0),
+        (lambda x: np.tanh(50.0 * (x - 0.123)), -1.0, 4.0),
+        (lambda x: x, -1.0, 0.0),
+    ])
+    @pytest.mark.parametrize("xtol, rtol", [(2e-12, 8.9e-16),
+                                            (1e-15, 8.9e-16), (1e-3, 1e-6)])
+    def test_generic_roots_match_scipy(self, f, a, b, xtol, rtol):
+        for lo, hi in ((a, b), (b, a)):
+            assert (_outcome(fam._brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+                    == _outcome(brentq, f, lo, hi, xtol=xtol, rtol=rtol))
+
+    @pytest.mark.parametrize("root", [fam._brentq, brentq])
+    def test_failures_raise_like_scipy(self, root):
+        assert _outcome(root, lambda x: x * x + 1.0, -1.0, 1.0,
+                        xtol=1e-12, rtol=1e-15) == ValueError
+        assert _outcome(root, lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-15,
+                        rtol=8.9e-16, maxiter=3) == RuntimeError
+
+    def test_unattainable_length_is_construction_error(self):
+        with pytest.raises(ConstructionError,
+                           match="not attainable") as info:
+            tendril_sphere(1e8, 0.1)
+        assert info.value.constraint == "length"
+
+    def test_unresolvable_length_is_construction_error(self):
+        # excess(c) > 0 already at the lower bracket end: no sign change
+        with pytest.raises(ConstructionError, match="too small") as info:
+            tendril_sphere(1e-20, 0.1)
+        assert info.value.constraint == "length"
 
 
 class TestBubble:

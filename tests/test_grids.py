@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
 from warpedsphere import RadialGrid, refine_nodes
 from warpedsphere.errors import StructuralError
+from warpedsphere.families import _tendril_layout, tendril_grid
 from warpedsphere.grids import (PI, cumulative, cumulative_on, integrate,
-                                node_weights)
+                                node_weights, simpson_rule)
 
 
 class TestRadialGrid:
@@ -92,3 +94,86 @@ class TestQuadrature:
         w = node_weights(x)
         assert np.all(w > 0)
         assert np.sum(w) == pytest.approx(PI, abs=1e-12)
+
+
+def _bits(value):
+    """Raw float64 bytes, so that 0.0 and -0.0 count as different."""
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _assert_matches_scipy(y, x):
+    assert _bits(integrate(y, x)) == _bits(simpson(y=y, x=x))
+    assert (_bits(cumulative(y, x))
+            == _bits(cumulative_simpson(y=y, x=x, initial=0.0)))
+
+
+def _tendril_nodes(width):
+    _, breaks, _ = _tendril_layout(1.0, width, None)
+    return tendril_grid(breaks).nodes
+
+
+class TestScipyOracle:
+    """The numpy Simpson rules are bit-identical to scipy's."""
+
+    @pytest.mark.parametrize("n", [1000, 1001, 2000, 2001, 4000, 4001])
+    @pytest.mark.parametrize("spacing", ["uniform", "graded"])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_radial_grids(self, n, spacing, k):
+        x = refine_nodes(getattr(RadialGrid, spacing)(n).nodes, k)
+        for y in (np.sin(x), np.sin(x) ** 3 / (1.0 + x),
+                  np.exp(-3.0 * x) * np.cos(7.0 * x)):
+            _assert_matches_scipy(y, x)
+            _assert_matches_scipy(y[:-1], x[:-1])
+
+    @pytest.mark.parametrize("width", [0.05, 0.1, 0.12])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_enriched_tendril_grids(self, width, k):
+        x = refine_nodes(_tendril_nodes(width), k)
+        for y in (np.sin(x), 1.0 / (1.0 + 50.0 * (x - 0.3) ** 2)):
+            _assert_matches_scipy(y, x)
+            _assert_matches_scipy(y[1:], x[1:])
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_shortest_grids(self, n):
+        x = np.array([0.0, 0.3, 0.35, 1.0, 2.5])[:n]
+        _assert_matches_scipy(np.array([1.0, -2.0, 0.5, 3.0, 1e-3])[:n], x)
+        _assert_matches_scipy(np.zeros(n), x)
+        _assert_matches_scipy(-np.zeros(n), x)
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 9])
+    def test_underflowing_spacings(self, n):
+        # h0 * h1 underflows to 0, where scipy's guarded divisions give 0
+        x = np.arange(n) * 1e-300
+        y = np.zeros(n)
+        y[0], y[1] = -1e-300, 1e-320
+        y[2:] = -0.0
+        _assert_matches_scipy(y, x)
+        _assert_matches_scipy(y[::-1].copy(), x)
+
+    def test_random_grids(self):
+        rng = np.random.default_rng(20260418)
+        for _ in range(3000):
+            n = int(rng.integers(2, 48))
+            steps = rng.random(n) ** rng.uniform(0.2, 5.0) + 1e-12
+            x = rng.normal() + np.cumsum(steps)
+            if np.any(np.diff(x) <= 0):
+                continue
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-8.0, 8.0)
+            _assert_matches_scipy(y, x)
+            # zero integrands: the sign of a zero result must match too
+            _assert_matches_scipy(np.where(y > 0, 0.0, -0.0), x)
+
+    @pytest.mark.parametrize("n", [2, 3, 2000, 2001])
+    def test_reused_rule(self, n):
+        x = RadialGrid.graded(max(n, 33)).nodes[:n]
+        rule = simpson_rule(x)
+        for c in (0.0, 0.3, 0.9):
+            y = (1.0 - c * np.sin(x) ** 2) ** -0.5 - 1.0
+            assert _bits(rule(y)) == _bits(simpson(y=y, x=x))
+
+    def test_cumulative_rejects_non_increasing_x(self):
+        x = np.array([0.0, 0.5, 0.5, 1.0])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cumulative(np.ones(4), x)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cumulative(np.ones(3), x[[0, 2, 1]])
