@@ -8,9 +8,8 @@ estimates, good-set volume bounds, and dyadic convergence experiments.
 """
 
 from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
-                     DomainError, IterationError, RefinementError,
-                     ResidualGuardError, SolverError, StructuralError,
-                     WarpedSphereError)
+                     DomainError, IterationError, ResidualGuardError,
+                     SolverError, StructuralError, WarpedSphereError)
 from .grids import RadialGrid, refine_nodes
 from .metrics import (ClassParams, GeometrySummary, MembershipReport,
                       ProfileFns, ValidationReport, WarpedMetric,
@@ -24,18 +23,18 @@ from .families import (FAMILIES, FAMILY_CATALOG, bubble_sphere, bump_sphere,
 from .potential import (PotentialSolution, SolverConfig, flux_residual,
                         pde_residual, solve_bvp, solve_quadrature)
 from .functionals import (AlignmentConstants, CoreIntegrals, GoodSetReport,
-                          PointPickResult, ShellSelection,
+                          Evaluation, PointPickResult, ShellSelection,
                           alignment_constants, core_integrals,
                           csc_hessian_l1, good_set_volumes, point_pick,
                           polar_average, polar_csc3, ratio_seminorm,
                           shell_integral, shell_select, weighted_median)
 from .constants import ConstantLedger, constant_ledger
-from .verification import (CheckResult, ConvergenceReport, SequenceEntry,
-                           SequenceSpec, check_global_suite,
+from .verification import (SUITES, CheckResult, ConvergenceReport,
+                           SequenceEntry, SequenceSpec, check_global_suite,
                            check_goodset_suite, check_identity_suite,
                            check_polar_suite, run_all_checks, run_sequence,
                            tol_disc)
 from .report import (build_report, checks_csv, config_hash, report_json,
-                     sequence_csv, write_report, write_text_atomic)
+                     sequence_csv, write_text_atomic)
 
 __version__ = "0.1.0"

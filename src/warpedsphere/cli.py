@@ -12,25 +12,23 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import inspect
 import sys
 
 from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
                      DomainError, IterationError, ResidualGuardError,
                      SolverError, StructuralError, WarpedSphereError)
-from .grids import PI, RadialGrid
+from .grids import RadialGrid
 from .metrics import (ClassParams, class_membership, load_profile_table,
                       summarize)
 from . import families as fam
 from .functionals import point_pick
 from .potential import SolverConfig, solve_bvp, solve_quadrature
 from .constants import constant_ledger
-from .verification import (SequenceSpec, check_global_suite,
-                           check_goodset_suite, check_identity_suite,
-                           check_polar_suite, run_sequence)
+from .verification import (SUITES, SequenceSpec, require_suites,
+                           run_all_checks, run_sequence)
 from . import report as rep
-
-SUITES = ("identity", "global", "polar", "goodset")
 
 #: recognized configuration keys per section; unknown keys are errors
 _METRIC_KEYS = {"family", "profile"} | {
@@ -259,21 +257,10 @@ def cmd_verify(config: dict) -> int:
     suite_sec = config.get("suites", {})
     names = [s.strip() for s in suite_sec.get("run", ",".join(SUITES)).split(",")
              if s.strip()]
-    for name in names:
-        if name not in SUITES:
-            raise ConfigError(
-                f"unknown suite {name!r}; choose from {SUITES}")
+    require_suites(names)            # before the solve: bad names exit 2
     tolerance = _float(suite_sec, "tolerance")
     pot = _solve(metric, config)
-    checks = []
-    if "identity" in names:
-        checks += check_identity_suite(metric, pot, tolerance)
-    if "global" in names:
-        checks += check_global_suite(metric, pot, ledger, tolerance)
-    if "polar" in names:
-        checks += check_polar_suite(metric, pot, ledger, tolerance)
-    if "goodset" in names:
-        checks += check_goodset_suite(metric, pot, ledger, tolerance)
+    checks = run_all_checks(metric, pot, ledger, tolerance, suites=names)
     extras = _summary_extras(metric, params)
     extras["ledger"] = ledger.as_dict()
     doc = rep.build_report(checks, config, seed=_seed(config), extras=extras)
@@ -343,7 +330,10 @@ def cmd_families(config: dict) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="warpedsphere",
         description="Warped 3-sphere verification laboratory")

@@ -48,9 +48,5 @@ class ConfigError(WarpedSphereError):
     """Invalid solver or scenario configuration."""
 
 
-class RefinementError(WarpedSphereError):
-    """Grid too coarse for the requested tolerance."""
-
-
 class ResidualGuardError(WarpedSphereError):
     """A functional refused to evaluate a potential with a large PDE residual."""

@@ -9,21 +9,24 @@ ratio = |grad u| / sin(theta).  With dV_g = 4 pi phi f^2 dtheta and
     int csc^2 |grad u| dV  = 4 pi int ratio phi f (f/sin) dtheta
     int |grad u| dV        = 4 pi int ratio phi f^2 sin dtheta   etc.
 
-Every evaluator refuses potentials whose flux residual exceeds the
-guard tolerance, so corrupted inputs surface as refusals rather than
-as spurious inequality failures.
+An `Evaluation` refuses a potential whose flux residual exceeds the
+guard tolerance, so corrupted inputs surface as refusals rather than as
+spurious inequality failures.  The guard runs once per evaluation, and
+the check suites share one; each public evaluator builds its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, ResidualGuardError
 from .grids import (ANALYTIC_REFINE, PI, cumulative, integrate, node_weights,
                     refine_nodes)
-from .metrics import WarpedMetric, ball_volume, scalar_curvature, volume
+from .metrics import (WarpedMetric, ball_volume, scalar_curvature,
+                      scalar_deficit, volume)
 from .potential import (PotentialSolution, _profiles_on,
                         _sin_fprime_over_f, f_over_sin, flux_residual)
 
@@ -41,10 +44,6 @@ def require_valid(metric: WarpedMetric, pot: PotentialSolution,
             f"{guard_tol:.1e}; functional values would be meaningless")
 
 
-# ----------------------------------------------------------------------
-# core integrals
-# ----------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class CoreIntegrals:
     i_csc2: float     # int csc^2 |grad u| dV_g
@@ -53,6 +52,22 @@ class CoreIntegrals:
     i_deficit: float  # int (6 - R)^+ |grad u| dV_g
     grad_l1: float
     grad_l2: float
+
+
+@dataclass(frozen=True)
+class AlignmentConstants:
+    a: float
+    sigma: float
+    attained_l1_gap_ratio: float
+    attained_l1_gap_u: float
+
+
+@dataclass(frozen=True)
+class ShellSelection:
+    sigma_p: float
+    sigma_mp: float
+    shell_integral_p: float
+    shell_integral_mp: float
 
 
 @dataclass(frozen=True)
@@ -102,115 +117,6 @@ def _ratio_on(metric: WarpedMetric, pot: PotentialSolution,
     return np.exp(logr)
 
 
-def _eval_fields(metric: WarpedMetric, pot: PotentialSolution) -> _Fields:
-    """Quadrature fields, on refined nodes when profiles are analytic.
-
-    Profile ramps (necks, shoulders) can be far sharper than the solver
-    grid.  With analytic profiles the integrands are rebuilt on refined
-    nodes: the ratio |grad u|/sin is near log-linear per cell (flux law),
-    so it is reconstructed by log interpolation, and u', u'' follow from
-    |u'| = ratio phi sin and the cancelled-form equation
-    u'' = u' (3 phi cot - 2 f'/f + phi'/phi).
-    """
-    t = pot.theta
-    if metric.profiles is None:
-        phi, f, dphi, df = _profiles_on(metric, t)
-        return _Fields(t, phi, f, dphi, df, f_over_sin(metric, t),
-                       _sin_fprime_over_f(metric, t),
-                       pot.ratio, pot.du, pot.d2u)
-    fine = refine_nodes(t, ANALYTIC_REFINE)
-    phi, f, dphi, df = _profiles_on(metric, fine)
-    fos = f_over_sin(metric, fine)
-    sf = _sin_fprime_over_f(metric, fine)
-    ratio = _ratio_on(metric, pot, fine, ANALYTIC_REFINE)
-    sgn = 1.0 if pot.u[-1] >= pot.u[0] else -1.0
-    s = np.sin(fine)
-    du = sgn * ratio * phi * s
-    d2u = sgn * ratio * (3.0 * phi**2 * np.cos(fine)
-                         - 2.0 * phi * sf + dphi * s)
-    return _Fields(fine, phi, f, dphi, df, fos, sf, ratio, du, d2u)
-
-
-def _hessian_squared(fld: _Fields):
-    """|Hess u + cot |grad u| g|^2 in orthonormal components.
-
-    radial component:    u''/phi^2 - (phi'/phi^3) u' + cot |grad u|
-    spherical (twice):   (f'/(phi^2 f)) u'     + cot |grad u|
-    with cot |grad u| = ratio * cos in cancelled form.
-    """
-    cot_term = fld.ratio * np.cos(fld.theta)
-    h_rad = fld.d2u / fld.phi**2 - fld.dphi * fld.du / fld.phi**3 + cot_term
-    # (f' u')/(phi^2 f) = -ratio * (f' sin/f) / phi, finite at the poles
-    h_sph = -fld.ratio * fld.sf / fld.phi + cot_term
-    return h_rad**2 + 2.0 * h_sph**2, h_rad, h_sph
-
-
-def core_integrals(metric: WarpedMetric, pot: PotentialSolution,
-                   guard_tol: float = GUARD_TOL) -> CoreIntegrals:
-    """The six Lemma-level integrals, by cancelled-form quadrature."""
-    require_valid(metric, pot, guard_tol)
-    fld = _eval_fields(metric, pot)
-    t, phi, f = fld.theta, fld.phi, fld.f
-    ratio = fld.ratio
-    s = np.sin(t)
-
-    csc2_integrand = ratio * phi * f * fld.fos
-    i_csc2 = 4.0 * PI * integrate(csc2_integrand, t)
-    i_align = 4.0 * PI * integrate(csc2_integrand * (1.0 - 1.0 / phi), t)
-
-    hess2, _, _ = _hessian_squared(fld)
-    grad = np.abs(fld.du) / phi                   # |grad u|
-    mass_integrand = np.where(grad > 1e-280,
-                              hess2 / np.where(grad > 1e-280, grad, 1.0),
-                              0.0) * phi * f**2
-    i_mass = 4.0 * PI * integrate(mass_integrand, t)
-
-    deficit = np.clip(6.0 - scalar_curvature(metric, t)
-                      if metric.profiles is not None
-                      else 6.0 - scalar_curvature(metric), 0.0, None)
-    i_deficit = 4.0 * PI * integrate(deficit * np.abs(fld.du) * f**2, t)
-
-    grad_l1 = 4.0 * PI * integrate(np.abs(fld.du) * f**2, t)
-    grad_l2 = float(np.sqrt(4.0 * PI * integrate(fld.du**2 * f**2 / phi, t)))
-    return CoreIntegrals(i_csc2=i_csc2, i_align=i_align, i_mass=i_mass,
-                         i_deficit=i_deficit, grad_l1=grad_l1,
-                         grad_l2=grad_l2)
-
-
-def csc_hessian_l1(metric: WarpedMetric, pot: PotentialSolution,
-                   guard_tol: float = GUARD_TOL) -> float:
-    """int csc(theta) |spacetime Hessian of u| dV_g, cancelled form.
-
-    csc * dV_g collapses to 4 pi phi f (f/sin) dtheta, finite at poles.
-    """
-    require_valid(metric, pot, guard_tol)
-    fld = _eval_fields(metric, pot)
-    hess2, _, _ = _hessian_squared(fld)
-    return 4.0 * PI * integrate(np.sqrt(hess2) * fld.phi * fld.f * fld.fos,
-                                fld.theta)
-
-
-def ratio_seminorm(metric: WarpedMetric, pot: PotentialSolution,
-                   guard_tol: float = GUARD_TOL) -> float:
-    """Total variation int |grad(ratio)| dV_g = 4 pi int |ratio'| f^2.
-
-    ratio' comes from the flux law: ratio' = ratio (3 phi cot - cot
-    - 2 f'/f), so ratio' f^2 = ratio ((3 phi - 1) cos f (f/sin) - 2 f' f)
-    stays finite at the poles.
-    """
-    require_valid(metric, pot, guard_tol)
-    fld = _eval_fields(metric, pot)
-    t, f = fld.theta, fld.f
-    integrand = np.abs(fld.ratio
-                       * ((3.0 * fld.phi - 1.0) * np.cos(t) * f * fld.fos
-                          - 2.0 * fld.df * f))
-    return 4.0 * PI * integrate(integrand, t)
-
-
-# ----------------------------------------------------------------------
-# alignment constants (weighted medians)
-# ----------------------------------------------------------------------
-
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     """Minimizer of k -> sum w |v - k|; interval midpoints on ties."""
     order = np.argsort(values)
@@ -223,29 +129,215 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[i])
 
 
-@dataclass(frozen=True)
-class AlignmentConstants:
-    a: float
-    sigma: float
-    attained_l1_gap_ratio: float
-    attained_l1_gap_u: float
+def shell_integral(metric: WarpedMetric, pot: PotentialSolution,
+                   s: np.ndarray) -> np.ndarray:
+    """int_{partial B(p,s)} |grad u| dA_g = 4 pi (|u'(s)|/phi) f(s)^2."""
+    phi, f, _, _ = _profiles_on(metric, np.asarray(s, dtype=float))
+    du = np.interp(s, pot.theta, pot.du)
+    return 4.0 * PI * np.abs(du) / phi * f**2
+
+
+class Evaluation:
+    """One (metric, potential) pair and the quantities the suites read.
+
+    The constructor runs the flux-residual guard.  Each property is
+    computed on first use and then kept for the life of the evaluation,
+    so the suites of one scenario share a single set of refined fields.
+    """
+
+    def __init__(self, metric: WarpedMetric, pot: PotentialSolution,
+                 guard_tol: float = GUARD_TOL):
+        require_valid(metric, pot, guard_tol)
+        self.metric, self.pot = metric, pot
+
+    @cached_property
+    def fields(self) -> _Fields:
+        """Quadrature fields, on refined nodes when profiles are analytic.
+
+        Profile ramps (necks, shoulders) can be far sharper than the
+        solver grid.  With analytic profiles the integrands are rebuilt
+        on refined nodes: the ratio |grad u|/sin is near log-linear per
+        cell (flux law), so it is reconstructed by log interpolation, and
+        u', u'' follow from |u'| = ratio phi sin and the cancelled-form
+        equation u'' = u' (3 phi cot - 2 f'/f + phi'/phi).
+        """
+        metric, pot = self.metric, self.pot
+        t = pot.theta
+        fine = t if metric.profiles is None \
+            else refine_nodes(t, ANALYTIC_REFINE)
+        phi, f, dphi, df = _profiles_on(metric, fine)
+        fos = f_over_sin(fine, f, df)
+        sf = _sin_fprime_over_f(fine, f, df, fos)
+        if metric.profiles is None:
+            return _Fields(t, phi, f, dphi, df, fos, sf,
+                           pot.ratio, pot.du, pot.d2u)
+        ratio = _ratio_on(metric, pot, fine, ANALYTIC_REFINE)
+        sgn = 1.0 if pot.u[-1] >= pot.u[0] else -1.0
+        s = np.sin(fine)
+        du = sgn * ratio * phi * s
+        d2u = sgn * ratio * (3.0 * phi**2 * np.cos(fine)
+                             - 2.0 * phi * sf + dphi * s)
+        return _Fields(fine, phi, f, dphi, df, fos, sf, ratio, du, d2u)
+
+    @cached_property
+    def hessian_squared(self) -> np.ndarray:
+        """|Hess u + cot |grad u| g|^2 in orthonormal components.
+
+        radial component:    u''/phi^2 - (phi'/phi^3) u' + cot |grad u|
+        spherical (twice):   (f'/(phi^2 f)) u'     + cot |grad u|
+        with cot |grad u| = ratio * cos in cancelled form.
+        """
+        fld = self.fields
+        cot_term = fld.ratio * np.cos(fld.theta)
+        h_rad = (fld.d2u / fld.phi**2 - fld.dphi * fld.du / fld.phi**3
+                 + cot_term)
+        # (f' u')/(phi^2 f) = -ratio * (f' sin/f) / phi, finite at the poles
+        h_sph = -fld.ratio * fld.sf / fld.phi + cot_term
+        return h_rad**2 + 2.0 * h_sph**2
+
+    @cached_property
+    def m(self) -> float:
+        """The measured deficit m = (deficit norm)^(1/2)."""
+        return scalar_deficit(self.metric)
+
+    @cached_property
+    def core(self) -> CoreIntegrals:
+        """The six Lemma-level integrals, by cancelled-form quadrature."""
+        metric, fld = self.metric, self.fields
+        t, phi, f, du = fld.theta, fld.phi, fld.f, fld.du
+
+        csc2_integrand = fld.ratio * phi * f * fld.fos
+        i_csc2 = 4.0 * PI * integrate(csc2_integrand, t)
+        i_align = 4.0 * PI * integrate(csc2_integrand * (1.0 - 1.0 / phi), t)
+
+        grad = np.abs(du) / phi                       # |grad u|
+        mass_integrand = np.where(grad > 1e-280,
+                                  self.hessian_squared
+                                  / np.where(grad > 1e-280, grad, 1.0),
+                                  0.0) * phi * f**2
+        i_mass = 4.0 * PI * integrate(mass_integrand, t)
+
+        deficit = np.clip(6.0 - scalar_curvature(metric, t)
+                          if metric.profiles is not None
+                          else 6.0 - scalar_curvature(metric), 0.0, None)
+        i_deficit = 4.0 * PI * integrate(deficit * np.abs(du) * f**2, t)
+
+        grad_l1 = 4.0 * PI * integrate(np.abs(du) * f**2, t)
+        grad_l2 = float(np.sqrt(4.0 * PI * integrate(du**2 * f**2 / phi, t)))
+        return CoreIntegrals(i_csc2=i_csc2, i_align=i_align, i_mass=i_mass,
+                             i_deficit=i_deficit, grad_l1=grad_l1,
+                             grad_l2=grad_l2)
+
+    @cached_property
+    def csc_hessian_l1(self) -> float:
+        """int csc(theta) |spacetime Hessian of u| dV_g, cancelled form.
+
+        csc * dV_g collapses to 4 pi phi f (f/sin) dtheta, finite at poles.
+        """
+        fld = self.fields
+        return 4.0 * PI * integrate(np.sqrt(self.hessian_squared)
+                                    * fld.phi * fld.f * fld.fos, fld.theta)
+
+    @cached_property
+    def ratio_seminorm(self) -> float:
+        """Total variation int |grad(ratio)| dV_g = 4 pi int |ratio'| f^2.
+
+        ratio' comes from the flux law: ratio' = ratio (3 phi cot - cot
+        - 2 f'/f), so ratio' f^2 = ratio ((3 phi - 1) cos f (f/sin) - 2 f' f)
+        stays finite at the poles.
+        """
+        fld = self.fields
+        t, f = fld.theta, fld.f
+        integrand = np.abs(fld.ratio
+                           * ((3.0 * fld.phi - 1.0) * np.cos(t) * f * fld.fos
+                              - 2.0 * fld.df * f))
+        return 4.0 * PI * integrate(integrand, t)
+
+    @cached_property
+    def alignment(self) -> AlignmentConstants:
+        """a(g), sigma(g) as L^1(dV_g) minimizers over constants."""
+        pot = self.pot
+        t = pot.theta
+        phi, f, _, _ = _profiles_on(self.metric, t)
+        w = node_weights(t) * 4.0 * PI * phi * f**2
+        a = max(0.0, weighted_median(pot.ratio, w))
+        gap_ratio = float(np.sum(w * np.abs(pot.ratio - a)))
+        resid = pot.u - a * np.cos(t)
+        sigma = weighted_median(resid, w)
+        gap_u = float(np.sum(w * np.abs(resid - sigma)))
+        return AlignmentConstants(a=a, sigma=sigma,
+                                  attained_l1_gap_ratio=gap_ratio,
+                                  attained_l1_gap_u=gap_u)
+
+    @cached_property
+    def shells(self) -> ShellSelection:
+        """Minimizing shells in [pi/8, pi/4] near each pole (grid scan)."""
+        metric, pot = self.metric, self.pot
+        t = pot.theta
+        near = (t >= PI / 8) & (t <= PI / 4)
+        vals_p = shell_integral(metric, pot, t[near])
+        i_p = int(np.argmin(vals_p))
+        far = (t >= PI - PI / 4) & (t <= PI - PI / 8)
+        vals_m = shell_integral(metric, pot, t[far])
+        i_m = int(np.argmin(vals_m))
+        return ShellSelection(sigma_p=float(t[near][i_p]),
+                              sigma_mp=float(PI - t[far][i_m]),
+                              shell_integral_p=float(vals_p[i_p]),
+                              shell_integral_mp=float(vals_m[i_m]))
+
+    def polar_csc3(self, r: float):
+        """int_{B(p,r)} csc^3 |grad u| dV_g at both poles, cancelled form.
+
+        The integrand collapses to 4 pi ratio phi (f/sin)^2 dtheta, which
+        is 4 pi dtheta on the round sphere.
+        """
+        if not (0.0 < r <= PI / 8):
+            raise DomainError("polar radius must lie in (0, pi/8]")
+
+        def one_side(lo, hi):
+            s = np.linspace(lo, hi, 2001)
+            phi, f, _, df = _profiles_on(self.metric, s)
+            fos = f_over_sin(s, f, df)
+            ratio = np.interp(s, self.pot.theta, self.pot.ratio)
+            return 4.0 * PI * integrate(ratio * phi * fos**2, s)
+
+        return one_side(0.0, r), one_side(PI - r, PI)
+
+
+def core_integrals(metric: WarpedMetric, pot: PotentialSolution,
+                   guard_tol: float = GUARD_TOL) -> CoreIntegrals:
+    """See `Evaluation.core`."""
+    return Evaluation(metric, pot, guard_tol).core
+
+
+def csc_hessian_l1(metric: WarpedMetric, pot: PotentialSolution,
+                   guard_tol: float = GUARD_TOL) -> float:
+    """See `Evaluation.csc_hessian_l1`."""
+    return Evaluation(metric, pot, guard_tol).csc_hessian_l1
+
+
+def ratio_seminorm(metric: WarpedMetric, pot: PotentialSolution,
+                   guard_tol: float = GUARD_TOL) -> float:
+    """See `Evaluation.ratio_seminorm`."""
+    return Evaluation(metric, pot, guard_tol).ratio_seminorm
 
 
 def alignment_constants(metric: WarpedMetric, pot: PotentialSolution,
                         guard_tol: float = GUARD_TOL) -> AlignmentConstants:
-    """a(g), sigma(g) as L^1(dV_g) minimizers over constants."""
-    require_valid(metric, pot, guard_tol)
-    t = pot.theta
-    phi, f, _, _ = _profiles_on(metric, t)
-    w = node_weights(t) * 4.0 * PI * phi * f**2
-    a = max(0.0, weighted_median(pot.ratio, w))
-    gap_ratio = float(np.sum(w * np.abs(pot.ratio - a)))
-    resid = pot.u - a * np.cos(t)
-    sigma = weighted_median(resid, w)
-    gap_u = float(np.sum(w * np.abs(resid - sigma)))
-    return AlignmentConstants(a=a, sigma=sigma,
-                              attained_l1_gap_ratio=gap_ratio,
-                              attained_l1_gap_u=gap_u)
+    """See `Evaluation.alignment`."""
+    return Evaluation(metric, pot, guard_tol).alignment
+
+
+def shell_select(metric: WarpedMetric, pot: PotentialSolution,
+                 guard_tol: float = GUARD_TOL) -> ShellSelection:
+    """See `Evaluation.shells`."""
+    return Evaluation(metric, pot, guard_tol).shells
+
+
+def polar_csc3(metric: WarpedMetric, pot: PotentialSolution, r: float,
+               guard_tol: float = GUARD_TOL):
+    """See `Evaluation.polar_csc3`."""
+    return Evaluation(metric, pot, guard_tol).polar_csc3(r)
 
 
 def set_measure(metric: WarpedMetric, mask: np.ndarray,
@@ -259,62 +351,8 @@ def set_measure(metric: WarpedMetric, mask: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# shells, polar integrals, sublevels
+# polar averages, sublevels
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShellSelection:
-    sigma_p: float
-    sigma_mp: float
-    shell_integral_p: float
-    shell_integral_mp: float
-
-
-def shell_integral(metric: WarpedMetric, pot: PotentialSolution,
-                   s: np.ndarray) -> np.ndarray:
-    """int_{partial B(p,s)} |grad u| dA_g = 4 pi (|u'(s)|/phi) f(s)^2."""
-    phi, f, _, _ = _profiles_on(metric, np.asarray(s, dtype=float))
-    du = np.interp(s, pot.theta, pot.du)
-    return 4.0 * PI * np.abs(du) / phi * f**2
-
-
-def shell_select(metric: WarpedMetric, pot: PotentialSolution,
-                 guard_tol: float = GUARD_TOL) -> ShellSelection:
-    """Minimizing shells in [pi/8, pi/4] near each pole (grid scan)."""
-    require_valid(metric, pot, guard_tol)
-    t = pot.theta
-    near = (t >= PI / 8) & (t <= PI / 4)
-    vals_p = shell_integral(metric, pot, t[near])
-    i_p = int(np.argmin(vals_p))
-    far = (t >= PI - PI / 4) & (t <= PI - PI / 8)
-    vals_m = shell_integral(metric, pot, t[far])
-    i_m = int(np.argmin(vals_m))
-    return ShellSelection(sigma_p=float(t[near][i_p]),
-                          sigma_mp=float(PI - t[far][i_m]),
-                          shell_integral_p=float(vals_p[i_p]),
-                          shell_integral_mp=float(vals_m[i_m]))
-
-
-def polar_csc3(metric: WarpedMetric, pot: PotentialSolution, r: float,
-               guard_tol: float = GUARD_TOL):
-    """int_{B(p,r)} csc^3 |grad u| dV_g at both poles, cancelled form.
-
-    The integrand collapses to 4 pi ratio phi (f/sin)^2 dtheta, which is
-    4 pi dtheta on the round sphere.
-    """
-    if not (0.0 < r <= PI / 8):
-        raise DomainError("polar radius must lie in (0, pi/8]")
-    require_valid(metric, pot, guard_tol)
-
-    def one_side(lo, hi):
-        s = np.linspace(lo, hi, 2001)
-        phi, _, _, _ = _profiles_on(metric, s)
-        fos = f_over_sin(metric, s)
-        ratio = np.interp(s, pot.theta, pot.ratio)
-        return 4.0 * PI * integrate(ratio * phi * fos**2, s)
-
-    return one_side(0.0, r), one_side(PI - r, PI)
-
 
 def polar_average(metric: WarpedMetric, pot: PotentialSolution,
                   t: float) -> float:

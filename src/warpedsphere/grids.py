@@ -16,7 +16,7 @@ installed.  The tests keep scipy as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +51,6 @@ class RadialGrid:
     @property
     def n(self) -> int:
         return self.nodes.size
-
-    @property
-    def h_max(self) -> float:
-        return float(np.max(np.diff(self.nodes)))
 
     @classmethod
     def uniform(cls, n: int = 2001) -> "RadialGrid":

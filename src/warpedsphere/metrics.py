@@ -74,10 +74,6 @@ class WarpedMetric:
     def theta(self) -> np.ndarray:
         return self.grid.nodes
 
-    @property
-    def has_profiles(self) -> bool:
-        return self.profiles is not None
-
     def phi_at(self, t: np.ndarray) -> np.ndarray:
         if self.profiles is not None:
             return self.profiles.phi(np.asarray(t, dtype=float))
@@ -372,17 +368,3 @@ def load_profile_table(path, name: str = "table") -> WarpedMetric:
     return WarpedMetric(grid=grid, phi=np.ascontiguousarray(data[:, 1]),
                         f=np.ascontiguousarray(data[:, 2]), name=name)
 
-
-def summary_table(summary: GeometrySummary) -> str:
-    """Plain-text table of the geometric invariants."""
-    rows = [
-        ("volume", f"{summary.volume:.10g}"),
-        ("diameter (lower)", f"{summary.diameter_lower:.10g}"),
-        ("diameter (upper)", f"{summary.diameter_upper:.10g}"),
-        ("scalar-curvature mass", f"{summary.mass:.10g}"),
-        ("cheeger surrogate (upper bd)", f"{summary.cheeger_surrogate:.10g}"),
-        ("pole closure defect", f"{summary.validation.closure_defect:.3e}"),
-        ("comparison with round", "ok" if summary.validation.comparison_ok else "FAIL"),
-    ]
-    width = max(len(r[0]) for r in rows)
-    return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)

@@ -28,7 +28,7 @@ independent cross-check.  Both self-report a pointwise PDE residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -60,11 +60,6 @@ class PotentialSolution:
     epsilon: float = 0.0
     iterations: int = 0
 
-    @property
-    def grad_norm(self) -> np.ndarray:
-        """|grad u| = |u'| / phi at the grid nodes."""
-        return np.abs(self.du) / self.metric.phi
-
 
 def _profiles_on(metric: WarpedMetric, t: np.ndarray):
     """phi, f and their first derivatives on an arbitrary node set."""
@@ -77,21 +72,21 @@ def _profiles_on(metric: WarpedMetric, t: np.ndarray):
             np.interp(t, base, dphi), np.interp(t, base, df))
 
 
-def f_over_sin(metric: WarpedMetric, t: np.ndarray) -> np.ndarray:
-    """f / sin with its pole limit phi(pole) filled in."""
-    phi, f, _, df = _profiles_on(metric, t)
+def f_over_sin(t: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """f / sin from f, f' on the nodes t, with the pole limit f'(pole) =
+    phi(pole) filled in."""
     s = np.sin(t)
     out = np.empty_like(s)
     safe = s > 1e-9
     out[safe] = f[safe] / s[safe]
-    out[~safe] = df[~safe]  # f'(pole) = phi(pole) is the limit of f/sin
+    out[~safe] = df[~safe]
     return np.abs(out)
 
 
-def _sin_fprime_over_f(metric: WarpedMetric, t: np.ndarray) -> np.ndarray:
-    """sin * f'/f, finite at the poles (limit cos * phi/phi = +-1)."""
-    _, f, _, df = _profiles_on(metric, t)
-    fos = f_over_sin(metric, t)
+def _sin_fprime_over_f(t: np.ndarray, f: np.ndarray, df: np.ndarray,
+                       fos: np.ndarray) -> np.ndarray:
+    """sin * f'/f from f, f' and f/sin on the nodes t, finite at the poles
+    (limit cos * phi/phi = +-1)."""
     sgn = np.where(t <= PI / 2, 1.0, -1.0)
     s = np.sin(t)
     out = np.empty_like(s)
@@ -132,7 +127,7 @@ def log_ratio_parts(metric: WarpedMetric, k_refine: int = ANALYTIC_REFINE):
     log_sin = np.log(np.clip(np.sin(fine), 1e-300, None))
     coef = 3.0 * p_side - 3.0
     sin_term = np.where(coef == 0.0, 0.0, coef * log_sin)
-    fos = f_over_sin(metric, fine)
+    fos = f_over_sin(fine, f, df)
     return fine, 3.0 * J + sin_term - 2.0 * np.log(fos), phi
 
 
@@ -159,8 +154,8 @@ def solve_quadrature(metric: WarpedMetric, residual_tol: float = 1e-4,
     sk = slice(None, None, k_refine)
     t = metric.theta
     du, u, ratio = du_fine[sk], u_fine[sk], K * r[sk]
-    phi, _, dphi, _ = _profiles_on(metric, t)
-    sf = _sin_fprime_over_f(metric, t)
+    phi, f, dphi, df = _profiles_on(metric, t)
+    sf = _sin_fprime_over_f(t, f, df, f_over_sin(t, f, df))
     d2u = du * dphi / phi + ratio * phi * (2.0 * sf - 3.0 * phi * np.cos(t))
 
     sol = PotentialSolution(metric=metric, theta=t, u=u, du=du, d2u=d2u,
@@ -172,10 +167,7 @@ def solve_quadrature(metric: WarpedMetric, residual_tol: float = 1e-4,
         raise SolverError(
             f"quadrature potential failed self-check: residual sup "
             f"{res.sup:.3e} exceeds {residual_tol:.1e}")
-    return PotentialSolution(metric=metric, theta=t, u=u, du=du, d2u=d2u,
-                             ratio=ratio, method="quadrature",
-                             flux_constant=-K, residual_sup=res.sup,
-                             residual_l2=res.l2, residual_band=residual_band)
+    return replace(sol, residual_sup=res.sup, residual_l2=res.l2)
 
 
 @dataclass(frozen=True)
@@ -186,7 +178,6 @@ class SolverConfig:
     max_iterations: int = 50
     picard_tolerance: float = 1e-10
     damping: float = 0.5
-    n_nodes: Optional[int] = None   # defaults to the metric grid size
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < PI / 8):
@@ -221,7 +212,7 @@ def solve_bvp(metric: WarpedMetric,
     from scipy.linalg import solve_banded
 
     eps = cfg.epsilon
-    n = cfg.n_nodes or metric.grid.n
+    n = metric.grid.n
     tb = np.linspace(eps, PI - eps, n)
     h = tb[1] - tb[0]
     phi, f, _, _ = _profiles_on(metric, tb)
@@ -277,11 +268,7 @@ def solve_bvp(metric: WarpedMetric,
                             residual_l2=np.nan, residual_band=max(0.1, 2 * eps),
                             epsilon=eps, iterations=it)
     res = pde_residual(metric, sol, band=sol.residual_band)
-    return PotentialSolution(metric=metric, theta=t, u=u_full, du=du_full,
-                             d2u=d2u_full, ratio=ratio, method="bvp",
-                             flux_constant=flux_c, residual_sup=res.sup,
-                             residual_l2=res.l2, residual_band=res.band,
-                             epsilon=eps, iterations=it)
+    return replace(sol, residual_sup=res.sup, residual_l2=res.l2)
 
 
 # ----------------------------------------------------------------------
@@ -372,13 +359,8 @@ def flux_residual(metric: WarpedMetric, sol: PotentialSolution,
     phi, f, _, _ = _profiles_on(metric, t)
     w = f**2 * sol.du / phi
     logw = np.log(np.clip(np.abs(w[mask]), 1e-300, None))
-
-    def phicot(x):
-        ph = metric.profiles.phi(x) if metric.profiles is not None \
-            else np.interp(x, t, phi)
-        return 3.0 * ph * np.cos(x) / np.sin(x)
-
-    target, _ = cumulative_on(tm, phicot)
+    target, _ = cumulative_on(
+        tm, lambda x: 3.0 * metric.phi_at(x) * np.cos(x) / np.sin(x))
     dt = np.diff(tm)
     defect = (np.diff(logw) - np.diff(target)) / dt
     return float(np.max(np.abs(defect)))

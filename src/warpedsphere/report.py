@@ -121,14 +121,6 @@ def sequence_csv(report: ConvergenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profile_csv(theta, u, du, ratio) -> str:
-    """Plot-ready table of a potential solution."""
-    lines = ["theta,u,du,ratio"]
-    for row in zip(theta, u, du, ratio):
-        lines.append(",".join(_csv_num(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
     partial report."""
@@ -142,7 +134,3 @@ def write_text_atomic(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_report(path: str, doc: dict) -> None:
-    write_text_atomic(path, report_json(doc))

@@ -18,17 +18,14 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import ConstantLedger, constant_ledger
-from .distance import diameter_bounds
+from .constants import ConstantLedger
+from .errors import ConfigError
 from .families import make
-from .functionals import (alignment_constants, core_integrals,
-                          csc_hessian_l1, good_set_volumes, polar_average,
-                          polar_csc3, ratio_seminorm, set_measure,
-                          shell_select, sublevel_round_volume)
+from .functionals import (Evaluation, good_set_volumes, polar_average,
+                          set_measure, sublevel_round_volume)
 from .grids import PI, RadialGrid
-from .metrics import (ClassParams, WarpedMetric, class_membership,
-                      scalar_deficit, validate, volume)
-from .potential import PotentialSolution, solve_quadrature
+from .metrics import ClassParams, WarpedMetric, class_membership
+from .potential import PotentialSolution
 
 #: quadrature-noise coefficient, calibrated on the round sphere by
 #: measuring the identity-suite margin error over h in {pi/500, pi/1000,
@@ -54,10 +51,6 @@ class CheckResult:
     verdict: str             # "pass" | "fail" | "skipped"
     inputs: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
 
 def _check(label: str, lhs: float, rhs: float, tol: float,
            **inputs) -> CheckResult:
@@ -75,14 +68,12 @@ def _skipped(label: str, reason: str, **inputs) -> CheckResult:
 
 
 # ----------------------------------------------------------------------
-# suites
+# suites: each body reads one shared Evaluation, whose guard has run
 # ----------------------------------------------------------------------
 
-def check_identity_suite(metric: WarpedMetric, pot: PotentialSolution,
-                         tolerance: Optional[float] = None) -> list[CheckResult]:
+def _identity_suite(ev: Evaluation, ledger, tol: float) -> list[CheckResult]:
     """The three flux identities tying weighted gradients to the deficit."""
-    tol = tol_disc(metric) if tolerance is None else tolerance
-    ci = core_integrals(metric, pot)
+    ci = ev.core
     return [
         _check("eq_2_2", ci.i_csc2, 8.0 * PI + 0.5 * ci.i_deficit, tol,
                i_csc2=ci.i_csc2, i_deficit=ci.i_deficit),
@@ -93,20 +84,16 @@ def check_identity_suite(metric: WarpedMetric, pot: PotentialSolution,
     ]
 
 
-def check_global_suite(metric: WarpedMetric, pot: PotentialSolution,
-                       ledger: ConstantLedger,
-                       tolerance: Optional[float] = None
-                       ) -> list[CheckResult]:
+def _global_suite(ev: Evaluation, ledger: ConstantLedger,
+                  tol: float) -> list[CheckResult]:
     """Global L^1/L^2 estimates with ledger right-hand sides.
 
     The measured deficit enters through m = deficit norm^(1/2); every
     right-hand side written against norm^(1/2) therefore carries a
     factor m.
     """
-    tol = tol_disc(metric) if tolerance is None else tolerance
-    ci = core_integrals(metric, pot)
-    m = scalar_deficit(metric)
-    ac = alignment_constants(metric, pot)
+    metric, pot = ev.metric, ev.pot
+    ci, m, ac = ev.core, ev.m, ev.alignment
     th = pot.theta
     tau_cheb = 0.1
 
@@ -114,10 +101,8 @@ def check_global_suite(metric: WarpedMetric, pot: PotentialSolution,
         _check("lemma_3_1", ci.grad_l2, ledger.C2, tol, m=m),
         _check("cor_3_2", ci.grad_l1, ledger.C3, tol, m=m),
         _check("eq_3_2", ci.i_align, ledger.c_align * m, tol, m=m),
-        _check("eq_3_3", csc_hessian_l1(metric, pot),
-               ledger.c_hess * m, tol, m=m),
-        _check("lemma_3_4", ratio_seminorm(metric, pot),
-               ledger.C5 * m, tol, m=m),
+        _check("eq_3_3", ev.csc_hessian_l1, ledger.c_hess * m, tol, m=m),
+        _check("lemma_3_4", ev.ratio_seminorm, ledger.C5 * m, tol, m=m),
         _check("cor_3_5_l1", ac.attained_l1_gap_ratio,
                ledger.C4 * m, tol, m=m, a=ac.a),
         _check("cor_3_6_l1", ac.attained_l1_gap_u,
@@ -140,15 +125,13 @@ _POLAR_RADII = (PI / 32, PI / 16, PI / 8)
 _SUBLEVEL_GAMMAS = (0.0, 0.5, 0.9)
 
 
-def check_polar_suite(metric: WarpedMetric, pot: PotentialSolution,
-                      ledger: ConstantLedger,
-                      tolerance: Optional[float] = None
-                      ) -> list[CheckResult]:
+def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
+                 tol: float) -> list[CheckResult]:
     """Shell, polar-mass, polar-average and sublevel-volume estimates."""
-    tol = tol_disc(metric) if tolerance is None else tolerance
+    metric, pot = ev.metric, ev.pot
     out: list[CheckResult] = []
 
-    sel = shell_select(metric, pot)
+    sel = ev.shells
     for tag, sigma, value in (("p", sel.sigma_p, sel.shell_integral_p),
                               ("mp", sel.sigma_mp, sel.shell_integral_mp)):
         out.append(_check(f"lemma_4_1_{tag}",
@@ -156,7 +139,7 @@ def check_polar_suite(metric: WarpedMetric, pot: PotentialSolution,
                           sigma=sigma, shell_integral=value))
 
     for i, r in enumerate(_POLAR_RADII, start=1):
-        v_p, v_mp = polar_csc3(metric, pot, r)
+        v_p, v_mp = ev.polar_csc3(r)
         out.append(_check(f"lemma_4_2_p_{i}", v_p, ledger.C6, tol, r=r))
         out.append(_check(f"lemma_4_2_mp_{i}", v_mp, ledger.C6, tol, r=r))
 
@@ -193,15 +176,12 @@ def _witness_measure(metric: WarpedMetric, pot: PotentialSolution,
     return set_measure(metric, mask, use_round=True)
 
 
-def check_goodset_suite(metric: WarpedMetric, pot: PotentialSolution,
-                        ledger: ConstantLedger,
-                        tolerance: Optional[float] = None
-                        ) -> list[CheckResult]:
+def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
+                   tol: float) -> list[CheckResult]:
     """Amplitude lower bound, witness regions and the volume sandwich."""
-    tol = tol_disc(metric) if tolerance is None else tolerance
-    m = scalar_deficit(metric)
+    metric, pot = ev.metric, ev.pot
+    m, ac = ev.m, ev.alignment
     nrm = m * m                      # the deficit L^2 norm itself
-    ac = alignment_constants(metric, pot)
     out: list[CheckResult] = []
 
     # amplitude lower bound: a >= 1 - C9 nrm^(1/12) - C10 nrm^(1/4)
@@ -250,14 +230,66 @@ def check_goodset_suite(metric: WarpedMetric, pot: PotentialSolution,
     return out
 
 
+_SUITE_BODIES = {"identity": _identity_suite, "global": _global_suite,
+                 "polar": _polar_suite, "goodset": _goodset_suite}
+
+#: suite names in their stable report order
+SUITES = tuple(_SUITE_BODIES)
+
+
+def require_suites(names) -> None:
+    """Refuse any name that is not one of SUITES."""
+    for name in names:
+        if name not in SUITES:
+            raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
+
+
 def run_all_checks(metric: WarpedMetric, pot: PotentialSolution,
-                   ledger: ConstantLedger,
-                   tolerance: Optional[float] = None) -> list[CheckResult]:
-    """The complete suite in stable (suite, label) order."""
-    return (check_identity_suite(metric, pot, tolerance)
-            + check_global_suite(metric, pot, ledger, tolerance)
-            + check_polar_suite(metric, pot, ledger, tolerance)
-            + check_goodset_suite(metric, pot, ledger, tolerance))
+                   ledger: ConstantLedger, tolerance: Optional[float] = None,
+                   suites=SUITES) -> list[CheckResult]:
+    """The named suites, all by default, in stable (suite, label) order.
+
+    All of them read one Evaluation, so the residual guard runs once and
+    each shared field or integral is computed once; the evaluation is
+    dropped on return.  No suite named means no evaluation and no checks.
+    """
+    require_suites(suites)
+    names = [name for name in SUITES if name in suites]
+    if not names:
+        return []
+    ev = Evaluation(metric, pot)
+    tol = tol_disc(metric) if tolerance is None else tolerance
+    return [c for name in names for c in _SUITE_BODIES[name](ev, ledger, tol)]
+
+
+def check_identity_suite(metric: WarpedMetric, pot: PotentialSolution,
+                         tolerance: Optional[float] = None) -> list[CheckResult]:
+    """The identity suite alone; see `_identity_suite`."""
+    return run_all_checks(metric, pot, None, tolerance, suites=("identity",))
+
+
+def check_global_suite(metric: WarpedMetric, pot: PotentialSolution,
+                       ledger: ConstantLedger,
+                       tolerance: Optional[float] = None
+                       ) -> list[CheckResult]:
+    """The global suite alone; see `_global_suite`."""
+    return run_all_checks(metric, pot, ledger, tolerance, suites=("global",))
+
+
+def check_polar_suite(metric: WarpedMetric, pot: PotentialSolution,
+                      ledger: ConstantLedger,
+                      tolerance: Optional[float] = None
+                      ) -> list[CheckResult]:
+    """The polar suite alone; see `_polar_suite`."""
+    return run_all_checks(metric, pot, ledger, tolerance, suites=("polar",))
+
+
+def check_goodset_suite(metric: WarpedMetric, pot: PotentialSolution,
+                        ledger: ConstantLedger,
+                        tolerance: Optional[float] = None
+                        ) -> list[CheckResult]:
+    """The good-set suite alone; see `_goodset_suite`."""
+    return run_all_checks(metric, pot, ledger, tolerance, suites=("goodset",))
 
 
 # ----------------------------------------------------------------------
@@ -301,10 +333,6 @@ class ConvergenceReport:
     fitted_k: float                  # max gap_i / m_i^(1/24)
     hypotheses_ok: bool              # every index admitted and comparable
 
-    def as_rows(self):
-        return [(e.index, e.m, e.volume, e.volume_gap, e.diameter_lower,
-                 e.diameter_upper, e.admitted) for e in self.entries]
-
 
 def run_sequence(spec: SequenceSpec, params: ClassParams
                  ) -> ConvergenceReport:
@@ -321,11 +349,11 @@ def run_sequence(spec: SequenceSpec, params: ClassParams
     for i, fam_params in enumerate(spec.schedule, start=1):
         try:
             metric = make(spec.family, grid=spec.grid, **fam_params)
-            rep = validate(metric)
             member = class_membership(metric, params)
             s = member.summary
             entries.append(SequenceEntry(
-                index=i, params=dict(fam_params), valid=rep.ok, error="",
+                index=i, params=dict(fam_params), valid=s.validation.ok,
+                error="",
                 m=s.mass, volume=s.volume,
                 volume_gap=abs(s.volume - ROUND_VOLUME),
                 diameter_lower=s.diameter_lower,

@@ -1,5 +1,7 @@
 """Shared fixtures: reference metrics and their solved potentials."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,18 @@ def round_metric(reference_metrics):
 @pytest.fixture(scope="session")
 def round_potential(reference_potentials):
     return reference_potentials["round"]
+
+
+@pytest.fixture(scope="session")
+def corrupted_potential(round_potential):
+    """The round potential with u = cos(2 theta): not a solution, so its
+    flux residual is far above the guard tolerance."""
+    t = round_potential.theta
+    s = np.clip(np.sin(t), 1e-12, None)
+    return dataclasses.replace(
+        round_potential, u=np.cos(2.0 * t), du=-2.0 * np.sin(2.0 * t),
+        d2u=-4.0 * np.cos(2.0 * t),
+        ratio=np.abs(-2.0 * np.sin(2.0 * t) / s))
 
 
 def rng(seed=0):

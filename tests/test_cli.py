@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import warpedsphere
+from warpedsphere import cli
 from warpedsphere import families as fam
 from warpedsphere.cli import main
 
@@ -30,6 +31,14 @@ class TestExitCodes:
     def test_unknown_suite_is_config_error(self):
         assert main(["verify", "--family", "round",
                      "--suites", "nonsense"]) == 2
+
+    def test_unknown_suite_refused_before_the_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver ran for an unknown suite")
+
+        monkeypatch.setattr(cli, "solve_quadrature", no_solve)
+        assert main(["verify", "--family", "round",
+                     "--suites", "identity,nonsense"]) == 2
 
     def test_unknown_family_is_config_error(self):
         assert main(["analyze", "--family", "torus"]) == 2
@@ -217,6 +226,30 @@ class TestDeterminism:
                          "--tolerance", "0.001"]) == 0
             texts.append(_strip_timestamp(out.read_text()))
         assert texts[0] == texts[1]
+
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_no_state_leaks_between_calls(self, tmp_path, capsys):
+        # one process, several calls: the cached parser must carry no
+        # state from one call into the next
+        verify = ["verify", "--family", "round", "--grid-size", "501",
+                  "--suites", "identity,polar"]
+        out = tmp_path / "verify.json"
+        texts = []
+        for _ in range(2):
+            assert main(verify + ["--output", str(out)]) == 0
+            texts.append(_strip_timestamp(out.read_text()))
+            capsys.readouterr()
+            assert main(["analyze", "--family", "bump"]) == 2
+            assert "requires parameter(s): eta" in capsys.readouterr().err
+        assert texts[0] == texts[1]
+        plain = tmp_path / "plain.json"
+        assert main(["verify", "--family", "round", "--grid-size", "501",
+                     "--output", str(plain)]) == 0
+        doc = json.loads(plain.read_text())
+        assert "run" not in doc["config"].get("suites", {})
+        assert len(doc["checks"]) > len(json.loads(texts[0])["checks"])
 
     def test_run_id_tracks_seed(self, tmp_path):
         ids = []

@@ -1,7 +1,5 @@
 """Curvature functionals, medians, shells and good sets."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,10 +8,11 @@ from hypothesis import strategies as st
 from warpedsphere import (alignment_constants, core_integrals,
                           csc_hessian_l1, good_set_volumes, point_pick,
                           polar_average, polar_csc3, ratio_seminorm,
-                          round_sphere, shell_integral, shell_select,
-                          weighted_median)
+                          round_sphere, scalar_deficit, shell_integral,
+                          shell_select, weighted_median)
+from warpedsphere import functionals
 from warpedsphere.errors import DomainError, ResidualGuardError
-from warpedsphere.functionals import sublevel_round_volume
+from warpedsphere.functionals import Evaluation, sublevel_round_volume
 from warpedsphere.grids import PI
 
 from conftest import REFERENCE_NAMES
@@ -44,15 +43,57 @@ class TestCoreIntegralsRound:
 
 class TestGuard:
     def test_corrupted_potential_refused(self, round_metric,
-                                         round_potential):
-        t = round_potential.theta
-        s = np.clip(np.sin(t), 1e-12, None)
-        bad = dataclasses.replace(
-            round_potential, u=np.cos(2.0 * t), du=-2.0 * np.sin(2.0 * t),
-            d2u=-4.0 * np.cos(2.0 * t),
-            ratio=np.abs(-2.0 * np.sin(2.0 * t) / s))
+                                         corrupted_potential):
         with pytest.raises(ResidualGuardError):
-            core_integrals(round_metric, bad)
+            core_integrals(round_metric, corrupted_potential)
+
+    @pytest.mark.parametrize("evaluate", [
+        core_integrals, csc_hessian_l1, ratio_seminorm, alignment_constants,
+        shell_select, lambda metric, pot: polar_csc3(metric, pot, PI / 16),
+        Evaluation])
+    def test_every_evaluator_refuses(self, round_metric, corrupted_potential,
+                                     evaluate):
+        with pytest.raises(ResidualGuardError):
+            evaluate(round_metric, corrupted_potential)
+
+
+class TestEvaluation:
+    """One Evaluation per (metric, potential): guard once, values equal to
+    the public evaluators, each computed once."""
+
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    def test_attributes_match_public_evaluators(self, reference_metrics,
+                                                reference_potentials, name):
+        metric, pot = reference_metrics[name], reference_potentials[name]
+        ev = Evaluation(metric, pot)
+        assert ev.core == core_integrals(metric, pot)
+        assert ev.csc_hessian_l1 == csc_hessian_l1(metric, pot)
+        assert ev.ratio_seminorm == ratio_seminorm(metric, pot)
+        assert ev.alignment == alignment_constants(metric, pot)
+        assert ev.shells == shell_select(metric, pot)
+        assert ev.polar_csc3(PI / 8) == polar_csc3(metric, pot, PI / 8)
+        assert ev.m == scalar_deficit(metric)
+
+    def test_guard_and_fields_once(self, reference_metrics,
+                                   reference_potentials, monkeypatch):
+        calls = {"flux_residual": 0, "refine_nodes": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(functionals, "flux_residual",
+                            counted("flux_residual",
+                                    functionals.flux_residual))
+        monkeypatch.setattr(functionals, "refine_nodes",
+                            counted("refine_nodes", functionals.refine_nodes))
+        ev = Evaluation(reference_metrics["bump"],
+                        reference_potentials["bump"])
+        for _ in range(2):
+            ev.core, ev.csc_hessian_l1, ev.ratio_seminorm
+        assert calls == {"flux_residual": 1, "refine_nodes": 1}
 
 
 class TestIdentityChain:

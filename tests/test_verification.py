@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from warpedsphere import (ClassParams, RadialGrid, SequenceSpec, bump_sphere,
-                          check_global_suite, check_goodset_suite,
-                          check_identity_suite, check_polar_suite,
-                          constant_ledger, round_sphere, run_all_checks,
-                          run_sequence, solve_quadrature, tol_disc)
+                          build_report, check_global_suite,
+                          check_goodset_suite, check_identity_suite,
+                          check_polar_suite, constant_ledger, report_json,
+                          round_sphere, run_all_checks, run_sequence,
+                          solve_quadrature, tol_disc)
+from warpedsphere import functionals, metrics, potential
+from warpedsphere.errors import ConfigError, ResidualGuardError
 from warpedsphere.grids import PI
+from warpedsphere.verification import SUITES
 
 from conftest import REFERENCE_NAMES
 
@@ -103,6 +107,87 @@ class TestFullSuite:
                     assert c.inputs["nonempty"], (name, c.label)
 
 
+def _one_by_one(metric, pot, ledger, names):
+    """The named suites through the public per-suite functions, each on
+    its own evaluation, in SUITES order."""
+    out = []
+    for name in SUITES:
+        if name in names:
+            if name == "identity":
+                out += check_identity_suite(metric, pot)
+            else:
+                suite = {"global": check_global_suite,
+                         "polar": check_polar_suite,
+                         "goodset": check_goodset_suite}[name]
+                out += suite(metric, pot, ledger)
+    return out
+
+
+def _report(checks):
+    return report_json(build_report(checks, {}, timestamp="t"))
+
+
+class TestSharedEvaluation:
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
+    @pytest.mark.parametrize("subset", ["identity", "polar,global",
+                                        "goodset", ",".join(SUITES)])
+    def test_reports_byte_identical_to_suites_one_by_one(
+            self, reference_metrics, reference_potentials, wide_ledger,
+            name, subset):
+        metric, pot = reference_metrics[name], reference_potentials[name]
+        names = subset.split(",")
+        shared = run_all_checks(metric, pot, wide_ledger, suites=names)
+        assert shared
+        assert _report(shared) == _report(
+            _one_by_one(metric, pot, wide_ledger, names))
+
+    def test_suites_run_in_stable_order(self, round_metric, round_potential,
+                                        wide_ledger):
+        a = run_all_checks(round_metric, round_potential, wide_ledger,
+                           suites=["goodset", "identity"])
+        b = run_all_checks(round_metric, round_potential, wide_ledger,
+                           suites=["identity", "goodset"])
+        assert [c.label for c in a] == [c.label for c in b]
+        assert a[0].label == "eq_2_2"
+
+    def test_guard_runs_once(self, reference_metrics, reference_potentials,
+                             wide_ledger, monkeypatch):
+        count = []
+        original = potential.flux_residual
+
+        def counted(*args, **kwargs):
+            count.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(potential, "flux_residual", counted)
+        monkeypatch.setattr(functionals, "flux_residual", counted)
+        run_all_checks(reference_metrics["tendril"],
+                       reference_potentials["tendril"], wide_ledger)
+        assert len(count) == 1
+
+    @pytest.mark.parametrize("run", [
+        lambda m, p, led: run_all_checks(m, p, led),
+        lambda m, p, led: run_all_checks(m, p, led, suites=["polar"]),
+        lambda m, p, led: check_identity_suite(m, p),
+        check_global_suite, check_polar_suite, check_goodset_suite])
+    def test_corrupted_potential_refused(self, round_metric,
+                                         corrupted_potential, wide_ledger,
+                                         run):
+        with pytest.raises(ResidualGuardError):
+            run(round_metric, corrupted_potential, wide_ledger)
+
+    def test_unknown_suite_refused(self, round_metric, round_potential,
+                                   wide_ledger):
+        with pytest.raises(ConfigError):
+            run_all_checks(round_metric, round_potential, wide_ledger,
+                           suites=["identity", "nonsense"])
+
+    def test_no_suite_means_no_checks(self, round_metric,
+                                      corrupted_potential, wide_ledger):
+        assert run_all_checks(round_metric, corrupted_potential,
+                              wide_ledger, suites=[]) == []
+
+
 class TestGlobalSuite:
     def test_verdict_semantics(self):
         from warpedsphere.verification import _check
@@ -144,6 +229,21 @@ class TestSequences:
         assert not report.entries[1].valid
         assert "ConstructionError" in report.entries[1].error
         assert report.entries[0].valid and report.entries[2].valid
+
+    def test_each_member_validated_once(self, monkeypatch):
+        calls = []
+        original = metrics.validate
+
+        def counted(metric, *args, **kwargs):
+            calls.append(metric.params["eta"])
+            return original(metric, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "validate", counted)
+        spec = SequenceSpec(family="bump",
+                            schedule=({"eta": 0.5}, {"eta": 0.25}))
+        report = run_sequence(spec, ClassParams(40.0, 10.0, 1.0, 1.0))
+        assert calls == [0.5, 0.25]
+        assert all(e.valid for e in report.entries)
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
