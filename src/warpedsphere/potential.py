@@ -275,37 +275,35 @@ def solve_bvp(metric: WarpedMetric,
 # residual
 # ----------------------------------------------------------------------
 
-#: nodes per batch of stencil systems in `_derivative_high_order`
-_NODE_BLOCK = 512
-
-
 def _derivative_high_order(y: np.ndarray, x: np.ndarray, stencil: int = 9
                            ) -> np.ndarray:
     """High-order first derivative on an arbitrary strictly increasing grid.
 
     Node i uses the `stencil` nodes centred on it (shifted inward at the
-    ends).  Its finite-difference weights c solve the Vandermonde system
-    sum_m c_m (x_m - x_i)^p = [p == 1], p < stencil, as Fornberg's
-    recursion (Fornberg 1988, Math. Comp. 51) would give them.  The
-    offsets are divided by the stencil width W, which keeps every system
-    on [-1, 1] whatever the local spacing; the scaled weights are W c.
-    The systems are solved in batches of _NODE_BLOCK nodes.
+    ends).  Its finite-difference weights come from Fornberg's recursion
+    (Fornberg 1988, Math. Comp. 51) for derivative orders 0 and 1, run
+    for every node at once: each scalar step of the recursion is one
+    array operation over the nodes, and no linear system is solved.
+    c1 to c5 keep the names of the paper's algorithm.
     """
     n = x.size
-    powers = np.arange(stencil)
-    unit = np.zeros((stencil, 1))
-    unit[1] = 1.0
-    out = np.empty(n)
-    for lo in range(0, n, _NODE_BLOCK):
-        i = np.arange(lo, min(lo + _NODE_BLOCK, n))
-        idx = np.clip(i - stencil // 2, 0, n - stencil)[:, None] + powers
-        xs = x[idx]
-        width = xs[:, -1] - xs[:, 0]
-        offsets = (xs - x[i, None]) / width[:, None]
-        vander = offsets[:, None, :] ** powers[None, :, None]
-        weights = np.linalg.solve(vander, unit)[..., 0]
-        out[i] = np.einsum("im,im->i", weights, y[idx]) / width
-    return out
+    first = np.clip(np.arange(n) - stencil // 2, 0, n - stencil)
+    xs = [x[first + m] for m in range(stencil)]
+    w0 = [np.ones(n)] + [None] * (stencil - 1)    # interpolation weights
+    w1 = [np.zeros(n)] + [None] * (stencil - 1)   # first-derivative weights
+    c1, c4 = 1.0, xs[0] - x
+    for i in range(1, stencil):
+        c2, c5, c4 = 1.0, c4, xs[i] - x
+        for j in range(i):
+            c3 = xs[i] - xs[j]
+            c2 = c2 * c3
+            if j == i - 1:
+                w1[i] = c1 * (w0[i - 1] - c5 * w1[i - 1]) / c2
+                w0[i] = -c1 * c5 * w0[i - 1] / c2
+            w1[j] = (c4 * w1[j] - w0[j]) / c3
+            w0[j] = c4 * w0[j] / c3
+        c1 = c2
+    return sum(w * y[first + m] for m, w in enumerate(w1))
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,29 @@ class TestExitCodes:
         assert err.startswith("error:") and "too small" in err
 
 
+class TestBvpCoarseGrid:
+    """The truncated-interval solver is second order, so on coarse grids
+    or at tiny epsilon its potential fails the flux guard: that is solver
+    trouble (exit 3), reported in one line, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--grid-size", "501"],
+        ["--grid-size", "1001", "--epsilon", "1e-5"],
+    ], ids=["n501", "n1001-eps1e-5"])
+    def test_guard_refusal_is_solver_error(self, argv, capsys):
+        code = main(["verify", "--family", "round", "--solver", "bvp"]
+                    + argv)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("solver error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_no_suites_needs_no_guard(self, capsys):
+        assert main(["verify", "--family", "round", "--grid-size", "501",
+                     "--solver", "bvp", "--suites", ""]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestConfigDriven:
     def test_full_ini_scenario(self, tmp_path):
         out = tmp_path / "report.json"

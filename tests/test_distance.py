@@ -39,12 +39,14 @@ def _route_scan(metric, n_sample=512, n_routes=512):
     return lower, max(upper, lower)
 
 
-def _assert_matches_scan(metric, *sizes):
-    lo, hi = diameter_bounds(metric, *sizes)
-    lo_ref, hi_ref = _route_scan(metric, *sizes)
+def _assert_matches_scan(metric, n_sample=512, n_routes=512):
+    lo, hi = diameter_bounds(metric, n_sample)
+    lo_ref, hi_ref = _route_scan(metric, n_sample, n_routes)
     # certified values: equal bit for bit, not approximately
     assert lo == lo_ref
     assert hi == hi_ref
+    # with f >= 0 the scan's maximum is the meridian length itself
+    assert hi == lo + lo / (n_sample - 1)
 
 
 class TestMeridian:
@@ -84,9 +86,9 @@ class TestDiameterBounds:
 
 
 class TestBracketMatchesRouteScan:
-    """The fast bracket against the route scan, bit for bit.  The scan
-    costs n_sample^2 n_routes, about 0.8 s at the default 512 x 512, so
-    the schedule and grid sweeps run at 256 x 256."""
+    """The bracket from the meridian length against the route scan, bit
+    for bit.  The scan costs n_sample^2 n_routes, about 0.8 s at the
+    default 512 x 512, so the schedule and grid sweeps run at 256 x 256."""
 
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_reference_families(self, reference_metrics, name):
@@ -129,17 +131,21 @@ class TestBracketMatchesRouteScan:
         # With f >= 0 the pole pair costs exactly L_tot, which bounds
         # every pair, so the route costs never set the maximum.  A
         # sampled f slightly below 0 at a pole, as WarpedMetric admits
-        # (|f| <= 1e-13 there), makes the route through that pole
-        # cheaper: the maximum then comes from route costs, and from the
-        # rounding of their evaluation.
+        # (|f| <= 1e-13 there), makes the oracle's route through that
+        # pole cheaper: it charges pi f for half a parallel whose length
+        # is pi |f|, so its maximum can fall below L_tot.  The bracket
+        # from the meridian length does not read f, and its upper end
+        # stays a certified bound at least as large as the oracle's.
         metric = build()
         f = metric.f.copy()
         f[0], f[-1] = f_poles
         tilted = WarpedMetric(grid=metric.grid, phi=metric.phi, f=f)
         _, total = meridian_arclength(tilted)
-        upper = diameter_bounds(tilted, *sizes)[1]
-        assert upper < total + total / (sizes[0] - 1)
-        _assert_matches_scan(tilted, *sizes)
+        lo, hi = diameter_bounds(tilted, sizes[0])
+        lo_ref, hi_ref = _route_scan(tilted, *sizes)
+        assert lo == lo_ref == total
+        assert hi >= hi_ref
+        assert hi == total + total / (sizes[0] - 1)
 
     @pytest.mark.parametrize("sizes", [(33, 64), (512, 128), (64, 512),
                                        (2, 2), (100, 1)])

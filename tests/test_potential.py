@@ -155,7 +155,7 @@ def _derivative_by_recursion(y, x, stencil=9):
 
 
 class TestHighOrderDerivative:
-    """The batched stencil solve against Fornberg's recursion.
+    """The array-wide recursion against Fornberg's recursion node by node.
 
     Both evaluate sum_m w_m y_m with weights that carry rounding errors,
     so at each node they can differ by a few eps sum_m |w_m| max|y|.  The
@@ -185,6 +185,20 @@ class TestHighOrderDerivative:
             slow = np.array([w @ y[sl] for sl, w in stencils])
             tol = 16.0 * np.finfo(float).eps * size * np.max(np.abs(y))
             assert np.all(np.abs(fast - slow) <= tol)
+
+    @pytest.mark.parametrize("grid", ["uniform-1001", "uniform-4001",
+                                      "graded-2001", "tendril-enriched"])
+    def test_exact_on_polynomials(self, grid):
+        # nine-node weights differentiate every polynomial of degree <= 8
+        # exactly, so only the rounding of the weighted sum remains
+        x = self.GRIDS[grid]()
+        size = np.array([np.abs(w).sum() for _, w in _recursion_stencils(x)])
+        for d in range(9):
+            y = x**d
+            exact = d * x ** (d - 1) if d else np.zeros_like(x)
+            fast = potential._derivative_high_order(y, x)
+            tol = 16.0 * np.finfo(float).eps * size * np.max(np.abs(y))
+            assert np.all(np.abs(fast - exact) <= tol)
 
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_residual_sup_unmoved(self, reference_metrics,
