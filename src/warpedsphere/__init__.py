@@ -24,16 +24,12 @@ from .potential import (PotentialSolution, SolverConfig, flux_residual,
                         pde_residual, solve_bvp, solve_quadrature)
 from .functionals import (AlignmentConstants, CoreIntegrals, GoodSetReport,
                           Evaluation, PointPickResult, ShellSelection,
-                          alignment_constants, core_integrals,
-                          csc_hessian_l1, good_set_volumes, point_pick,
-                          polar_average, polar_csc3, ratio_seminorm,
-                          shell_integral, shell_select, weighted_median)
+                          good_set_volumes, point_pick, polar_average,
+                          shell_integral, weighted_median)
 from .constants import ConstantLedger, constant_ledger
 from .verification import (SUITES, CheckResult, ConvergenceReport,
-                           SequenceEntry, SequenceSpec, check_global_suite,
-                           check_goodset_suite, check_identity_suite,
-                           check_polar_suite, run_all_checks, run_sequence,
-                           tol_disc)
+                           SequenceEntry, SequenceSpec, run_all_checks,
+                           run_sequence, tol_disc)
 from .report import (build_report, checks_csv, config_hash, report_json,
                      sequence_csv, write_text_atomic)
 

@@ -18,7 +18,7 @@ On that strip the diameter is the meridian length L_tot:
 
 from __future__ import annotations
 
-from .grids import cumulative, refine_nodes
+from .grids import ANALYTIC_REFINE, cumulative
 from .metrics import WarpedMetric
 
 
@@ -29,10 +29,8 @@ def meridian_arclength(metric: WarpedMetric):
     is the exact distance between the two poles: any path joining them
     sweeps every colatitude, so its length is at least int phi dtheta.
     """
-    fine = refine_nodes(metric.theta)
-    cum = cumulative(metric.phi_at(fine), fine)
-    k = (fine.size - 1) // (metric.grid.n - 1)
-    return cum[::k], float(cum[-1])
+    cum = cumulative(metric.fine_jet[0], metric.fine)
+    return cum[::ANALYTIC_REFINE], float(cum[-1])
 
 
 def diameter_bounds(metric: WarpedMetric, n_sample: int = 512):

@@ -1,9 +1,12 @@
 """Built-in metric families used by the verification suites.
 
-Every family carries analytic first and second derivatives of both
-profiles, so curvature and the quadrature potential solver never need
-finite differences.  All constructions keep phi >= 1 and f >= sin, i.e.
-they dominate the round metric pointwise.
+Every family hands its metric one profile jet, `profiles(t, order=2)`,
+which gives phi, f and their analytic first and second derivatives
+(phi, f, dphi, df, d2phi, d2f) on the nodes t from one pass, or only
+(phi, f) for order 0; terms the profiles share are computed once.  So
+curvature and the quadrature potential solver never need finite
+differences.  All constructions keep phi >= 1 and f >= sin, i.e. they
+dominate the round metric pointwise.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .grids import PI, RadialGrid, simpson_rule
-from .metrics import ProfileFns, WarpedMetric
+from .metrics import WarpedMetric
 
 #: integral of the C^2 bump (1 - x^2)^3 over [-1, 1]
 BUMP_INTEGRAL = 32.0 / 35.0
@@ -31,107 +34,77 @@ CORRIDOR_STAR = float(np.arcsin(1.0 / np.sqrt(3.0)))
 # C^2 building blocks
 # ----------------------------------------------------------------------
 
-def _bump(x):
-    """(1 - x^2)^3 on |x| < 1, zero outside; C^2 across the cutoff."""
+def _bump(x, order=2):
+    """(1 - x^2)^3 on |x| < 1, zero outside; C^2 across the cutoff.  With
+    order 2 also its first and second derivatives."""
     x = np.asarray(x, dtype=float)
     inside = np.abs(x) < 1.0
     xc = np.where(inside, x, 0.0)
-    return np.where(inside, (1.0 - xc**2) ** 3, 0.0)
+    rest = 1.0 - xc**2
+    b = np.where(inside, rest ** 3, 0.0)
+    if not order:
+        return b
+    return (b, np.where(inside, -6.0 * xc * rest ** 2, 0.0),
+            np.where(inside, rest * (30.0 * xc**2 - 6.0), 0.0))
 
 
-def _bump_d1(x):
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) < 1.0
-    xc = np.where(inside, x, 0.0)
-    return np.where(inside, -6.0 * xc * (1.0 - xc**2) ** 2, 0.0)
-
-
-def _bump_d2(x):
-    x = np.asarray(x, dtype=float)
-    inside = np.abs(x) < 1.0
-    xc = np.where(inside, x, 0.0)
-    return np.where(inside, (1.0 - xc**2) * (30.0 * xc**2 - 6.0), 0.0)
-
-
-def _smootherstep(y):
-    """Quintic ramp with vanishing first and second derivatives at 0, 1."""
-    y = np.clip(y, 0.0, 1.0)
-    return y**3 * (10.0 - 15.0 * y + 6.0 * y**2)
-
-
-def _smootherstep_d1(y):
+def _smootherstep(y, order=2):
+    """Quintic ramp with vanishing first and second derivatives at 0, 1;
+    with order 2 also its first and second derivatives."""
     yc = np.clip(y, 0.0, 1.0)
-    d = 30.0 * yc**2 * (1.0 - yc) ** 2
-    return np.where((y > 0.0) & (y < 1.0), d, 0.0)
+    s = yc**3 * (10.0 - 15.0 * yc + 6.0 * yc**2)
+    if not order:
+        return s
+    inside = (y > 0.0) & (y < 1.0)
+    return (s, np.where(inside, 30.0 * yc**2 * (1.0 - yc) ** 2, 0.0),
+            np.where(inside, 60.0 * yc * (1.0 - yc) * (1.0 - 2.0 * yc), 0.0))
 
 
-def _smootherstep_d2(y):
-    yc = np.clip(y, 0.0, 1.0)
-    d = 60.0 * yc * (1.0 - yc) * (1.0 - 2.0 * yc)
-    return np.where((y > 0.0) & (y < 1.0), d, 0.0)
-
-
-def _plateau(x, band):
+def _plateau(x, band, order=2):
     """Even plateau on [-1, 1]: 1 on the middle, quintic ramps of width
-    `band` down to 0 at the edges; zero outside."""
-    y = (1.0 - np.abs(np.asarray(x, dtype=float))) / band
-    return _smootherstep(y)
-
-
-def _plateau_d1(x, band):
-    x = np.asarray(x, dtype=float)
+    `band` down to 0 at the edges, zero outside; with order 2 also its
+    first and second derivatives."""
     y = (1.0 - np.abs(x)) / band
-    return _smootherstep_d1(y) * (-np.sign(x) / band)
+    if not order:
+        return _smootherstep(y, 0)
+    s, s1, s2 = _smootherstep(y)
+    return s, s1 * (-np.sign(x) / band), s2 / band**2
 
 
-def _plateau_d2(x, band):
-    x = np.asarray(x, dtype=float)
-    y = (1.0 - np.abs(x)) / band
-    return _smootherstep_d2(y) / band**2
-
-
-def _modulated_sine(g, dg, d2g):
-    """f = sin(theta) (1 + g) and its two derivatives, as closures."""
-
-    def f(t):
-        return np.sin(t) * (1.0 + g(t))
-
-    def df(t):
-        return np.cos(t) * (1.0 + g(t)) + np.sin(t) * dg(t)
-
-    def d2f(t):
-        return (-np.sin(t) * (1.0 + g(t)) + 2.0 * np.cos(t) * dg(t)
-                + np.sin(t) * d2g(t))
-
-    return f, df, d2f
-
-
-def _const(value):
-    def fn(t):
-        return np.full_like(np.asarray(t, dtype=float), value)
-    return fn
-
-
-def _zero(t):
-    return np.zeros_like(np.asarray(t, dtype=float))
+def _modulated_sine(t, g, dg, d2g):
+    """f = sin(theta) (1 + g) and its first and second derivatives."""
+    sin, cos = np.sin(t), np.cos(t)
+    return (sin * (1.0 + g), cos * (1.0 + g) + sin * dg,
+            -sin * (1.0 + g) + 2.0 * cos * dg + sin * d2g)
 
 
 def _build(grid, profiles, name, params):
-    t = grid.nodes
-    return WarpedMetric(grid=grid, phi=profiles.phi(t), f=profiles.f(t),
-                        name=name, profiles=profiles, params=dict(params))
+    phi, f = profiles(grid.nodes, 0)
+    return WarpedMetric(grid=grid, phi=phi, f=f, name=name,
+                        profiles=profiles, params=dict(params))
 
 
 # ----------------------------------------------------------------------
 # families
 # ----------------------------------------------------------------------
 
+def _sphere_profiles(c):
+    """phi = c, f = c sin (multiplying by c = 1 is exact)."""
+
+    def profiles(t, order=2):
+        phi, f = np.full_like(t, c), c * np.sin(t)
+        if not order:
+            return phi, f
+        zero = np.zeros_like(t)
+        return phi, f, zero, c * np.cos(t), zero, -f
+
+    return profiles
+
+
 def round_sphere(grid: RadialGrid | None = None) -> WarpedMetric:
     """The unit round sphere: phi = 1, f = sin."""
     grid = grid or RadialGrid.uniform()
-    profiles = ProfileFns(phi=_const(1.0), f=np.sin, dphi=_zero, df=np.cos,
-                          d2phi=_zero, d2f=lambda t: -np.sin(t))
-    return _build(grid, profiles, "round", {})
+    return _build(grid, _sphere_profiles(1.0), "round", {})
 
 
 def scaled_sphere(c: float, grid: RadialGrid | None = None) -> WarpedMetric:
@@ -139,11 +112,7 @@ def scaled_sphere(c: float, grid: RadialGrid | None = None) -> WarpedMetric:
     if c < 1.0:
         raise DomainError("scale factor must be >= 1 to dominate the round metric")
     grid = grid or RadialGrid.uniform()
-    profiles = ProfileFns(
-        phi=_const(c), f=lambda t: c * np.sin(t),
-        dphi=_zero, df=lambda t: c * np.cos(t),
-        d2phi=_zero, d2f=lambda t: -c * np.sin(t))
-    return _build(grid, profiles, "scaled", {"c": c})
+    return _build(grid, _sphere_profiles(c), "scaled", {"c": c})
 
 
 def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
@@ -160,18 +129,16 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
     grid = grid or RadialGrid.uniform()
     amp = eta * BUMP_PEAK
 
-    def g(t):
-        return amp * _bump((t - theta0) / width)
+    def profiles(t, order=2):
+        x = (t - theta0) / width
+        if not order:
+            g = amp * _bump(x, 0)
+            return 1.0 + g, np.sin(t) * (1.0 + g)
+        b, b1, b2 = _bump(x)
+        g, dg, d2g = amp * b, amp * b1 / width, amp * b2 / width**2
+        f, df, d2f = _modulated_sine(t, g, dg, d2g)
+        return 1.0 + g, f, dg, df, d2g, d2f
 
-    def dg(t):
-        return amp * _bump_d1((t - theta0) / width) / width
-
-    def d2g(t):
-        return amp * _bump_d2((t - theta0) / width) / width**2
-
-    f, df, d2f = _modulated_sine(g, dg, d2g)
-    profiles = ProfileFns(
-        phi=lambda t: 1.0 + g(t), f=f, dphi=dg, df=df, d2phi=d2g, d2f=d2f)
     return _build(grid, profiles, "bump",
                   {"eta": eta, "theta0": theta0, "width": width})
 
@@ -214,9 +181,10 @@ def _tendril_shape(breaks, thin=True):
         m = (t >= b0) & (t < b1)
         if np.any(m):
             x = (t[m] - b0) / (b1 - b0)
-            s[m] = _smootherstep(x)
-            ds[m] = _smootherstep_d1(x) / (b1 - b0)
-            d2s[m] = _smootherstep_d2(x) / (b1 - b0) ** 2
+            S, S1, S2 = _smootherstep(x)
+            s[m] = S
+            ds[m] = S1 / (b1 - b0)
+            d2s[m] = S2 / (b1 - b0) ** 2
 
         # plateau on [b1, b2]
         m = (t >= b1) & (t < b2)
@@ -226,9 +194,10 @@ def _tendril_shape(breaks, thin=True):
             m = (t >= b2) & (t < b5)
             if np.any(m):
                 x = (t[m] - b2) / (b5 - b2)
-                s[m] = 1.0 - _smootherstep(x)
-                ds[m] = -_smootherstep_d1(x) / (b5 - b2)
-                d2s[m] = -_smootherstep_d2(x) / (b5 - b2) ** 2
+                S, S1, S2 = _smootherstep(x)
+                s[m] = 1.0 - S
+                ds[m] = -S1 / (b5 - b2)
+                d2s[m] = -S2 / (b5 - b2) ** 2
             return s, ds, d2s
 
         # log-slope blend on [b2, b3]: (ln s)' ramps from 0 down to the
@@ -241,8 +210,7 @@ def _tendril_shape(breaks, thin=True):
         m = (t >= b2) & (t < b3)
         if np.any(m):
             x = (t[m] - b2) / delta
-            S = _smootherstep(x)
-            S1 = _smootherstep_d1(x)
+            S, S1, _ = _smootherstep(x)
             intS = 2.5 * x**4 - 3.0 * x**5 + x**6
             rho = x**3 * (x - 1.0)
             rho1 = 4.0 * x**3 - 3.0 * x**2
@@ -281,9 +249,10 @@ def _tendril_shape(breaks, thin=True):
             base = s_mid * g3 / g
             base1 = -base * k
             base2 = base * (k**2 - dk)
-            T = 1.0 - _smootherstep(x)
-            T1 = -_smootherstep_d1(x) * dx
-            T2 = -_smootherstep_d2(x) * dx**2
+            S, S1, S2 = _smootherstep(x)
+            T = 1.0 - S
+            T1 = -S1 * dx
+            T2 = -S2 * dx**2
             s[m] = base * T
             ds[m] = base1 * T + base * T1
             d2s[m] = base2 * T + 2.0 * base1 * T1 + base * T2
@@ -367,23 +336,17 @@ def tendril_sphere(length: float, width: float = 0.1,
     shape = _tendril_shape(breaks, thin)
     c_max = _tendril_normalize(length, shape, breaks)
 
-    def phi(t):
-        s, _, _ = shape(t)
-        return (1.0 - c_max * s) ** -0.5
-
-    def dphi(t):
-        s, ds, _ = shape(t)
-        r = 1.0 - c_max * s
-        return 0.5 * c_max * ds * r**-1.5
-
-    def d2phi(t):
+    def profiles(t, order=2):
         s, ds, d2s = shape(t)
         r = 1.0 - c_max * s
-        return (0.75 * (c_max * ds) ** 2 * r**-2.5
-                + 0.5 * c_max * d2s * r**-1.5)
+        phi, f = r ** -0.5, np.sin(t)
+        if not order:
+            return phi, f
+        r15 = r**-1.5
+        return (phi, f, 0.5 * c_max * ds * r15, np.cos(t),
+                0.75 * (c_max * ds) ** 2 * r**-2.5 + 0.5 * c_max * d2s * r15,
+                -f)
 
-    profiles = ProfileFns(phi=phi, f=np.sin, dphi=dphi, df=np.cos,
-                          d2phi=d2phi, d2f=lambda t: -np.sin(t))
     return _build(grid, profiles, "tendril",
                   {"length": length, "width": width, "theta0": theta0,
                    "c_max": c_max})
@@ -488,20 +451,17 @@ def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,
             "area_radius", "requested fiber radius does not exceed the "
             "round one at the plateau center")
 
-    def g(t):
-        return gmax * _plateau((np.asarray(t, dtype=float) - mid) / halfw, band)
+    def profiles(t, order=2):
+        x = (t - mid) / halfw
+        one = np.ones_like(t)
+        if not order:
+            return one, np.sin(t) * (1.0 + gmax * _plateau(x, band, 0))
+        p, p1, p2 = _plateau(x, band)
+        f, df, d2f = _modulated_sine(t, gmax * p, gmax * p1 / halfw,
+                                     gmax * p2 / halfw**2)
+        zero = np.zeros_like(t)
+        return one, f, zero, df, zero, d2f
 
-    def dg(t):
-        return gmax * _plateau_d1((np.asarray(t, dtype=float) - mid) / halfw,
-                                  band) / halfw
-
-    def d2g(t):
-        return gmax * _plateau_d2((np.asarray(t, dtype=float) - mid) / halfw,
-                                  band) / halfw**2
-
-    f, df, d2f = _modulated_sine(g, dg, d2g)
-    profiles = ProfileFns(phi=_const(1.0), f=f, dphi=_zero, df=df,
-                          d2phi=_zero, d2f=d2f)
     return _build(grid, profiles, "bubble",
                   {"area_radius": area_radius, "neck_theta": neck_theta,
                    "span": span, "band": band})

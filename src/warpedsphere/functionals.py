@@ -12,7 +12,7 @@ ratio = |grad u| / sin(theta).  With dV_g = 4 pi phi f^2 dtheta and
 An `Evaluation` refuses a potential whose flux residual exceeds the
 guard tolerance, so corrupted inputs surface as refusals rather than as
 spurious inequality failures.  The guard runs once per evaluation, and
-the check suites share one; each public evaluator builds its own.
+the check suites share one.
 """
 
 from __future__ import annotations
@@ -23,12 +23,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ResidualGuardError
-from .grids import (ANALYTIC_REFINE, PI, cumulative, integrate, node_weights,
-                    refine_nodes)
+from .grids import ANALYTIC_REFINE, PI, cumulative, integrate, node_weights
 from .metrics import (WarpedMetric, ball_volume, scalar_curvature,
                       scalar_deficit, volume)
-from .potential import (PotentialSolution, _profiles_on,
-                        _sin_fprime_over_f, f_over_sin, flux_residual)
+from .potential import (PotentialSolution, _sin_fprime_over_f, f_over_sin,
+                        flux_residual)
 
 #: flux-law residual above which functional evaluation is refused
 GUARD_TOL = 1e-3
@@ -73,6 +72,7 @@ class ShellSelection:
 @dataclass(frozen=True)
 class _Fields:
     """Potential and profile fields on the quadrature node set."""
+    refined: bool        # theta is the metric's refined node set
     theta: np.ndarray
     phi: np.ndarray
     f: np.ndarray
@@ -85,9 +85,9 @@ class _Fields:
     d2u: np.ndarray
 
 
-def _ratio_on(metric: WarpedMetric, pot: PotentialSolution,
-              fine: np.ndarray, k: int) -> np.ndarray:
-    """Ratio |grad u|/sin on refined nodes, by per-cell flux propagation.
+def _ratio_on(metric: WarpedMetric, pot: PotentialSolution) -> np.ndarray:
+    """Ratio |grad u|/sin on the metric's refined nodes, by per-cell flux
+    propagation.
 
     Inside every interior cell the ratio obeys
         (log ratio)' = (3 phi - 1) cot(theta) - 2 f'/f,
@@ -96,11 +96,11 @@ def _ratio_on(metric: WarpedMetric, pot: PotentialSolution,
     node spacing.  The two pole cells (singular cot, f'/f) fall back to
     log interpolation; the ratio is smooth there.
     """
-    t = pot.theta
+    t, fine, k = pot.theta, metric.fine, ANALYTIC_REFINE
     n = t.size
     logr_nodes = np.log(np.clip(pot.ratio, 1e-300, None))
     inner = fine[1:-1]
-    phi_i, f_i, _, df_i = _profiles_on(metric, inner)
+    phi_i, f_i, _, df_i, _, _ = (y[1:-1] for y in metric.fine_jet)
     q = ((3.0 * phi_i - 1.0) * np.cos(inner) / np.sin(inner)
          - 2.0 * df_i / f_i)
     cum = cumulative(q, inner)            # zero at fine[1]
@@ -132,7 +132,7 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
 def shell_integral(metric: WarpedMetric, pot: PotentialSolution,
                    s: np.ndarray) -> np.ndarray:
     """int_{partial B(p,s)} |grad u| dA_g = 4 pi (|u'(s)|/phi) f(s)^2."""
-    phi, f, _, _ = _profiles_on(metric, np.asarray(s, dtype=float))
+    phi, f = metric.jet(s, 0)
     du = np.interp(s, pot.theta, pot.du)
     return 4.0 * PI * np.abs(du) / phi * f**2
 
@@ -162,22 +162,20 @@ class Evaluation:
         equation u'' = u' (3 phi cot - 2 f'/f + phi'/phi).
         """
         metric, pot = self.metric, self.pot
-        t = pot.theta
-        fine = t if metric.profiles is None \
-            else refine_nodes(t, ANALYTIC_REFINE)
-        phi, f, dphi, df = _profiles_on(metric, fine)
-        fos = f_over_sin(fine, f, df)
-        sf = _sin_fprime_over_f(fine, f, df, fos)
-        if metric.profiles is None:
-            return _Fields(t, phi, f, dphi, df, fos, sf,
+        refined = metric.profiles is not None
+        t, (phi, f, dphi, df, _, _) = metric.nodes_and_jet(refined)
+        fos = f_over_sin(t, f, df)
+        sf = _sin_fprime_over_f(t, f, df, fos)
+        if not refined:
+            return _Fields(False, t, phi, f, dphi, df, fos, sf,
                            pot.ratio, pot.du, pot.d2u)
-        ratio = _ratio_on(metric, pot, fine, ANALYTIC_REFINE)
+        ratio = _ratio_on(metric, pot)
         sgn = 1.0 if pot.u[-1] >= pot.u[0] else -1.0
-        s = np.sin(fine)
+        s = np.sin(t)
         du = sgn * ratio * phi * s
-        d2u = sgn * ratio * (3.0 * phi**2 * np.cos(fine)
+        d2u = sgn * ratio * (3.0 * phi**2 * np.cos(t)
                              - 2.0 * phi * sf + dphi * s)
-        return _Fields(fine, phi, f, dphi, df, fos, sf, ratio, du, d2u)
+        return _Fields(True, t, phi, f, dphi, df, fos, sf, ratio, du, d2u)
 
     @cached_property
     def hessian_squared(self) -> np.ndarray:
@@ -217,9 +215,8 @@ class Evaluation:
                                   0.0) * phi * f**2
         i_mass = 4.0 * PI * integrate(mass_integrand, t)
 
-        deficit = np.clip(6.0 - scalar_curvature(metric, t)
-                          if metric.profiles is not None
-                          else 6.0 - scalar_curvature(metric), 0.0, None)
+        deficit = np.clip(6.0 - scalar_curvature(metric, fld.refined),
+                          0.0, None)
         i_deficit = 4.0 * PI * integrate(deficit * np.abs(du) * f**2, t)
 
         grad_l1 = 4.0 * PI * integrate(np.abs(du) * f**2, t)
@@ -258,7 +255,7 @@ class Evaluation:
         """a(g), sigma(g) as L^1(dV_g) minimizers over constants."""
         pot = self.pot
         t = pot.theta
-        phi, f, _, _ = _profiles_on(self.metric, t)
+        phi, f = self.metric.node_jet[:2]
         w = node_weights(t) * 4.0 * PI * phi * f**2
         a = max(0.0, weighted_median(pot.ratio, w))
         gap_ratio = float(np.sum(w * np.abs(pot.ratio - a)))
@@ -296,48 +293,12 @@ class Evaluation:
 
         def one_side(lo, hi):
             s = np.linspace(lo, hi, 2001)
-            phi, f, _, df = _profiles_on(self.metric, s)
+            phi, f, _, df, _, _ = self.metric.jet(s)
             fos = f_over_sin(s, f, df)
             ratio = np.interp(s, self.pot.theta, self.pot.ratio)
             return 4.0 * PI * integrate(ratio * phi * fos**2, s)
 
         return one_side(0.0, r), one_side(PI - r, PI)
-
-
-def core_integrals(metric: WarpedMetric, pot: PotentialSolution,
-                   guard_tol: float = GUARD_TOL) -> CoreIntegrals:
-    """See `Evaluation.core`."""
-    return Evaluation(metric, pot, guard_tol).core
-
-
-def csc_hessian_l1(metric: WarpedMetric, pot: PotentialSolution,
-                   guard_tol: float = GUARD_TOL) -> float:
-    """See `Evaluation.csc_hessian_l1`."""
-    return Evaluation(metric, pot, guard_tol).csc_hessian_l1
-
-
-def ratio_seminorm(metric: WarpedMetric, pot: PotentialSolution,
-                   guard_tol: float = GUARD_TOL) -> float:
-    """See `Evaluation.ratio_seminorm`."""
-    return Evaluation(metric, pot, guard_tol).ratio_seminorm
-
-
-def alignment_constants(metric: WarpedMetric, pot: PotentialSolution,
-                        guard_tol: float = GUARD_TOL) -> AlignmentConstants:
-    """See `Evaluation.alignment`."""
-    return Evaluation(metric, pot, guard_tol).alignment
-
-
-def shell_select(metric: WarpedMetric, pot: PotentialSolution,
-                 guard_tol: float = GUARD_TOL) -> ShellSelection:
-    """See `Evaluation.shells`."""
-    return Evaluation(metric, pot, guard_tol).shells
-
-
-def polar_csc3(metric: WarpedMetric, pot: PotentialSolution, r: float,
-               guard_tol: float = GUARD_TOL):
-    """See `Evaluation.polar_csc3`."""
-    return Evaluation(metric, pot, guard_tol).polar_csc3(r)
 
 
 def set_measure(metric: WarpedMetric, mask: np.ndarray,
@@ -415,7 +376,7 @@ def good_set_volumes(metric: WarpedMetric, pot: PotentialSolution,
     """Measures of the aligned regions E, E-tilde and the polar-trimmed E."""
     if tau < 0.0 or not (0.0 <= t < PI / 2):
         raise DomainError("tau must be >= 0 and t in [0, pi/2)")
-    ac = constants or alignment_constants(metric, pot, guard_tol)
+    ac = constants or Evaluation(metric, pot, guard_tol).alignment
     th = pot.theta
     in_E = np.abs(pot.ratio - ac.a) <= tau
     in_Etilde = np.abs(pot.u - ac.a * np.cos(th) - ac.sigma) <= tau

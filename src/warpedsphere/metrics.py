@@ -10,6 +10,7 @@ container defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,25 +25,20 @@ COMPARISON_TOL = 1e-12
 POLE_BAND = 0.05
 
 
-@dataclass(frozen=True)
-class ProfileFns:
-    """Analytic warping profiles with two derivatives each."""
-
-    phi: Callable[[np.ndarray], np.ndarray]
-    f: Callable[[np.ndarray], np.ndarray]
-    dphi: Callable[[np.ndarray], np.ndarray]
-    df: Callable[[np.ndarray], np.ndarray]
-    d2phi: Callable[[np.ndarray], np.ndarray]
-    d2f: Callable[[np.ndarray], np.ndarray]
+#: an analytic profile jet: profiles(t, order=2) gives (phi, f, dphi, df,
+#: d2phi, d2f) on the nodes t, and profiles(t, 0) gives (phi, f) only
+ProfileFns = Callable[..., tuple]
 
 
 @dataclass(frozen=True)
 class WarpedMetric:
     """A warped-product metric sampled on a radial grid.
 
-    `profiles` is optional; when present, derivative-hungry quantities
-    (scalar curvature, the quadrature potential solver) evaluate the
-    analytic derivatives instead of finite-differencing samples.
+    `profiles` is optional; when present, `jet` evaluates the analytic
+    profiles and their derivatives, otherwise it interpolates the samples
+    and their finite-difference derivatives.  Every reader takes phi, f
+    and their derivatives from `jet`, or from the jets cached on the grid
+    nodes (`node_jet`) and on the refined nodes (`fine_jet`).
     """
 
     grid: RadialGrid
@@ -74,15 +70,44 @@ class WarpedMetric:
     def theta(self) -> np.ndarray:
         return self.grid.nodes
 
-    def phi_at(self, t: np.ndarray) -> np.ndarray:
+    def jet(self, t: np.ndarray, order: int = 2) -> tuple:
+        """(phi, f, dphi, df, d2phi, d2f) on the nodes t; (phi, f) for
+        order 0.  A sampled table is interpolated linearly, which is
+        exact at the grid nodes."""
         if self.profiles is not None:
-            return self.profiles.phi(np.asarray(t, dtype=float))
-        return np.interp(t, self.theta, self.phi)
+            return self.profiles(np.asarray(t, dtype=float), order)
+        samples = (self.phi, self.f) + (self._sample_derivatives
+                                        if order else ())
+        return tuple(np.interp(t, self.theta, y) for y in samples)
 
-    def f_at(self, t: np.ndarray) -> np.ndarray:
-        if self.profiles is not None:
-            return self.profiles.f(np.asarray(t, dtype=float))
-        return np.interp(t, self.theta, self.f)
+    @cached_property
+    def _sample_derivatives(self) -> tuple:
+        """(dphi, df, d2phi, d2f) of the samples by finite differences."""
+        t = self.theta
+        dphi = np.gradient(self.phi, t, edge_order=2)
+        df = np.gradient(self.f, t, edge_order=2)
+        return (dphi, df, np.gradient(dphi, t, edge_order=2),
+                np.gradient(df, t, edge_order=2))
+
+    @cached_property
+    def fine(self) -> np.ndarray:
+        """The grid nodes with every cell split into ANALYTIC_REFINE equal
+        parts: the quadrature nodes of analytic integrands."""
+        return refine_nodes(self.theta)
+
+    @cached_property
+    def node_jet(self) -> tuple:
+        return self.jet(self.theta)
+
+    @cached_property
+    def fine_jet(self) -> tuple:
+        return self.jet(self.fine)
+
+    def nodes_and_jet(self, fine: bool) -> tuple:
+        """(nodes, jet) on the refined nodes or on the grid nodes."""
+        if fine:
+            return self.fine, self.fine_jet
+        return self.theta, self.node_jet
 
 
 @dataclass(frozen=True)
@@ -108,38 +133,16 @@ class ClassParams:
 # derivatives, curvature
 # ----------------------------------------------------------------------
 
-def _fd_derivative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.gradient(y, x, edge_order=2)
-
-
-def profile_derivatives(metric: WarpedMetric):
-    """(dphi, df, d2phi, d2f) at the grid nodes."""
-    t = metric.theta
-    if metric.profiles is not None:
-        p = metric.profiles
-        return p.dphi(t), p.df(t), p.d2phi(t), p.d2f(t)
-    dphi = _fd_derivative(metric.phi, t)
-    df = _fd_derivative(metric.f, t)
-    return dphi, df, _fd_derivative(dphi, t), _fd_derivative(df, t)
-
-
-def scalar_curvature(metric: WarpedMetric, theta: Optional[np.ndarray] = None
-                     ) -> np.ndarray:
-    """Scalar curvature R(theta); poles filled by one-sided parabolic fit.
+def scalar_curvature(metric: WarpedMetric, fine: bool = False) -> np.ndarray:
+    """Scalar curvature R(theta) on the grid nodes, or on the refined
+    nodes when `fine`; poles filled by one-sided parabolic fit.
 
     With f_s = f'/phi and f_ss = (f_s)'/phi,
         R = -4 f_ss / f + 2 (1 - f_s^2) / f^2.
     Both terms are 0/0 at the poles, so pole values are extrapolated
     from the three nearest interior samples.
     """
-    t = metric.theta if theta is None else np.asarray(theta, dtype=float)
-    if metric.profiles is not None and theta is not None:
-        p = metric.profiles
-        phi, f = p.phi(t), p.f(t)
-        dphi, df, d2f = p.dphi(t), p.df(t), p.d2f(t)
-    else:
-        phi, f = metric.phi, metric.f
-        dphi, df, d2phi, d2f = profile_derivatives(metric)
+    t, (phi, f, dphi, df, _, d2f) = metric.nodes_and_jet(fine)
     fs = df / phi
     # f_ss = (f_s)'/phi = (f'' phi - f' phi') / phi^3
     fss = (d2f * phi - df * dphi) / phi**3
@@ -175,7 +178,7 @@ def validate(metric: WarpedMetric, closure_tol: float = 1e-8) -> ValidationRepor
     """Check pole closure and the pointwise comparison g >= round."""
     t = metric.theta
     msgs = []
-    dphi, df, _, _ = profile_derivatives(metric)
+    df = metric.node_jet[3]
     d0 = abs(df[0] - metric.phi[0])
     # closure at theta = pi requires |f'(pi)| = phi(pi) with f > 0 on (0, pi)
     d1 = abs(abs(df[-1]) - metric.phi[-1])
@@ -195,19 +198,11 @@ def validate(metric: WarpedMetric, closure_tol: float = 1e-8) -> ValidationRepor
 # volume, mass, level sets
 # ----------------------------------------------------------------------
 
-def _volume_density(metric: WarpedMetric, t: np.ndarray) -> np.ndarray:
-    if metric.profiles is not None:
-        p = metric.profiles
-        return 4.0 * PI * p.phi(t) * p.f(t)**2
-    return 4.0 * PI * metric.phi * metric.f**2
-
-
 def volume(metric: WarpedMetric) -> float:
-    """Total volume, 4*pi * integral of phi f^2."""
-    if metric.profiles is not None:
-        fine = refine_nodes(metric.theta)
-        return integrate(_volume_density(metric, fine), fine)
-    return integrate(_volume_density(metric, metric.theta), metric.theta)
+    """Total volume, 4*pi * integral of phi f^2, on the refined nodes when
+    the profiles are analytic."""
+    t, (phi, f, *_) = metric.nodes_and_jet(metric.profiles is not None)
+    return integrate(4.0 * PI * phi * f**2, t)
 
 
 def scalar_deficit(metric: WarpedMetric) -> float:
@@ -222,8 +217,8 @@ def scalar_deficit(metric: WarpedMetric) -> float:
 def level_volumes(metric: WarpedMetric):
     """Cumulative volume of {theta < s} at every node, plus the total."""
     from .grids import cumulative
-    dens = _volume_density(metric, metric.theta)
-    cum = cumulative(dens, metric.theta)
+    phi, f = metric.node_jet[:2]
+    cum = cumulative(4.0 * PI * phi * f**2, metric.theta)
     return cum, float(cum[-1])
 
 
@@ -274,7 +269,7 @@ def ball_volume(metric: WarpedMetric, center_theta: float, r: float,
     q = center_theta
     lo, hi = max(0.0, q - r), min(PI, q + r)
     t = np.linspace(lo, hi, subgrid_n)
-    phi, f = metric.phi_at(t), metric.f_at(t)
+    phi, f = metric.jet(t, 0)
     if q < 1e-12 or q > PI - 1e-12:
         cap = np.full_like(t, 2.0)  # polar center: full fibers inside
     else:

@@ -34,9 +34,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, IterationError, SolverError
-from .grids import (ANALYTIC_REFINE, PI, cumulative, cumulative_on,
-                    integrate, refine_nodes)
-from .metrics import WarpedMetric, profile_derivatives
+from .grids import ANALYTIC_REFINE, PI, cumulative, cumulative_on, integrate
+from .metrics import WarpedMetric
 
 #: snap tolerance for recognizing phi(pole) == 1 exactly
 _POLE_SNAP = 1e-13
@@ -47,7 +46,7 @@ class PotentialSolution:
     """A radial potential with the derived fields functionals consume."""
 
     metric: WarpedMetric
-    theta: np.ndarray
+    theta: np.ndarray           # the metric's grid nodes
     u: np.ndarray
     du: np.ndarray
     d2u: Optional[np.ndarray]
@@ -59,17 +58,6 @@ class PotentialSolution:
     residual_band: float
     epsilon: float = 0.0
     iterations: int = 0
-
-
-def _profiles_on(metric: WarpedMetric, t: np.ndarray):
-    """phi, f and their first derivatives on an arbitrary node set."""
-    if metric.profiles is not None:
-        p = metric.profiles
-        return p.phi(t), p.f(t), p.dphi(t), p.df(t)
-    dphi, df, _, _ = profile_derivatives(metric)
-    base = metric.theta
-    return (np.interp(t, base, metric.phi), np.interp(t, base, metric.f),
-            np.interp(t, base, dphi), np.interp(t, base, df))
 
 
 def f_over_sin(t: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -106,14 +94,14 @@ def _regular_cot_term(phi, dphi, p_side, t):
     return out
 
 
-def log_ratio_parts(metric: WarpedMetric, k_refine: int = ANALYTIC_REFINE):
-    """Unnormalized log ratio on a refined grid.
+def log_ratio_parts(metric: WarpedMetric):
+    """Unnormalized log ratio on the metric's refined nodes.
 
     Returns (fine_nodes, log_ratio, phi_fine).  The additive constant is
     arbitrary; the solver fixes it through the mass normalization.
     """
-    fine = refine_nodes(metric.theta, k_refine)
-    phi, f, dphi, df = _profiles_on(metric, fine)
+    fine = metric.fine
+    phi, f, dphi, df, _, _ = metric.fine_jet
     p0, ppi = metric.phi[0], metric.phi[-1]
     if abs(p0 - 1.0) < _POLE_SNAP:
         p0 = 1.0
@@ -132,14 +120,13 @@ def log_ratio_parts(metric: WarpedMetric, k_refine: int = ANALYTIC_REFINE):
 
 
 def solve_quadrature(metric: WarpedMetric, residual_tol: float = 1e-4,
-                     residual_band: float = 0.1,
-                     k_refine: int = ANALYTIC_REFINE) -> PotentialSolution:
+                     residual_band: float = 0.1) -> PotentialSolution:
     """Closed-form potential via log-space quadrature.
 
     The result is self-verified: the pointwise PDE residual away from
     the poles must stay below `residual_tol` or a SolverError is raised.
     """
-    fine, lr, phi_fine = log_ratio_parts(metric, k_refine)
+    fine, lr, phi_fine = log_ratio_parts(metric)
     s = np.sin(fine)
     lr_max = float(np.max(lr))
     r = np.exp(lr - lr_max)              # ratio up to the constant K
@@ -151,10 +138,10 @@ def solve_quadrature(metric: WarpedMetric, residual_tol: float = 1e-4,
     du_fine = -K * dens
     u_fine = 1.0 + cumulative(du_fine, fine)
 
-    sk = slice(None, None, k_refine)
+    sk = slice(None, None, ANALYTIC_REFINE)
     t = metric.theta
     du, u, ratio = du_fine[sk], u_fine[sk], K * r[sk]
-    phi, f, dphi, df = _profiles_on(metric, t)
+    phi, f, dphi, df, _, _ = metric.node_jet
     sf = _sin_fprime_over_f(t, f, df, f_over_sin(t, f, df))
     d2u = du * dphi / phi + ratio * phi * (2.0 * sf - 3.0 * phi * np.cos(t))
 
@@ -215,10 +202,10 @@ def solve_bvp(metric: WarpedMetric,
     n = metric.grid.n
     tb = np.linspace(eps, PI - eps, n)
     h = tb[1] - tb[0]
-    phi, f, _, _ = _profiles_on(metric, tb)
+    phi, f = metric.jet(tb, 0)
     a = f**2 / phi
     t_mid = 0.5 * (tb[:-1] + tb[1:])
-    phm, fm, _, _ = _profiles_on(metric, t_mid)
+    phm, fm = metric.jet(t_mid, 0)
     a_mid = fm**2 / phm
     c_coef = 3.0 * (np.cos(tb) / np.sin(tb)) * f**2
 
@@ -256,7 +243,7 @@ def solve_bvp(metric: WarpedMetric,
     d2u_full = np.where((t >= eps) & (t <= PI - eps),
                         np.interp(t, tb, np.gradient(du_b, tb, edge_order=2)),
                         0.0)
-    phi_t, _, _, _ = _profiles_on(metric, t)
+    phi_t = metric.node_jet[0]
     s = np.clip(np.sin(t), 1e-300, None)
     ratio = np.abs(du_full) / (phi_t * s)
     i_mid = n // 2
@@ -325,7 +312,7 @@ def pde_residual(metric: WarpedMetric, sol: PotentialSolution,
     """
     t = sol.theta
     mask = (t >= band) & (t <= PI - band)
-    phi, f, _, _ = _profiles_on(metric, t)
+    phi, f = metric.node_jet[:2]
     w = f**2 * sol.du / phi
     lo, hi = np.argmax(mask), t.size - np.argmax(mask[::-1])
     sl = slice(max(lo - 6, 0), min(hi + 6, t.size))
@@ -354,11 +341,11 @@ def flux_residual(metric: WarpedMetric, sol: PotentialSolution,
     t = sol.theta
     mask = (t >= band) & (t <= PI - band)
     tm = t[mask]
-    phi, f, _, _ = _profiles_on(metric, t)
+    phi, f = metric.node_jet[:2]
     w = f**2 * sol.du / phi
     logw = np.log(np.clip(np.abs(w[mask]), 1e-300, None))
     target, _ = cumulative_on(
-        tm, lambda x: 3.0 * metric.phi_at(x) * np.cos(x) / np.sin(x))
+        tm, lambda x: 3.0 * metric.jet(x, 0)[0] * np.cos(x) / np.sin(x))
     dt = np.diff(tm)
     defect = (np.diff(logw) - np.diff(target)) / dt
     return float(np.max(np.abs(defect)))

@@ -34,8 +34,8 @@ CSV_SEQUENCE_COLUMNS = ("index", "valid", "m", "volume", "volume_gap",
 def _jsonable(obj):
     """Recursively convert dataclasses / numpy scalars to JSON types."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {k: _jsonable(v)
-                for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

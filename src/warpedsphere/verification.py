@@ -262,36 +262,6 @@ def run_all_checks(metric: WarpedMetric, pot: PotentialSolution,
     return [c for name in names for c in _SUITE_BODIES[name](ev, ledger, tol)]
 
 
-def check_identity_suite(metric: WarpedMetric, pot: PotentialSolution,
-                         tolerance: Optional[float] = None) -> list[CheckResult]:
-    """The identity suite alone; see `_identity_suite`."""
-    return run_all_checks(metric, pot, None, tolerance, suites=("identity",))
-
-
-def check_global_suite(metric: WarpedMetric, pot: PotentialSolution,
-                       ledger: ConstantLedger,
-                       tolerance: Optional[float] = None
-                       ) -> list[CheckResult]:
-    """The global suite alone; see `_global_suite`."""
-    return run_all_checks(metric, pot, ledger, tolerance, suites=("global",))
-
-
-def check_polar_suite(metric: WarpedMetric, pot: PotentialSolution,
-                      ledger: ConstantLedger,
-                      tolerance: Optional[float] = None
-                      ) -> list[CheckResult]:
-    """The polar suite alone; see `_polar_suite`."""
-    return run_all_checks(metric, pot, ledger, tolerance, suites=("polar",))
-
-
-def check_goodset_suite(metric: WarpedMetric, pot: PotentialSolution,
-                        ledger: ConstantLedger,
-                        tolerance: Optional[float] = None
-                        ) -> list[CheckResult]:
-    """The good-set suite alone; see `_goodset_suite`."""
-    return run_all_checks(metric, pot, ledger, tolerance, suites=("goodset",))
-
-
 # ----------------------------------------------------------------------
 # sequence experiments
 # ----------------------------------------------------------------------

@@ -13,11 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from warpedsphere import (ClassParams, RadialGrid, SequenceSpec,
+from warpedsphere import (ClassParams, Evaluation, RadialGrid, SequenceSpec,
                           SolverConfig, bubble_sphere, bump_sphere,
-                          cheeger_levelset, check_identity_suite,
-                          class_membership, constant_ledger,
-                          core_integrals, point_pick, polar_csc3,
+                          cheeger_levelset, class_membership,
+                          constant_ledger, point_pick,
                           round_sphere, run_all_checks, run_sequence,
                           scalar_deficit, scaled_sphere, shell_integral,
                           solve_bvp, solve_quadrature, summarize,
@@ -53,7 +52,7 @@ def test_criterion_1_round_exactness():
         pot = solve_quadrature(metric)
         elapsed = time.perf_counter() - start
         assert np.max(np.abs(pot.u - np.cos(pot.theta))) <= 1e-10
-        ci = core_integrals(metric, pot)
+        ci = Evaluation(metric, pot).core
         assert abs(ci.i_csc2 - 8.0 * PI) <= 1e-6 * 8.0 * PI
         assert abs(ci.i_align) <= 1e-8
         assert abs(ci.i_mass) <= 1e-8
@@ -89,7 +88,8 @@ def test_criterion_3_identity_margins():
                 metric = build(RadialGrid.uniform(n))
                 pot = solve_quadrature(metric)
                 tol = tol_disc(metric)
-                for c in check_identity_suite(metric, pot):
+                for c in run_all_checks(metric, pot, None,
+                                        suites=("identity",)):
                     assert c.margin >= -tol, (name, n, c.label, c.margin)
                     margins.setdefault(c.label, []).append(c.margin)
             for label, ms in margins.items():
@@ -130,7 +130,7 @@ def test_criterion_5_spot_values():
         shell = shell_integral(metric, pot, np.array([PI / 8]))[0]
         assert abs(shell - 4.0 * PI * np.sin(PI / 8)**3) <= 1e-5
 
-        v_p, v_mp = polar_csc3(metric, pot, PI / 8)
+        v_p, v_mp = Evaluation(metric, pot).polar_csc3(PI / 8)
         assert abs(v_p - PI**2 / 2.0) <= 1e-5
         assert abs(v_mp - PI**2 / 2.0) <= 1e-5
 

@@ -24,7 +24,7 @@ def _route_scan(metric, n_sample=512, n_routes=512):
 
     route_theta = np.interp(np.linspace(0.0, L_tot, n_routes), L_nodes, t)
     Lk = np.interp(route_theta, t, L_nodes)
-    fk = metric.f_at(route_theta)
+    fk = metric.jet(route_theta, 0)[1]
 
     best = La[:, None] + La[None, :]                     # via pole 0
     np.minimum(best, 2.0 * L_tot - best, out=best)       # via pole pi

@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import warpedsphere.families as fam
-from warpedsphere import (bubble_sphere, bump_sphere, make, round_sphere,
-                          scalar_deficit, scaled_sphere, tendril_sphere,
-                          validate, volume)
+from warpedsphere import (RadialGrid, bubble_sphere, bump_sphere, make,
+                          round_sphere, scalar_deficit, scaled_sphere,
+                          tendril_sphere, validate, volume)
 from warpedsphere.distance import meridian_arclength
 from warpedsphere.errors import (ConstructionError, DegenerateMetricError,
                                  DomainError)
 from warpedsphere.families import BUMP_PEAK, FAMILIES, FAMILY_CATALOG
 from warpedsphere.grids import PI
+from warpedsphere.potential import _derivative_high_order
+
+from conftest import REFERENCE_BUILDERS
 
 
 class TestMake:
@@ -192,6 +195,62 @@ class TestBrentqPort:
         assert info.value.constraint == "length"
 
 
+#: (family, params): every family at its catalog defaults and at the
+#: edges of its admissible ranges
+JET_CASES = [
+    ("round", {}),
+    ("scaled", {"c": 1.0}), ("scaled", {"c": 3.0}),
+    ("bump", {"eta": 0.0}), ("bump", {"eta": 1.0}),
+    ("bump", {"eta": 4.0, "width": 0.3, "theta0": 0.3}),
+    ("bump", {"eta": 4.0, "width": 0.3, "theta0": PI - 0.3}),
+    ("tendril", {"length": 0.0}), ("tendril", {"length": 1.0}),
+    ("tendril", {"length": 2.0, "width": 0.05}),
+    ("tendril", {"length": 1.0, "width": 0.1, "theta0": 0.151}),
+    ("bubble", {"area_radius": 2.0, "neck_theta": 0.1}),
+    ("bubble", {"area_radius": 0.1, "neck_theta": 0.05, "span": 0.99,
+                "band": 0.01}),
+    ("bubble", {"area_radius": 40.0, "neck_theta": 1.5, "span": 0.01,
+                "band": 0.49}),
+]
+
+#: |jet derivative - 9-point difference of the entry below it| on uniform
+#: n = 4001, relative to the sup norm of the derivative (or absolute when
+#: that is below 1).  The spheres agree to round-off.  Bump, tendril and
+#: bubble are only C^2, and the tendril and bubble ramps span about ten
+#: nodes, so there the difference quotient itself is off by up to 2.7%.
+JET_DERIVATIVE_TOL = {"round": 1e-10, "scaled": 1e-10, "bump": 2e-3,
+                      "tendril": 5e-2, "bubble": 5e-2}
+
+
+class TestJet:
+    """`profiles(t, order)`: one callable gives phi, f and their
+    derivatives; order 0 gives the same phi and f bit for bit."""
+
+    @pytest.mark.parametrize("name, params", JET_CASES)
+    def test_order_zero_is_the_leading_pair(self, name, params):
+        metric = make(name, **params)
+        rng = np.random.default_rng(3)
+        for t in (metric.theta, metric.fine, rng.uniform(0.0, PI, 999),
+                  np.array([0.0, PI])):
+            full = metric.jet(t)
+            assert len(full) == 6
+            phi, f = metric.jet(t, 0)
+            assert np.array_equal(phi, full[0])
+            assert np.array_equal(f, full[1])
+        assert np.array_equal(metric.node_jet[0], metric.phi)
+        assert np.array_equal(metric.node_jet[1], metric.f)
+
+    @pytest.mark.parametrize("name", list(JET_DERIVATIVE_TOL))
+    def test_derivatives_match_finite_differences(self, name):
+        metric = REFERENCE_BUILDERS[name](RadialGrid.uniform(4001))
+        t = metric.theta
+        phi, f, dphi, df, d2phi, d2f = metric.jet(t)
+        for y, dy in ((phi, dphi), (f, df), (dphi, d2phi), (df, d2f)):
+            err = np.max(np.abs(_derivative_high_order(y, t) - dy))
+            scale = max(1.0, float(np.max(np.abs(dy))))
+            assert err <= JET_DERIVATIVE_TOL[name] * scale, (name, err)
+
+
 class TestBubble:
     def test_volume_grows_with_area(self):
         vols = [volume(bubble_sphere(float(a), 0.1)) for a in (1, 2, 3)]
@@ -201,8 +260,8 @@ class TestBubble:
         neck, span = 0.1, 0.85
         mid = 0.5 * (neck * (1.0 - span) + neck)
         metric = bubble_sphere(2.0, neck, span=span)
-        assert metric.f_at(np.array([mid]))[0] == pytest.approx(2.0,
-                                                                rel=1e-12)
+        f_mid = metric.jet(np.array([mid]), 0)[1][0]
+        assert f_mid == pytest.approx(2.0, rel=1e-12)
 
     def test_comparison_holds(self):
         rep = validate(bubble_sphere(3.0, 0.05))

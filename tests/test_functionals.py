@@ -1,16 +1,16 @@
 """Curvature functionals, medians, shells and good sets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpedsphere import (alignment_constants, core_integrals,
-                          csc_hessian_l1, good_set_volumes, point_pick,
-                          polar_average, polar_csc3, ratio_seminorm,
+from warpedsphere import (good_set_volumes, point_pick, polar_average,
                           round_sphere, scalar_deficit, shell_integral,
-                          shell_select, weighted_median)
-from warpedsphere import functionals
+                          weighted_median)
+from warpedsphere import cli, families, functionals
 from warpedsphere.errors import DomainError, ResidualGuardError
 from warpedsphere.functionals import Evaluation, sublevel_round_volume
 from warpedsphere.grids import PI
@@ -20,63 +20,69 @@ from conftest import REFERENCE_NAMES
 
 class TestCoreIntegralsRound:
     def test_csc2_is_8pi(self, round_metric, round_potential):
-        ci = core_integrals(round_metric, round_potential)
+        ci = Evaluation(round_metric, round_potential).core
         assert ci.i_csc2 == pytest.approx(8.0 * PI, rel=1e-6)
 
     def test_alignment_and_mass_vanish(self, round_metric, round_potential):
-        ci = core_integrals(round_metric, round_potential)
+        ci = Evaluation(round_metric, round_potential).core
         assert abs(ci.i_align) < 1e-8
         assert abs(ci.i_mass) < 1e-8
         assert abs(ci.i_deficit) < 1e-6
 
     def test_gradient_norms(self, round_metric, round_potential):
-        ci = core_integrals(round_metric, round_potential)
+        ci = Evaluation(round_metric, round_potential).core
         # |grad u| = sin: L1 = 8pi/... int |u'| f^2 * 4pi = 4pi * int sin^3
         assert ci.grad_l1 == pytest.approx(16.0 * PI / 3.0, rel=1e-8)
         assert ci.grad_l2 == pytest.approx(np.sqrt(3.0 * PI**2 / 2.0),
                                            rel=1e-8)
 
     def test_seminorms_vanish(self, round_metric, round_potential):
-        assert ratio_seminorm(round_metric, round_potential) < 1e-8
-        assert csc_hessian_l1(round_metric, round_potential) < 1e-4
+        ev = Evaluation(round_metric, round_potential)
+        assert ev.ratio_seminorm < 1e-8
+        assert ev.csc_hessian_l1 < 1e-4
 
 
 class TestGuard:
     def test_corrupted_potential_refused(self, round_metric,
                                          corrupted_potential):
         with pytest.raises(ResidualGuardError):
-            core_integrals(round_metric, corrupted_potential)
+            Evaluation(round_metric, corrupted_potential).core
 
     @pytest.mark.parametrize("evaluate", [
-        core_integrals, csc_hessian_l1, ratio_seminorm, alignment_constants,
-        shell_select, lambda metric, pot: polar_csc3(metric, pot, PI / 16),
-        Evaluation])
+        lambda ev: ev.core, lambda ev: ev.csc_hessian_l1,
+        lambda ev: ev.ratio_seminorm, lambda ev: ev.alignment,
+        lambda ev: ev.shells, lambda ev: ev.polar_csc3(PI / 16),
+        lambda ev: ev])
     def test_every_evaluator_refuses(self, round_metric, corrupted_potential,
                                      evaluate):
         with pytest.raises(ResidualGuardError):
-            evaluate(round_metric, corrupted_potential)
+            evaluate(Evaluation(round_metric, corrupted_potential))
 
 
 class TestEvaluation:
     """One Evaluation per (metric, potential): guard once, values equal to
-    the public evaluators, each computed once."""
+    those of a fresh evaluation per attribute, each computed once."""
 
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_attributes_match_public_evaluators(self, reference_metrics,
+    def test_attributes_match_fresh_evaluations(self, reference_metrics,
                                                 reference_potentials, name):
         metric, pot = reference_metrics[name], reference_potentials[name]
         ev = Evaluation(metric, pot)
-        assert ev.core == core_integrals(metric, pot)
-        assert ev.csc_hessian_l1 == csc_hessian_l1(metric, pot)
-        assert ev.ratio_seminorm == ratio_seminorm(metric, pot)
-        assert ev.alignment == alignment_constants(metric, pot)
-        assert ev.shells == shell_select(metric, pot)
-        assert ev.polar_csc3(PI / 8) == polar_csc3(metric, pot, PI / 8)
+
+        def fresh():
+            return Evaluation(metric, pot)
+
+        assert ev.core == fresh().core
+        assert ev.csc_hessian_l1 == fresh().csc_hessian_l1
+        assert ev.ratio_seminorm == fresh().ratio_seminorm
+        assert ev.alignment == fresh().alignment
+        assert ev.shells == fresh().shells
+        assert ev.polar_csc3(PI / 8) == fresh().polar_csc3(PI / 8)
         assert ev.m == scalar_deficit(metric)
 
     def test_guard_and_fields_once(self, reference_metrics,
                                    reference_potentials, monkeypatch):
-        calls = {"flux_residual": 0, "refine_nodes": 0}
+        calls = {"flux_residual": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -87,21 +93,58 @@ class TestEvaluation:
         monkeypatch.setattr(functionals, "flux_residual",
                             counted("flux_residual",
                                     functionals.flux_residual))
-        monkeypatch.setattr(functionals, "refine_nodes",
-                            counted("refine_nodes", functionals.refine_nodes))
         ev = Evaluation(reference_metrics["bump"],
                         reference_potentials["bump"])
+        fields = ev.fields
         for _ in range(2):
             ev.core, ev.csc_hessian_l1, ev.ratio_seminorm
-        assert calls == {"flux_residual": 1, "refine_nodes": 1}
+        assert calls == {"flux_residual": 1}
+        assert ev.fields is fields
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "round"], ["--family", "scaled", "--param", "c=1.3"],
+        ["--family", "bump", "--param", "eta=0.5"],
+        ["--family", "tendril", "--param", "length=1.5"],
+        ["--family", "bubble", "--param", "area_radius=2",
+         "--param", "neck_theta=0.05"]])
+    def test_verify_evaluates_profiles_once_per_node_set(self, argv,
+                                                         monkeypatch,
+                                                         capsys):
+        """One verify call evaluates the profile jet at most once on the
+        grid nodes and once on the refined nodes (the samples taken when
+        the metric is built are not counted)."""
+        built, node_sets = [], []
+        build = families._build
+
+        def counting_build(grid, profiles, name, params):
+            metric = build(grid, profiles, name, params)
+
+            def counted(t, order=2):
+                node_sets.append(np.array(t))
+                return profiles(t, order)
+
+            built.append(dataclasses.replace(metric, profiles=counted))
+            return built[-1]
+
+        monkeypatch.setattr(families, "_build", counting_build)
+        assert cli.main(["verify", *argv]) in (0, 1)
+        capsys.readouterr()
+        (metric,) = built
+
+        def evaluations(nodes):
+            return sum(t.shape == nodes.shape and np.array_equal(t, nodes)
+                       for t in node_sets)
+
+        assert evaluations(metric.theta) <= 1
+        assert evaluations(metric.fine) == 1    # the solve reads it
 
 
 class TestIdentityChain:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_flux_inequalities_hold(self, reference_metrics,
                                     reference_potentials, name):
-        ci = core_integrals(reference_metrics[name],
-                            reference_potentials[name])
+        ci = Evaluation(reference_metrics[name],
+                        reference_potentials[name]).core
         tol = 1e-6
         assert ci.i_csc2 <= 8.0 * PI + 0.5 * ci.i_deficit + tol
         assert ci.i_align <= 0.25 * ci.i_deficit + tol
@@ -139,7 +182,7 @@ class TestWeightedMedian:
 
 class TestAlignment:
     def test_round_constants(self, round_metric, round_potential):
-        ac = alignment_constants(round_metric, round_potential)
+        ac = Evaluation(round_metric, round_potential).alignment
         assert ac.a == pytest.approx(1.0, abs=1e-8)
         assert ac.sigma == pytest.approx(0.0, abs=1e-8)
         assert ac.attained_l1_gap_ratio < 1e-8
@@ -147,8 +190,8 @@ class TestAlignment:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_gaps_nonnegative(self, reference_metrics,
                               reference_potentials, name):
-        ac = alignment_constants(reference_metrics[name],
-                                 reference_potentials[name])
+        ac = Evaluation(reference_metrics[name],
+                        reference_potentials[name]).alignment
         assert ac.a >= 0.0
         assert ac.attained_l1_gap_ratio >= 0.0
         assert ac.attained_l1_gap_u >= 0.0
@@ -164,8 +207,8 @@ class TestShells:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_selection_in_stated_band(self, reference_metrics,
                                       reference_potentials, name):
-        sel = shell_select(reference_metrics[name],
-                           reference_potentials[name])
+        sel = Evaluation(reference_metrics[name],
+                         reference_potentials[name]).shells
         assert PI / 8 <= sel.sigma_p <= PI / 4
         assert PI / 8 <= sel.sigma_mp <= PI / 4
         assert sel.shell_integral_p >= 0.0
@@ -173,14 +216,14 @@ class TestShells:
 
 class TestPolar:
     def test_round_csc3_value(self, round_metric, round_potential):
-        p, mp = polar_csc3(round_metric, round_potential, PI / 8)
+        p, mp = Evaluation(round_metric, round_potential).polar_csc3(PI / 8)
         # integrand collapses to 4 pi dtheta on the round sphere
         assert p == pytest.approx(PI**2 / 2.0, abs=1e-5)
         assert mp == pytest.approx(PI**2 / 2.0, abs=1e-5)
 
     def test_csc3_radius_validated(self, round_metric, round_potential):
         with pytest.raises(DomainError):
-            polar_csc3(round_metric, round_potential, 1.0)
+            Evaluation(round_metric, round_potential).polar_csc3(1.0)
 
     def test_polar_average_is_u(self, round_metric, round_potential):
         t = PI / 16

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from warpedsphere import (ClassParams, ProfileFns, RadialGrid, WarpedMetric,
+from warpedsphere import (ClassParams, RadialGrid, WarpedMetric,
                           ball_volume, bubble_sphere, bump_sphere,
                           cheeger_levelset, class_membership,
                           load_profile_table, round_sphere,
@@ -11,7 +11,7 @@ from warpedsphere import (ClassParams, ProfileFns, RadialGrid, WarpedMetric,
                           scalar_deficit, scaled_sphere, summarize,
                           validate, volume)
 from warpedsphere.errors import DegenerateMetricError, StructuralError
-from warpedsphere.grids import PI
+from warpedsphere.grids import PI, refine_nodes
 
 from conftest import REFERENCE_BUILDERS
 
@@ -65,14 +65,18 @@ def test_scalar_curvature_matches_symbolic_oracle():
     def poly(c):
         return sp.lambdify(th, c, "numpy")
 
-    profiles = ProfileFns(
-        phi=poly(phi_e), f=poly(f_e),
-        dphi=poly(sp.diff(phi_e, th)), df=poly(sp.diff(f_e, th)),
-        d2phi=poly(sp.diff(phi_e, th, 2)), d2f=poly(sp.diff(f_e, th, 2)))
+    fns = [poly(e) for e in (phi_e, f_e, sp.diff(phi_e, th),
+                             sp.diff(f_e, th), sp.diff(phi_e, th, 2),
+                             sp.diff(f_e, th, 2))]
+
+    def profiles(t, order=2):
+        return tuple(fn(t) for fn in fns[:6 if order else 2])
+
     grid = RadialGrid.uniform(801)
+    phi, f = profiles(grid.nodes, 0)
+    metric = WarpedMetric(grid=grid, phi=phi, f=f, name="oracle",
+                          profiles=profiles)
     t = grid.nodes
-    metric = WarpedMetric(grid=grid, phi=profiles.phi(t), f=profiles.f(t),
-                          name="oracle", profiles=profiles)
     r_num = scalar_curvature(metric)
     sample = slice(3, -3)  # symbolic expression is 0/0 at the poles
     assert np.max(np.abs(r_num[sample] - r_fn(t[sample]))) < 1e-9
@@ -190,6 +194,56 @@ class TestProfileTable:
         assert loaded.profiles is None  # tables carry samples only
         # derived quantities survive the round trip
         assert volume(loaded) == pytest.approx(volume(metric), rel=1e-8)
+
+
+class TestJet:
+    """`WarpedMetric.jet` and the jets cached on the grid nodes and on the
+    refined nodes."""
+
+    @pytest.fixture
+    def table(self, tmp_path):
+        path = tmp_path / "bump.txt"
+        save_profile_table(bump_sphere(0.5, grid=RadialGrid.graded(1001)),
+                           path)
+        return load_profile_table(path)
+
+    def test_table_order_zero_is_the_leading_pair(self, table):
+        rng = np.random.default_rng(5)
+        for t in (table.theta, table.fine, rng.uniform(0.0, PI, 777)):
+            full = table.jet(t)
+            assert len(full) == 6
+            phi, f = table.jet(t, 0)
+            assert np.array_equal(phi, full[0])
+            assert np.array_equal(f, full[1])
+
+    def test_table_jet_is_exact_at_the_nodes(self, table):
+        t = table.theta
+        dphi = np.gradient(table.phi, t, edge_order=2)
+        df = np.gradient(table.f, t, edge_order=2)
+        expected = (table.phi, table.f, dphi, df,
+                    np.gradient(dphi, t, edge_order=2),
+                    np.gradient(df, t, edge_order=2))
+        for got, want in zip(table.node_jet, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", list(REFERENCE_BUILDERS))
+    def test_cached_jets_equal_fresh_ones(self, reference_metrics, name):
+        metric = reference_metrics[name]
+        assert np.array_equal(metric.fine, refine_nodes(metric.theta))
+        for cached, t in ((metric.node_jet, metric.theta),
+                          (metric.fine_jet, metric.fine)):
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(cached, metric.jet(t)))
+        assert metric.node_jet is metric.node_jet
+        assert metric.fine_jet is metric.fine_jet
+
+    def test_curvature_on_refined_nodes(self, reference_metrics):
+        metric = reference_metrics["scaled"]
+        r = scalar_curvature(metric, fine=True)
+        assert r.shape == metric.fine.shape
+        # the 0/0 terms next to the poles lose more digits on the finer
+        # nodes: 1.7e-9 there against 9e-11 on the grid nodes
+        assert np.max(np.abs(r - 6.0 / 1.1**2)) < 1e-8
 
 
 class TestAnalyticAgainstTable:

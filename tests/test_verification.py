@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from warpedsphere import (ClassParams, RadialGrid, SequenceSpec, bump_sphere,
-                          build_report, check_global_suite,
-                          check_goodset_suite, check_identity_suite,
-                          check_polar_suite, constant_ledger, report_json,
+                          build_report, constant_ledger, report_json,
                           round_sphere, run_all_checks, run_sequence,
                           solve_quadrature, tol_disc)
 from warpedsphere import functionals, metrics, potential
@@ -18,6 +16,11 @@ from conftest import REFERENCE_NAMES
 
 WIDE_PARAMS = ClassParams(volume_max=40.0, diameter_max=10.0,
                           mass_max=3.0, cheeger_min=0.1)
+
+
+def _suite(name, metric, pot, ledger=None, tolerance=None):
+    """One suite alone, on its own evaluation."""
+    return run_all_checks(metric, pot, ledger, tolerance, suites=(name,))
 
 
 @pytest.fixture(scope="module")
@@ -40,8 +43,8 @@ class TestIdentitySuite:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_passes_on_references(self, reference_metrics,
                                   reference_potentials, name):
-        checks = check_identity_suite(reference_metrics[name],
-                                      reference_potentials[name])
+        checks = _suite("identity", reference_metrics[name],
+                        reference_potentials[name])
         assert {c.label for c in checks} == {"eq_2_2", "eq_2_3", "eq_2_4"}
         for c in checks:
             assert c.verdict == "pass", (name, c.label, c.margin)
@@ -53,7 +56,7 @@ class TestIdentitySuite:
             from warpedsphere import scaled_sphere
             metric = scaled_sphere(1.1, grid=RadialGrid.uniform(n))
             pot = solve_quadrature(metric)
-            for c in check_identity_suite(metric, pot):
+            for c in _suite("identity", metric, pot):
                 margins.setdefault(c.label, []).append(c.margin)
         for label, ms in margins.items():
             d1 = abs(ms[0] - ms[1])
@@ -86,8 +89,8 @@ class TestFullSuite:
     def test_shell_colatitudes_in_band(self, reference_metrics,
                                        reference_potentials, wide_ledger,
                                        name):
-        checks = check_polar_suite(reference_metrics[name],
-                                   reference_potentials[name], wide_ledger)
+        checks = _suite("polar", reference_metrics[name],
+                        reference_potentials[name], wide_ledger)
         by_label = {c.label: c for c in checks}
         for tag in ("p", "mp"):
             sigma = by_label[f"lemma_4_1_{tag}"].inputs["sigma"]
@@ -97,9 +100,8 @@ class TestFullSuite:
                                                     reference_potentials,
                                                     wide_ledger):
         for name in REFERENCE_NAMES:
-            checks = check_goodset_suite(reference_metrics[name],
-                                         reference_potentials[name],
-                                         wide_ledger)
+            checks = _suite("goodset", reference_metrics[name],
+                            reference_potentials[name], wide_ledger)
             for c in checks:
                 if c.label.startswith("lemma_5_1_witness") \
                         and c.verdict != "skipped" \
@@ -108,19 +110,10 @@ class TestFullSuite:
 
 
 def _one_by_one(metric, pot, ledger, names):
-    """The named suites through the public per-suite functions, each on
-    its own evaluation, in SUITES order."""
-    out = []
-    for name in SUITES:
-        if name in names:
-            if name == "identity":
-                out += check_identity_suite(metric, pot)
-            else:
-                suite = {"global": check_global_suite,
-                         "polar": check_polar_suite,
-                         "goodset": check_goodset_suite}[name]
-                out += suite(metric, pot, ledger)
-    return out
+    """The named suites one at a time, each on its own evaluation, in
+    SUITES order."""
+    return [c for name in SUITES if name in names
+            for c in _suite(name, metric, pot, ledger)]
 
 
 def _report(checks):
@@ -165,16 +158,14 @@ class TestSharedEvaluation:
                        reference_potentials["tendril"], wide_ledger)
         assert len(count) == 1
 
-    @pytest.mark.parametrize("run", [
-        lambda m, p, led: run_all_checks(m, p, led),
-        lambda m, p, led: run_all_checks(m, p, led, suites=["polar"]),
-        lambda m, p, led: check_identity_suite(m, p),
-        check_global_suite, check_polar_suite, check_goodset_suite])
+    @pytest.mark.parametrize("suites", [SUITES, ("polar", "global"),
+                                        *((name,) for name in SUITES)])
     def test_corrupted_potential_refused(self, round_metric,
                                          corrupted_potential, wide_ledger,
-                                         run):
+                                         suites):
         with pytest.raises(ResidualGuardError):
-            run(round_metric, corrupted_potential, wide_ledger)
+            run_all_checks(round_metric, corrupted_potential, wide_ledger,
+                           suites=suites)
 
     def test_unknown_suite_refused(self, round_metric, round_potential,
                                    wide_ledger):
@@ -199,8 +190,8 @@ class TestGlobalSuite:
 
     def test_tolerance_override(self, round_metric, round_potential,
                                 wide_ledger):
-        checks = check_global_suite(round_metric, round_potential,
-                                    wide_ledger, tolerance=1e-3)
+        checks = _suite("global", round_metric, round_potential,
+                        wide_ledger, tolerance=1e-3)
         assert all(c.tolerance == 1e-3 for c in checks)
 
 
