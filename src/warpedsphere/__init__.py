@@ -25,7 +25,7 @@ from .potential import (PotentialSolution, SolverConfig, flux_residual,
 from .functionals import (AlignmentConstants, CoreIntegrals, GoodSetReport,
                           Evaluation, PointPickResult, ShellSelection,
                           good_set_volumes, point_pick, polar_average,
-                          shell_integral, weighted_median)
+                          weighted_median)
 from .constants import ConstantLedger, constant_ledger
 from .verification import (SUITES, CheckResult, ConvergenceReport,
                            SequenceEntry, SequenceSpec, run_all_checks,

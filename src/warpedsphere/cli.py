@@ -19,7 +19,7 @@ import sys
 from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
                      DomainError, IterationError, ResidualGuardError,
                      SolverError, StructuralError, WarpedSphereError)
-from .grids import RadialGrid
+from .grids import MIN_NODES, RadialGrid
 from .metrics import (ClassParams, class_membership, load_profile_table,
                       summarize)
 from . import families as fam
@@ -133,6 +133,8 @@ def _build_grid(config: dict) -> RadialGrid | None:
         raise ConfigError(f"grid kind must be uniform or graded, got {kind!r}")
     if n is None:
         return None
+    if n < MIN_NODES:
+        raise ConfigError(f"grid n must be at least {MIN_NODES}, got {n}")
     if kind == "graded":
         return RadialGrid.graded(n)
     return RadialGrid.uniform(n)
@@ -260,7 +262,7 @@ def cmd_verify(config: dict) -> int:
     require_suites(names)            # before the solve: bad names exit 2
     tolerance = _float(suite_sec, "tolerance")
     pot = _solve(metric, config)
-    checks = run_all_checks(metric, pot, ledger, tolerance, suites=names)
+    checks = run_all_checks(pot, ledger, tolerance, suites=names)
     extras = _summary_extras(metric, params)
     extras["ledger"] = ledger.as_dict()
     doc = rep.build_report(checks, config, seed=_seed(config), extras=extras)

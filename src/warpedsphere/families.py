@@ -17,9 +17,6 @@ from .errors import ConstructionError, DomainError
 from .grids import PI, RadialGrid, simpson_rule
 from .metrics import WarpedMetric
 
-#: integral of the C^2 bump (1 - x^2)^3 over [-1, 1]
-BUMP_INTEGRAL = 32.0 / 35.0
-
 #: peak of the bump modulation at eta = 1; kept small so the whole
 #: dyadic amplitude schedule stays inside the comparison class
 BUMP_PEAK = 0.015
@@ -286,7 +283,7 @@ def _tendril_layout(length, width, theta0):
             raise ConstructionError(
                 "support", "tendril release does not fit below the far "
                 "pole; reduce theta0 or width")
-    if b0 <= 0.0:
+    if not (b0 > 0.0):
         raise ConstructionError(
             "support", "tendril support must sit inside (0, pi): "
             "theta0 must exceed 1.5 * width")
@@ -329,7 +326,7 @@ def tendril_sphere(length: float, width: float = 0.1,
     """
     if length < 0.0:
         raise DomainError("tendril length must be nonnegative")
-    if width <= 0.0:
+    if not (width > 0.0):
         raise DomainError("tendril width must be positive")
     theta0, breaks, thin = _tendril_layout(length, width, theta0)
     grid = grid or tendril_grid(breaks)

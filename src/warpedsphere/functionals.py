@@ -9,8 +9,10 @@ ratio = |grad u| / sin(theta).  With dV_g = 4 pi phi f^2 dtheta and
     int csc^2 |grad u| dV  = 4 pi int ratio phi f (f/sin) dtheta
     int |grad u| dV        = 4 pi int ratio phi f^2 sin dtheta   etc.
 
-An `Evaluation` refuses a potential whose flux residual exceeds the
-guard tolerance, so corrupted inputs surface as refusals rather than as
+Every reader takes one potential and its metric `pot.metric`, whose
+cached jets (or slices of them) give phi, f and their derivatives.  An
+`Evaluation` refuses a potential whose flux residual exceeds the guard
+tolerance, so corrupted inputs surface as refusals rather than as
 spurious inequality failures.  The guard runs once per evaluation, and
 the check suites share one.
 """
@@ -32,15 +34,17 @@ from .potential import (PotentialSolution, _sin_fprime_over_f, f_over_sin,
 #: flux-law residual above which functional evaluation is refused
 GUARD_TOL = 1e-3
 
+#: candidate colatitudes scanned by `point_pick`
+N_SCAN = 181
 
-def require_valid(metric: WarpedMetric, pot: PotentialSolution,
-                  guard_tol: float = GUARD_TOL, band: float = 0.1) -> None:
+
+def require_valid(pot: PotentialSolution) -> None:
     """Garbage-in guard: reject potentials that do not solve the PDE."""
-    res = flux_residual(metric, pot, band=band)
-    if not np.isfinite(res) or res > guard_tol:
+    res = flux_residual(pot)
+    if not np.isfinite(res) or res > GUARD_TOL:
         raise ResidualGuardError(
             f"potential rejected: flux residual {res:.3e} exceeds "
-            f"{guard_tol:.1e}; functional values would be meaningless")
+            f"{GUARD_TOL:.1e}; functional values would be meaningless")
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class _Fields:
     d2u: np.ndarray
 
 
-def _ratio_on(metric: WarpedMetric, pot: PotentialSolution) -> np.ndarray:
+def _ratio_on(pot: PotentialSolution) -> np.ndarray:
     """Ratio |grad u|/sin on the metric's refined nodes, by per-cell flux
     propagation.
 
@@ -96,11 +100,11 @@ def _ratio_on(metric: WarpedMetric, pot: PotentialSolution) -> np.ndarray:
     node spacing.  The two pole cells (singular cot, f'/f) fall back to
     log interpolation; the ratio is smooth there.
     """
-    t, fine, k = pot.theta, metric.fine, ANALYTIC_REFINE
+    t, fine, k = pot.theta, pot.metric.fine, ANALYTIC_REFINE
     n = t.size
     logr_nodes = np.log(np.clip(pot.ratio, 1e-300, None))
     inner = fine[1:-1]
-    phi_i, f_i, _, df_i, _, _ = (y[1:-1] for y in metric.fine_jet)
+    phi_i, f_i, _, df_i, _, _ = (y[1:-1] for y in pot.metric.fine_jet)
     q = ((3.0 * phi_i - 1.0) * np.cos(inner) / np.sin(inner)
          - 2.0 * df_i / f_i)
     cum = cumulative(q, inner)            # zero at fine[1]
@@ -129,26 +133,17 @@ def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
     return float(v[i])
 
 
-def shell_integral(metric: WarpedMetric, pot: PotentialSolution,
-                   s: np.ndarray) -> np.ndarray:
-    """int_{partial B(p,s)} |grad u| dA_g = 4 pi (|u'(s)|/phi) f(s)^2."""
-    phi, f = metric.jet(s, 0)
-    du = np.interp(s, pot.theta, pot.du)
-    return 4.0 * PI * np.abs(du) / phi * f**2
-
-
 class Evaluation:
-    """One (metric, potential) pair and the quantities the suites read.
+    """One potential, on its metric, and the quantities the suites read.
 
     The constructor runs the flux-residual guard.  Each property is
     computed on first use and then kept for the life of the evaluation,
     so the suites of one scenario share a single set of refined fields.
     """
 
-    def __init__(self, metric: WarpedMetric, pot: PotentialSolution,
-                 guard_tol: float = GUARD_TOL):
-        require_valid(metric, pot, guard_tol)
-        self.metric, self.pot = metric, pot
+    def __init__(self, pot: PotentialSolution):
+        require_valid(pot)
+        self.metric, self.pot = pot.metric, pot
 
     @cached_property
     def fields(self) -> _Fields:
@@ -169,7 +164,7 @@ class Evaluation:
         if not refined:
             return _Fields(False, t, phi, f, dphi, df, fos, sf,
                            pot.ratio, pot.du, pot.d2u)
-        ratio = _ratio_on(metric, pot)
+        ratio = _ratio_on(pot)
         sgn = 1.0 if pot.u[-1] >= pot.u[0] else -1.0
         s = np.sin(t)
         du = sgn * ratio * phi * s
@@ -268,14 +263,16 @@ class Evaluation:
 
     @cached_property
     def shells(self) -> ShellSelection:
-        """Minimizing shells in [pi/8, pi/4] near each pole (grid scan)."""
-        metric, pot = self.metric, self.pot
-        t = pot.theta
+        """Minimizing shells in [pi/8, pi/4] near each pole (grid scan) of
+        int_{partial B(p,s)} |grad u| dA_g = 4 pi (|u'(s)|/phi) f(s)^2."""
+        pot, t = self.pot, self.pot.theta
+        phi, f = self.metric.node_jet[:2]
+        vals = 4.0 * PI * np.abs(pot.du) / phi * f**2
         near = (t >= PI / 8) & (t <= PI / 4)
-        vals_p = shell_integral(metric, pot, t[near])
+        vals_p = vals[near]
         i_p = int(np.argmin(vals_p))
         far = (t >= PI - PI / 4) & (t <= PI - PI / 8)
-        vals_m = shell_integral(metric, pot, t[far])
+        vals_m = vals[far]
         i_m = int(np.argmin(vals_m))
         return ShellSelection(sigma_p=float(t[near][i_p]),
                               sigma_mp=float(PI - t[far][i_m]),
@@ -315,8 +312,7 @@ def set_measure(metric: WarpedMetric, mask: np.ndarray,
 # polar averages, sublevels
 # ----------------------------------------------------------------------
 
-def polar_average(metric: WarpedMetric, pot: PotentialSolution,
-                  t: float) -> float:
+def polar_average(pot: PotentialSolution, t: float) -> float:
     """(1/4pi) int_{partial B(p,t)} u dA_round = u(t) for radial u."""
     if not (0.0 < t <= PI / 8):
         raise DomainError("averaging radius must lie in (0, pi/8]")
@@ -328,8 +324,8 @@ def _round_cap_volume(s: float) -> float:
     return 2.0 * PI * s - PI * np.sin(2.0 * s)
 
 
-def sublevel_round_volume(metric: WarpedMetric, pot: PotentialSolution,
-                          pole: int, r: float, gamma: float) -> float:
+def sublevel_round_volume(pot: PotentialSolution, pole: int, r: float,
+                          gamma: float) -> float:
     """Round volume of B^S(p,r) intersected with {u <= gamma}.
 
     For a monotone radial u this is the round annulus between the level
@@ -369,15 +365,14 @@ class GoodSetReport:
     vol_Etilde_complement_g: float  # |S^3 \ Etilde_{tau,g}|_g
 
 
-def good_set_volumes(metric: WarpedMetric, pot: PotentialSolution,
-                     tau: float, t: float,
-                     constants: AlignmentConstants | None = None,
-                     guard_tol: float = GUARD_TOL) -> GoodSetReport:
+def good_set_volumes(pot: PotentialSolution, tau: float, t: float,
+                     constants: AlignmentConstants | None = None
+                     ) -> GoodSetReport:
     """Measures of the aligned regions E, E-tilde and the polar-trimmed E."""
     if tau < 0.0 or not (0.0 <= t < PI / 2):
         raise DomainError("tau must be >= 0 and t in [0, pi/2)")
-    ac = constants or Evaluation(metric, pot, guard_tol).alignment
-    th = pot.theta
+    ac = constants or Evaluation(pot).alignment
+    metric, th = pot.metric, pot.theta
     in_E = np.abs(pot.ratio - ac.a) <= tau
     in_Etilde = np.abs(pot.u - ac.a * np.cos(th) - ac.sigma) <= tau
     trimmed = in_E & (th >= t) & (th <= PI - t)
@@ -399,8 +394,7 @@ class PointPickResult:
     beyond_proof_range: bool
 
 
-def point_pick(metric: WarpedMetric, r: float,
-               n_scan: int = 181) -> PointPickResult:
+def point_pick(metric: WarpedMetric, r: float) -> PointPickResult:
     """Antipodal pole pair minimizing the two round-ball g-volumes.
 
     Scans candidate colatitudes q in [0, pi/2]; the certificate compares
@@ -409,7 +403,7 @@ def point_pick(metric: WarpedMetric, r: float,
     """
     if not (0.0 < r <= 0.5):
         raise DomainError("point-pick radius must lie in (0, 0.5]")
-    qs = np.linspace(0.0, PI / 2, n_scan)
+    qs = np.linspace(0.0, PI / 2, N_SCAN)
     sums = np.array([ball_volume(metric, q, r)
                      + ball_volume(metric, PI - q, r) for q in qs])
     i = int(np.argmin(sums))

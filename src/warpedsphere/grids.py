@@ -168,16 +168,6 @@ def cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
 
 
-def cumulative_on(nodes: np.ndarray, fn, k: int = ANALYTIC_REFINE):
-    """Cumulative integral of a callable, refined for accuracy.
-
-    Returns (values_at_nodes, total).
-    """
-    fine = refine_nodes(nodes, k)
-    cum = cumulative(fn(fine), fine)
-    return cum[::k], float(cum[-1])
-
-
 def node_weights(x: np.ndarray) -> np.ndarray:
     """Positive quadrature weights (trapezoid) for node-indicator sums.
 

@@ -16,13 +16,16 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError, StructuralError
-from .grids import PI, RadialGrid, integrate, refine_nodes
+from .grids import PI, RadialGrid, cumulative, integrate, refine_nodes
 
 #: slop admitted in the pointwise comparison checks (phi >= 1, f >= sin)
 COMPARISON_TOL = 1e-12
 
-#: default pole band (radians) excluded from pointwise curvature checks
-POLE_BAND = 0.05
+#: pole closure defect |f'(pole)| - phi(pole) admitted by `validate`
+CLOSURE_TOL = 1e-8
+
+#: nodes of the subgrid on which `ball_volume` integrates one ball
+BALL_SUBGRID_N = 4001
 
 
 #: an analytic profile jet: profiles(t, order=2) gives (phi, f, dphi, df,
@@ -122,11 +125,10 @@ class ClassParams:
     def __post_init__(self):
         for label, v in (("volume_max", self.volume_max),
                          ("diameter_max", self.diameter_max),
-                         ("mass_max", self.mass_max)):
-            if not (v > 0.0):
-                raise StructuralError(f"{label} must be positive")
-        if not (self.cheeger_min > 0.0):
-            raise StructuralError("cheeger_min must be positive")
+                         ("mass_max", self.mass_max),
+                         ("cheeger_min", self.cheeger_min)):
+            if not (0.0 < v < np.inf):
+                raise StructuralError(f"{label} must be positive and finite")
 
 
 # ----------------------------------------------------------------------
@@ -174,7 +176,7 @@ class ValidationReport:
         return self.smooth_closure and self.comparison_ok
 
 
-def validate(metric: WarpedMetric, closure_tol: float = 1e-8) -> ValidationReport:
+def validate(metric: WarpedMetric) -> ValidationReport:
     """Check pole closure and the pointwise comparison g >= round."""
     t = metric.theta
     msgs = []
@@ -183,9 +185,9 @@ def validate(metric: WarpedMetric, closure_tol: float = 1e-8) -> ValidationRepor
     # closure at theta = pi requires |f'(pi)| = phi(pi) with f > 0 on (0, pi)
     d1 = abs(abs(df[-1]) - metric.phi[-1])
     defect = max(d0, d1)
-    closure = defect <= closure_tol
+    closure = defect <= CLOSURE_TOL
     if not closure:
-        msgs.append(f"pole closure defect {defect:.3e} exceeds {closure_tol:.1e}")
+        msgs.append(f"pole closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
     m_phi = float(np.min(metric.phi - 1.0))
     m_f = float(np.min(metric.f - np.sin(t)))
     comparison = m_phi >= -COMPARISON_TOL and m_f >= -COMPARISON_TOL
@@ -214,14 +216,6 @@ def scalar_deficit(metric: WarpedMetric) -> float:
     return float(l2sq ** 0.25)
 
 
-def level_volumes(metric: WarpedMetric):
-    """Cumulative volume of {theta < s} at every node, plus the total."""
-    from .grids import cumulative
-    phi, f = metric.node_jet[:2]
-    cum = cumulative(4.0 * PI * phi * f**2, metric.theta)
-    return cum, float(cum[-1])
-
-
 def cheeger_levelset(metric: WarpedMetric) -> tuple[float, float]:
     """Level-set isoperimetric surrogate (an upper bound for IN_1).
 
@@ -232,7 +226,9 @@ def cheeger_levelset(metric: WarpedMetric) -> tuple[float, float]:
     infimum, so a small surrogate certifies a genuinely small constant
     while a large surrogate is only provisional evidence.
     """
-    cum, total = level_volumes(metric)
+    phi, f = metric.node_jet[:2]
+    cum = cumulative(4.0 * PI * phi * f**2, metric.theta)   # V_- per node
+    total = float(cum[-1])
     areas = 4.0 * PI * metric.f[1:-1]**2
     small = np.minimum(cum[1:-1], total - cum[1:-1])
     small = np.clip(small, 1e-300, None)
@@ -245,8 +241,7 @@ def cheeger_levelset(metric: WarpedMetric) -> tuple[float, float]:
 # geodesic balls
 # ----------------------------------------------------------------------
 
-def ball_volume(metric: WarpedMetric, center_theta: float, r: float,
-                subgrid_n: int = 4001) -> float:
+def ball_volume(metric: WarpedMetric, center_theta: float, r: float) -> float:
     """g-volume of the round ball of radius r about an axis-symmetric point.
 
     The ball is the set of points at round-sphere distance < r from the
@@ -268,7 +263,7 @@ def ball_volume(metric: WarpedMetric, center_theta: float, r: float,
         return 0.0
     q = center_theta
     lo, hi = max(0.0, q - r), min(PI, q + r)
-    t = np.linspace(lo, hi, subgrid_n)
+    t = np.linspace(lo, hi, BALL_SUBGRID_N)
     phi, f = metric.jet(t, 0)
     if q < 1e-12 or q > PI - 1e-12:
         cap = np.full_like(t, 2.0)  # polar center: full fibers inside
@@ -355,7 +350,6 @@ def save_profile_table(metric: WarpedMetric, path) -> None:
 
 def load_profile_table(path, name: str = "table") -> WarpedMetric:
     """Rebuild a sampled metric from a (theta, phi, f) text table."""
-    from .grids import RadialGrid
     data = np.loadtxt(path)
     if data.ndim != 2 or data.shape[1] != 3:
         raise StructuralError("profile table must have columns theta phi f")

@@ -33,12 +33,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, IterationError, SolverError
-from .grids import ANALYTIC_REFINE, PI, cumulative, cumulative_on, integrate
+from .errors import ConfigError, DomainError, IterationError, SolverError
+from .grids import ANALYTIC_REFINE, PI, cumulative, integrate
 from .metrics import WarpedMetric
 
 #: snap tolerance for recognizing phi(pole) == 1 exactly
 _POLE_SNAP = 1e-13
+
+#: pole band (radians) left out of the residual checks of a solution
+RESIDUAL_BAND = 0.1
+
+#: nodes per finite-difference stencil of the residual self-check
+STENCIL = 9
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,6 @@ class PotentialSolution:
     """A radial potential with the derived fields functionals consume."""
 
     metric: WarpedMetric
-    theta: np.ndarray           # the metric's grid nodes
     u: np.ndarray
     du: np.ndarray
     d2u: Optional[np.ndarray]
@@ -58,6 +63,11 @@ class PotentialSolution:
     residual_band: float
     epsilon: float = 0.0
     iterations: int = 0
+
+    @property
+    def theta(self) -> np.ndarray:
+        """The metric's grid nodes, on which every field is sampled."""
+        return self.metric.theta
 
 
 def f_over_sin(t: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
@@ -119,13 +129,16 @@ def log_ratio_parts(metric: WarpedMetric):
     return fine, 3.0 * J + sin_term - 2.0 * np.log(fos), phi
 
 
-def solve_quadrature(metric: WarpedMetric, residual_tol: float = 1e-4,
-                     residual_band: float = 0.1) -> PotentialSolution:
+def solve_quadrature(metric: WarpedMetric,
+                     residual_tol: float = 1e-4) -> PotentialSolution:
     """Closed-form potential via log-space quadrature.
 
     The result is self-verified: the pointwise PDE residual away from
     the poles must stay below `residual_tol` or a SolverError is raised.
+    A `residual_tol` that is not finite and positive is refused.
     """
+    if not (0.0 < residual_tol < np.inf):
+        raise DomainError(f"residual_tol {residual_tol} must be finite > 0")
     fine, lr, phi_fine = log_ratio_parts(metric)
     s = np.sin(fine)
     lr_max = float(np.max(lr))
@@ -145,11 +158,11 @@ def solve_quadrature(metric: WarpedMetric, residual_tol: float = 1e-4,
     sf = _sin_fprime_over_f(t, f, df, f_over_sin(t, f, df))
     d2u = du * dphi / phi + ratio * phi * (2.0 * sf - 3.0 * phi * np.cos(t))
 
-    sol = PotentialSolution(metric=metric, theta=t, u=u, du=du, d2u=d2u,
+    sol = PotentialSolution(metric=metric, u=u, du=du, d2u=d2u,
                             ratio=ratio, method="quadrature",
                             flux_constant=-K, residual_sup=np.nan,
-                            residual_l2=np.nan, residual_band=residual_band)
-    res = pde_residual(metric, sol, band=residual_band)
+                            residual_l2=np.nan, residual_band=RESIDUAL_BAND)
+    res = pde_residual(sol)
     if not np.isfinite(res.sup) or res.sup > residual_tol:
         raise SolverError(
             f"quadrature potential failed self-check: residual sup "
@@ -249,12 +262,13 @@ def solve_bvp(metric: WarpedMetric,
     i_mid = n // 2
     flux_c = float(a[i_mid] * du_b[i_mid])   # I(pi/2) = 0 in the flux law
 
-    sol = PotentialSolution(metric=metric, theta=t, u=u_full, du=du_full,
+    sol = PotentialSolution(metric=metric, u=u_full, du=du_full,
                             d2u=d2u_full, ratio=ratio, method="bvp",
                             flux_constant=flux_c, residual_sup=np.nan,
-                            residual_l2=np.nan, residual_band=max(0.1, 2 * eps),
+                            residual_l2=np.nan,
+                            residual_band=max(RESIDUAL_BAND, 2 * eps),
                             epsilon=eps, iterations=it)
-    res = pde_residual(metric, sol, band=sol.residual_band)
+    res = pde_residual(sol)
     return replace(sol, residual_sup=res.sup, residual_l2=res.l2)
 
 
@@ -262,11 +276,10 @@ def solve_bvp(metric: WarpedMetric,
 # residual
 # ----------------------------------------------------------------------
 
-def _derivative_high_order(y: np.ndarray, x: np.ndarray, stencil: int = 9
-                           ) -> np.ndarray:
+def _derivative_high_order(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """High-order first derivative on an arbitrary strictly increasing grid.
 
-    Node i uses the `stencil` nodes centred on it (shifted inward at the
+    Node i uses the STENCIL nodes centred on it (shifted inward at the
     ends).  Its finite-difference weights come from Fornberg's recursion
     (Fornberg 1988, Math. Comp. 51) for derivative orders 0 and 1, run
     for every node at once: each scalar step of the recursion is one
@@ -274,12 +287,12 @@ def _derivative_high_order(y: np.ndarray, x: np.ndarray, stencil: int = 9
     c1 to c5 keep the names of the paper's algorithm.
     """
     n = x.size
-    first = np.clip(np.arange(n) - stencil // 2, 0, n - stencil)
-    xs = [x[first + m] for m in range(stencil)]
-    w0 = [np.ones(n)] + [None] * (stencil - 1)    # interpolation weights
-    w1 = [np.zeros(n)] + [None] * (stencil - 1)   # first-derivative weights
+    first = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
+    xs = [x[first + m] for m in range(STENCIL)]
+    w0 = [np.ones(n)] + [None] * (STENCIL - 1)    # interpolation weights
+    w1 = [np.zeros(n)] + [None] * (STENCIL - 1)   # first-derivative weights
     c1, c4 = 1.0, xs[0] - x
-    for i in range(1, stencil):
+    for i in range(1, STENCIL):
         c2, c5, c4 = 1.0, c4, xs[i] - x
         for j in range(i):
             c3 = xs[i] - xs[j]
@@ -302,50 +315,54 @@ class ResidualReport:
     band: float
 
 
-def pde_residual(metric: WarpedMetric, sol: PotentialSolution,
-                 band: float = 0.1) -> ResidualReport:
-    """Pointwise residual of Delta u + 3 cot |grad u| on [band, pi - band].
+def _band(t: np.ndarray, band: float) -> slice:
+    """The nodes of t in [band, pi - band], as a slice."""
+    inside = (t >= band) & (t <= PI - band)
+    return slice(int(np.argmax(inside)), t.size - int(np.argmax(inside[::-1])))
+
+
+def pde_residual(sol: PotentialSolution) -> ResidualReport:
+    """Pointwise residual of Delta u + 3 cot |grad u| on the solution's
+    band [residual_band, pi - residual_band].
 
     Reconstructs the flux w = (f^2/phi) u' from the solution samples and
     differentiates it with 9-point finite differences, so the check is
     independent of how the solution was produced.
     """
-    t = sol.theta
-    mask = (t >= band) & (t <= PI - band)
-    phi, f = metric.node_jet[:2]
+    t, band = sol.theta, sol.residual_band
+    b = _band(t, band)
+    phi, f = sol.metric.node_jet[:2]
     w = f**2 * sol.du / phi
-    lo, hi = np.argmax(mask), t.size - np.argmax(mask[::-1])
-    sl = slice(max(lo - 6, 0), min(hi + 6, t.size))
-    dw = np.full_like(t, np.nan)
-    dw[sl] = _derivative_high_order(w[sl], t[sl])
-    cot = np.zeros_like(t)
-    cot[mask] = np.cos(t[mask]) / np.sin(t[mask])
-    resid = (dw - 3.0 * phi * cot * w) / (phi * f**2)
-    resid = resid[mask]
-    l2 = float(np.sqrt(max(integrate(resid**2, t[mask]), 0.0)))
-    return ResidualReport(theta=t[mask], residual=resid,
+    sl = slice(max(b.start - 6, 0), min(b.stop + 6, t.size))
+    dw = _derivative_high_order(w[sl], t[sl])[b.start - sl.start:
+                                              b.stop - sl.start]
+    tb, phi, f = t[b], phi[b], f[b]
+    cot = np.cos(tb) / np.sin(tb)
+    resid = (dw - 3.0 * phi * cot * w[b]) / (phi * f**2)
+    l2 = float(np.sqrt(max(integrate(resid**2, tb), 0.0)))
+    return ResidualReport(theta=tb, residual=resid,
                           sup=float(np.max(np.abs(resid))), l2=l2, band=band)
 
 
-def flux_residual(metric: WarpedMetric, sol: PotentialSolution,
-                  band: float = 0.1) -> float:
-    """Cell-averaged defect of the flux law on [band, pi - band].
+def flux_residual(sol: PotentialSolution) -> float:
+    """Cell-averaged defect of the flux law on the RESIDUAL_BAND band.
 
     Integral (secant) form: per grid cell, compare the increment of
     log|w| for w = (f^2/phi) u' against 3 int phi cot, both per unit
     colatitude.  Equivalent to |d/dtheta log|w| - 3 phi cot| for smooth
     solutions but robust on coarse grids with sharp warp features, and
-    insensitive to the huge dynamic range of w.  Used as the garbage-in
-    guard by the functional evaluators.
+    insensitive to the huge dynamic range of w.  phi cot is integrated
+    on the band's refined nodes.  Used as the garbage-in guard by the
+    functional evaluators.
     """
-    t = sol.theta
-    mask = (t >= band) & (t <= PI - band)
-    tm = t[mask]
+    t, metric, k = sol.theta, sol.metric, ANALYTIC_REFINE
+    b = _band(t, RESIDUAL_BAND)
     phi, f = metric.node_jet[:2]
     w = f**2 * sol.du / phi
-    logw = np.log(np.clip(np.abs(w[mask]), 1e-300, None))
-    target, _ = cumulative_on(
-        tm, lambda x: 3.0 * metric.jet(x, 0)[0] * np.cos(x) / np.sin(x))
-    dt = np.diff(tm)
-    defect = (np.diff(logw) - np.diff(target)) / dt
+    logw = np.log(np.clip(np.abs(w[b]), 1e-300, None))
+    fb = slice(k * b.start, k * (b.stop - 1) + 1)
+    x = metric.fine[fb]
+    target = cumulative(3.0 * metric.fine_jet[0][fb] * np.cos(x) / np.sin(x),
+                        x)[::k]
+    defect = (np.diff(logw) - np.diff(target)) / np.diff(t[b])
     return float(np.max(np.abs(defect)))

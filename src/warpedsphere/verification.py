@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .constants import ConstantLedger
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .families import make
 from .functionals import (Evaluation, good_set_volumes, polar_average,
                           set_measure, sublevel_round_volume)
@@ -128,7 +128,7 @@ _SUBLEVEL_GAMMAS = (0.0, 0.5, 0.9)
 def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
                  tol: float) -> list[CheckResult]:
     """Shell, polar-mass, polar-average and sublevel-volume estimates."""
-    metric, pot = ev.metric, ev.pot
+    pot = ev.pot
     out: list[CheckResult] = []
 
     sel = ev.shells
@@ -144,7 +144,7 @@ def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
         out.append(_check(f"lemma_4_2_mp_{i}", v_mp, ledger.C6, tol, r=r))
 
     for i, t in enumerate(_POLAR_RADII, start=1):
-        avg_p = polar_average(metric, pot, t)
+        avg_p = polar_average(pot, t)
         avg_mp = float(np.interp(PI - t, pot.theta, pot.u))
         rhs = ledger.C7 * np.sin(t)
         out.append(_check(f"lemma_4_3_p_{i}", 1.0 - avg_p, rhs, tol,
@@ -157,15 +157,14 @@ def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
         for j, gamma in enumerate(_SUBLEVEL_GAMMAS, start=1):
             rhs = 4.0 * PI * ledger.C8 / (1.0 - gamma) * sin3
             for tag, pole in (("p", +1), ("mp", -1)):
-                lhs = sublevel_round_volume(metric, pot, pole, r, gamma)
+                lhs = sublevel_round_volume(pot, pole, r, gamma)
                 out.append(_check(f"cor_4_4_{tag}_{i}_{j}", lhs, rhs,
                                   tol, r=r, gamma=gamma))
     return out
 
 
-def _witness_measure(metric: WarpedMetric, pot: PotentialSolution,
-                     a: float, sigma: float, r: float, tau: float,
-                     gamma: float, pole: int) -> float:
+def _witness_measure(pot: PotentialSolution, a: float, sigma: float,
+                     r: float, tau: float, gamma: float, pole: int) -> float:
     """Round measure of {|u - a cos - sigma| <= tau, u >< gamma} cap."""
     th = pot.theta
     aligned = np.abs(pot.u - a * np.cos(th) - sigma) <= tau
@@ -173,13 +172,13 @@ def _witness_measure(metric: WarpedMetric, pot: PotentialSolution,
         mask = aligned & (pot.u > gamma) & (th <= r)
     else:
         mask = aligned & (pot.u < -gamma) & (th >= PI - r)
-    return set_measure(metric, mask, use_round=True)
+    return set_measure(pot.metric, mask, use_round=True)
 
 
 def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
                    tol: float) -> list[CheckResult]:
     """Amplitude lower bound, witness regions and the volume sandwich."""
-    metric, pot = ev.metric, ev.pot
+    pot = ev.pot
     m, ac = ev.m, ev.alignment
     nrm = m * m                      # the deficit L^2 norm itself
     out: list[CheckResult] = []
@@ -202,8 +201,8 @@ def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
         h = float(np.max(np.diff(pot.theta)))
         boundary = 8.0 * PI * np.sin(min(r_w, PI / 2))**2 * h
         for tag, pole in (("p", +1), ("mp", -1)):
-            measured = _witness_measure(metric, pot, ac.a, ac.sigma,
-                                        r_w, tau_w, gamma_w, pole)
+            measured = _witness_measure(pot, ac.a, ac.sigma, r_w, tau_w,
+                                        gamma_w, pole)
             out.append(_check(f"lemma_5_1_witness_{tag}", lower, measured,
                               max(tol, boundary), r=r_w, tau=tau_w,
                               gamma=gamma_w, lower_bound=lower,
@@ -220,7 +219,7 @@ def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
     else:
         tau = nrm**0.25
         t = nrm**(1.0 / 48.0)
-        gs = good_set_volumes(metric, pot, tau, t, constants=ac)
+        gs = good_set_volumes(pot, tau, t, constants=ac)
         diff = gs.vol_E_g - gs.vol_E_round
         out.append(_check("lemma_5_2_lower", 0.0, diff, tol,
                           tau=tau, t=t))
@@ -244,21 +243,24 @@ def require_suites(names) -> None:
             raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
 
 
-def run_all_checks(metric: WarpedMetric, pot: PotentialSolution,
-                   ledger: ConstantLedger, tolerance: Optional[float] = None,
+def run_all_checks(pot: PotentialSolution, ledger: ConstantLedger,
+                   tolerance: Optional[float] = None,
                    suites=SUITES) -> list[CheckResult]:
     """The named suites, all by default, in stable (suite, label) order.
 
     All of them read one Evaluation, so the residual guard runs once and
     each shared field or integral is computed once; the evaluation is
     dropped on return.  No suite named means no evaluation and no checks.
+    A `tolerance` that is not finite and >= 0 is refused.
     """
     require_suites(suites)
+    if tolerance is not None and not (0.0 <= tolerance < np.inf):
+        raise DomainError(f"check tolerance {tolerance} must be finite >= 0")
     names = [name for name in SUITES if name in suites]
     if not names:
         return []
-    ev = Evaluation(metric, pot)
-    tol = tol_disc(metric) if tolerance is None else tolerance
+    ev = Evaluation(pot)
+    tol = tol_disc(pot.metric) if tolerance is None else tolerance
     return [c for name in names for c in _SUITE_BODIES[name](ev, ledger, tol)]
 
 
@@ -275,7 +277,7 @@ class SequenceSpec:
 
     def __post_init__(self):
         if not self.schedule:
-            raise ValueError("schedule must be nonempty")
+            raise DomainError("schedule must be nonempty")
 
 
 @dataclass(frozen=True)

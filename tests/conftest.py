@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from warpedsphere import (RadialGrid, bubble_sphere, bump_sphere,
-                          round_sphere, scaled_sphere, solve_quadrature,
-                          tendril_sphere)
+                          round_sphere, scaled_sphere, solve_bvp,
+                          solve_quadrature, tendril_sphere)
 
 REFERENCE_BUILDERS = {
     "round": lambda grid=None: round_sphere(grid=grid),
@@ -52,6 +52,33 @@ def corrupted_potential(round_potential):
         round_potential, u=np.cos(2.0 * t), du=-2.0 * np.sin(2.0 * t),
         d2u=-4.0 * np.cos(2.0 * t),
         ratio=np.abs(-2.0 * np.sin(2.0 * t) / s))
+
+
+#: (reference, grid, solver) cases on which the readers that slice the
+#: metric's cached jets are compared with their evaluate-again oracles
+ORACLE_CASES = tuple(
+    f"{name}-{kind}-{n}-{solver}"
+    for name in REFERENCE_NAMES for kind in ("uniform", "graded")
+    for n in (1001, 4001) for solver in ("quadrature", "bvp")
+) + ("tendril-enriched-quadrature", "tendril-enriched-bvp")
+
+
+@pytest.fixture(scope="session")
+def oracle_solutions():
+    """Solved potentials of every ORACLE_CASES entry, built on first use."""
+    cache = {}
+
+    def solution(case):
+        if case not in cache:
+            name, kind, *n, solver = case.split("-")
+            grid = None if kind == "enriched" else \
+                getattr(RadialGrid, kind)(int(n[0]))
+            metric = REFERENCE_BUILDERS[name](grid)
+            solve = solve_quadrature if solver == "quadrature" else solve_bvp
+            cache[case] = solve(metric)
+        return cache[case]
+
+    return solution
 
 
 def rng(seed=0):

@@ -18,9 +18,9 @@ from warpedsphere import (ClassParams, Evaluation, RadialGrid, SequenceSpec,
                           cheeger_levelset, class_membership,
                           constant_ledger, point_pick,
                           round_sphere, run_all_checks, run_sequence,
-                          scalar_deficit, scaled_sphere, shell_integral,
-                          solve_bvp, solve_quadrature, summarize,
-                          tendril_sphere, tol_disc)
+                          scalar_deficit, scaled_sphere, solve_bvp,
+                          solve_quadrature, summarize, tendril_sphere,
+                          tol_disc)
 from warpedsphere.cli import main as cli_main
 from warpedsphere.grids import PI
 
@@ -52,7 +52,7 @@ def test_criterion_1_round_exactness():
         pot = solve_quadrature(metric)
         elapsed = time.perf_counter() - start
         assert np.max(np.abs(pot.u - np.cos(pot.theta))) <= 1e-10
-        ci = Evaluation(metric, pot).core
+        ci = Evaluation(pot).core
         assert abs(ci.i_csc2 - 8.0 * PI) <= 1e-6 * 8.0 * PI
         assert abs(ci.i_align) <= 1e-8
         assert abs(ci.i_mass) <= 1e-8
@@ -88,7 +88,7 @@ def test_criterion_3_identity_margins():
                 metric = build(RadialGrid.uniform(n))
                 pot = solve_quadrature(metric)
                 tol = tol_disc(metric)
-                for c in run_all_checks(metric, pot, None,
+                for c in run_all_checks(pot, None,
                                         suites=("identity",)):
                     assert c.margin >= -tol, (name, n, c.label, c.margin)
                     margins.setdefault(c.label, []).append(c.margin)
@@ -109,7 +109,7 @@ def test_criterion_4_full_suite():
         for name, build in REFERENCES:
             metric = build(grid)
             pot = solve_quadrature(metric)
-            checks = run_all_checks(metric, pot, ledger)
+            checks = run_all_checks(pot, ledger)
             for c in checks:
                 assert c.verdict != "fail", (name, c.label, c.margin)
             by_label = {c.label: c for c in checks}
@@ -127,10 +127,12 @@ def test_criterion_5_spot_values():
         metric = round_sphere(grid=RadialGrid.uniform(2001))
         pot = solve_quadrature(metric)
 
-        shell = shell_integral(metric, pot, np.array([PI / 8]))[0]
-        assert abs(shell - 4.0 * PI * np.sin(PI / 8)**3) <= 1e-5
+        ev = Evaluation(pot)
+        sel = ev.shells
+        assert abs(sel.shell_integral_p
+                   - 4.0 * PI * np.sin(sel.sigma_p)**3) <= 1e-5
 
-        v_p, v_mp = Evaluation(metric, pot).polar_csc3(PI / 8)
+        v_p, v_mp = ev.polar_csc3(PI / 8)
         assert abs(v_p - PI**2 / 2.0) <= 1e-5
         assert abs(v_mp - PI**2 / 2.0) <= 1e-5
 

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -85,6 +86,50 @@ class TestExitCodes:
                      "--param", "length=1e-20", "--grid-size", "301"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "too small" in err
+
+
+class TestInputContract:
+    """Bad input exits 2 with one `error:` line and no traceback, and a
+    tolerance that would switch a certificate off counts as bad input."""
+
+    @pytest.mark.parametrize("argv,ini", [
+        (["analyze", "--family", "tendril", "--param", "length=1",
+          "--param", "width=nan"], None),
+        (["analyze", "--family", "tendril", "--param", "length=1",
+          "--param", "theta0=nan"], None),
+        (["verify", "--family", "bump", "--param", "eta=0.5"],
+         "[class]\ncheeger_min = inf\n"),
+        (["sequence", "--family", "bump", "--count", "0"], None),
+        (["sequence", "--family", "bump", "--count", "-3"], None),
+        (["verify", "--family", "scaled", "--param", "c=2.65",
+          "--tolerance", "inf"], None),
+        (["verify", "--family", "bubble", "--param", "area_radius=2",
+          "--param", "neck_theta=0.05"], "[suites]\ntolerance = inf\n"),
+        (["verify", "--family", "round"], "[suites]\ntolerance = -1\n"),
+        (["verify", "--family", "round"], "[solver]\nresidual_tol = nan\n"),
+        (["verify", "--family", "round"], "[solver]\nresidual_tol = inf\n"),
+        (["verify", "--family", "round", "--grid-size", "-5"], None),
+    ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
+            "sequence-count-0", "sequence-count-neg", "tolerance-inf",
+            "bubble-ini-tolerance-inf", "tolerance-negative",
+            "residual-tol-nan", "residual-tol-inf", "grid-size-negative"])
+    def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
+                                           capsys):
+        if ini is not None:
+            cfg = tmp_path / "scenario.ini"
+            cfg.write_text(ini)
+            argv = [argv[0], str(cfg), *argv[1:]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_coarse_grid_verify_is_silent(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--family", "round",
+                         "--grid-size", "40"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestBvpCoarseGrid:

@@ -8,55 +8,54 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpedsphere import (good_set_volumes, point_pick, polar_average,
-                          round_sphere, scalar_deficit, shell_integral,
-                          weighted_median)
-from warpedsphere import cli, families, functionals
+                          round_sphere, scalar_deficit, weighted_median)
+from warpedsphere import (cli, families, functionals, grids, metrics,
+                          verification)
 from warpedsphere.errors import DomainError, ResidualGuardError
 from warpedsphere.functionals import Evaluation, sublevel_round_volume
 from warpedsphere.grids import PI
 
-from conftest import REFERENCE_NAMES
+from conftest import ORACLE_CASES, REFERENCE_NAMES
 
 
 class TestCoreIntegralsRound:
-    def test_csc2_is_8pi(self, round_metric, round_potential):
-        ci = Evaluation(round_metric, round_potential).core
+    def test_csc2_is_8pi(self, round_potential):
+        ci = Evaluation(round_potential).core
         assert ci.i_csc2 == pytest.approx(8.0 * PI, rel=1e-6)
 
-    def test_alignment_and_mass_vanish(self, round_metric, round_potential):
-        ci = Evaluation(round_metric, round_potential).core
+    def test_alignment_and_mass_vanish(self, round_potential):
+        ci = Evaluation(round_potential).core
         assert abs(ci.i_align) < 1e-8
         assert abs(ci.i_mass) < 1e-8
         assert abs(ci.i_deficit) < 1e-6
 
-    def test_gradient_norms(self, round_metric, round_potential):
-        ci = Evaluation(round_metric, round_potential).core
+    def test_gradient_norms(self, round_potential):
+        ci = Evaluation(round_potential).core
         # |grad u| = sin: L1 = 8pi/... int |u'| f^2 * 4pi = 4pi * int sin^3
         assert ci.grad_l1 == pytest.approx(16.0 * PI / 3.0, rel=1e-8)
         assert ci.grad_l2 == pytest.approx(np.sqrt(3.0 * PI**2 / 2.0),
                                            rel=1e-8)
 
-    def test_seminorms_vanish(self, round_metric, round_potential):
-        ev = Evaluation(round_metric, round_potential)
+    def test_seminorms_vanish(self, round_potential):
+        ev = Evaluation(round_potential)
         assert ev.ratio_seminorm < 1e-8
         assert ev.csc_hessian_l1 < 1e-4
 
 
 class TestGuard:
-    def test_corrupted_potential_refused(self, round_metric,
-                                         corrupted_potential):
+    def test_corrupted_potential_refused(self, corrupted_potential):
         with pytest.raises(ResidualGuardError):
-            Evaluation(round_metric, corrupted_potential).core
+            Evaluation(corrupted_potential).core
 
     @pytest.mark.parametrize("evaluate", [
         lambda ev: ev.core, lambda ev: ev.csc_hessian_l1,
         lambda ev: ev.ratio_seminorm, lambda ev: ev.alignment,
         lambda ev: ev.shells, lambda ev: ev.polar_csc3(PI / 16),
         lambda ev: ev])
-    def test_every_evaluator_refuses(self, round_metric, corrupted_potential,
+    def test_every_evaluator_refuses(self, corrupted_potential,
                                      evaluate):
         with pytest.raises(ResidualGuardError):
-            evaluate(Evaluation(round_metric, corrupted_potential))
+            evaluate(Evaluation(corrupted_potential))
 
 
 class TestEvaluation:
@@ -67,10 +66,10 @@ class TestEvaluation:
     def test_attributes_match_fresh_evaluations(self, reference_metrics,
                                                 reference_potentials, name):
         metric, pot = reference_metrics[name], reference_potentials[name]
-        ev = Evaluation(metric, pot)
+        ev = Evaluation(pot)
 
         def fresh():
-            return Evaluation(metric, pot)
+            return Evaluation(pot)
 
         assert ev.core == fresh().core
         assert ev.csc_hessian_l1 == fresh().csc_hessian_l1
@@ -80,8 +79,7 @@ class TestEvaluation:
         assert ev.polar_csc3(PI / 8) == fresh().polar_csc3(PI / 8)
         assert ev.m == scalar_deficit(metric)
 
-    def test_guard_and_fields_once(self, reference_metrics,
-                                   reference_potentials, monkeypatch):
+    def test_guard_and_fields_once(self, reference_potentials, monkeypatch):
         calls = {"flux_residual": 0}
 
         def counted(name, fn):
@@ -93,8 +91,7 @@ class TestEvaluation:
         monkeypatch.setattr(functionals, "flux_residual",
                             counted("flux_residual",
                                     functionals.flux_residual))
-        ev = Evaluation(reference_metrics["bump"],
-                        reference_potentials["bump"])
+        ev = Evaluation(reference_potentials["bump"])
         fields = ev.fields
         for _ in range(2):
             ev.core, ev.csc_hessian_l1, ev.ratio_seminorm
@@ -112,9 +109,14 @@ class TestEvaluation:
                                                          capsys):
         """One verify call evaluates the profile jet at most once on the
         grid nodes and once on the refined nodes (the samples taken when
-        the metric is built are not counted)."""
-        built, node_sets = [], []
+        the metric is built are not counted), and refines the grid once."""
+        built, node_sets, refined = [], [], []
         build = families._build
+        refine = grids.refine_nodes
+
+        def counting_refine(*args):
+            refined.append(1)
+            return refine(*args)
 
         def counting_build(grid, profiles, name, params):
             metric = build(grid, profiles, name, params)
@@ -127,6 +129,8 @@ class TestEvaluation:
             return built[-1]
 
         monkeypatch.setattr(families, "_build", counting_build)
+        for module in (grids, metrics):
+            monkeypatch.setattr(module, "refine_nodes", counting_refine)
         assert cli.main(["verify", *argv]) in (0, 1)
         capsys.readouterr()
         (metric,) = built
@@ -137,14 +141,20 @@ class TestEvaluation:
 
         assert evaluations(metric.theta) <= 1
         assert evaluations(metric.fine) == 1    # the solve reads it
+        assert len(refined) == 1
+        # every other evaluation is one of polar_csc3's pole sub-grids
+        others = [(t[0], t[-1]) for t in node_sets
+                  if not (np.array_equal(t, metric.theta)
+                          or np.array_equal(t, metric.fine))]
+        radii = verification._POLAR_RADII
+        assert sorted(others) == sorted(
+            [(0.0, r) for r in radii] + [(PI - r, PI) for r in radii])
 
 
 class TestIdentityChain:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_flux_inequalities_hold(self, reference_metrics,
-                                    reference_potentials, name):
-        ci = Evaluation(reference_metrics[name],
-                        reference_potentials[name]).core
+    def test_flux_inequalities_hold(self, reference_potentials, name):
+        ci = Evaluation(reference_potentials[name]).core
         tol = 1e-6
         assert ci.i_csc2 <= 8.0 * PI + 0.5 * ci.i_deficit + tol
         assert ci.i_align <= 0.25 * ci.i_deficit + tol
@@ -181,97 +191,117 @@ class TestWeightedMedian:
 
 
 class TestAlignment:
-    def test_round_constants(self, round_metric, round_potential):
-        ac = Evaluation(round_metric, round_potential).alignment
+    def test_round_constants(self, round_potential):
+        ac = Evaluation(round_potential).alignment
         assert ac.a == pytest.approx(1.0, abs=1e-8)
         assert ac.sigma == pytest.approx(0.0, abs=1e-8)
         assert ac.attained_l1_gap_ratio < 1e-8
 
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_gaps_nonnegative(self, reference_metrics,
-                              reference_potentials, name):
-        ac = Evaluation(reference_metrics[name],
-                        reference_potentials[name]).alignment
+    def test_gaps_nonnegative(self, reference_potentials, name):
+        ac = Evaluation(reference_potentials[name]).alignment
         assert ac.a >= 0.0
         assert ac.attained_l1_gap_ratio >= 0.0
         assert ac.attained_l1_gap_u >= 0.0
 
 
 class TestShells:
-    def test_round_shell_closed_form(self, round_metric, round_potential):
-        s = PI / 8
-        got = shell_integral(round_metric, round_potential,
-                             np.array([s]))[0]
-        assert got == pytest.approx(4.0 * PI * np.sin(s)**3, abs=1e-5)
+    def test_round_shell_closed_form(self, round_potential):
+        sel = Evaluation(round_potential).shells
+        expected = 4.0 * PI * np.sin(sel.sigma_p)**3
+        assert sel.shell_integral_p == pytest.approx(expected, abs=1e-5)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_selection_equals_oracle(self, oracle_solutions, case):
+        """The shells read the cached node jet; the values equal those of
+        evaluating the profiles again and interpolating u' at the nodes."""
+        pot = oracle_solutions(case)
+        t = pot.theta
+
+        def shell_integral(s):
+            phi, f = pot.metric.jet(s, 0)
+            du = np.interp(s, t, pot.du)
+            return 4.0 * PI * np.abs(du) / phi * f**2
+
+        near = t[(t >= PI / 8) & (t <= PI / 4)]
+        far = t[(t >= PI - PI / 4) & (t <= PI - PI / 8)]
+        vals_p, vals_m = shell_integral(near), shell_integral(far)
+        i_p, i_m = int(np.argmin(vals_p)), int(np.argmin(vals_m))
+        # unguarded, so that the coarse bvp potentials the guard refuses
+        # are compared too
+        ev = Evaluation.__new__(Evaluation)
+        ev.metric, ev.pot = pot.metric, pot
+        assert ev.shells == functionals.ShellSelection(
+            sigma_p=float(near[i_p]), sigma_mp=float(PI - far[i_m]),
+            shell_integral_p=float(vals_p[i_p]),
+            shell_integral_mp=float(vals_m[i_m]))
 
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_selection_in_stated_band(self, reference_metrics,
-                                      reference_potentials, name):
-        sel = Evaluation(reference_metrics[name],
-                         reference_potentials[name]).shells
+    def test_selection_in_stated_band(self, reference_potentials, name):
+        sel = Evaluation(reference_potentials[name]).shells
         assert PI / 8 <= sel.sigma_p <= PI / 4
         assert PI / 8 <= sel.sigma_mp <= PI / 4
         assert sel.shell_integral_p >= 0.0
 
 
 class TestPolar:
-    def test_round_csc3_value(self, round_metric, round_potential):
-        p, mp = Evaluation(round_metric, round_potential).polar_csc3(PI / 8)
+    def test_round_csc3_value(self, round_potential):
+        p, mp = Evaluation(round_potential).polar_csc3(PI / 8)
         # integrand collapses to 4 pi dtheta on the round sphere
         assert p == pytest.approx(PI**2 / 2.0, abs=1e-5)
         assert mp == pytest.approx(PI**2 / 2.0, abs=1e-5)
 
-    def test_csc3_radius_validated(self, round_metric, round_potential):
+    def test_csc3_radius_validated(self, round_potential):
         with pytest.raises(DomainError):
-            Evaluation(round_metric, round_potential).polar_csc3(1.0)
+            Evaluation(round_potential).polar_csc3(1.0)
 
-    def test_polar_average_is_u(self, round_metric, round_potential):
+    def test_polar_average_is_u(self, round_potential):
         t = PI / 16
-        assert polar_average(round_metric, round_potential, t) == \
+        assert polar_average(round_potential, t) == \
             pytest.approx(np.cos(t), abs=1e-9)
 
 
 class TestSublevel:
-    def test_round_annulus_volume(self, round_metric, round_potential):
+    def test_round_annulus_volume(self, round_potential):
         # {u <= gamma} within B(p, r): annulus between arccos(gamma) and r
         r, gamma = PI / 8, 0.95
         tg = np.arccos(gamma)
         expected = ((2.0 * PI * r - PI * np.sin(2.0 * r))
                     - (2.0 * PI * tg - PI * np.sin(2.0 * tg)))
-        got = sublevel_round_volume(round_metric, round_potential,
+        got = sublevel_round_volume(round_potential,
                                     +1, r, gamma)
         assert got == pytest.approx(expected, abs=1e-6)
 
-    def test_empty_when_gamma_small(self, round_metric, round_potential):
+    def test_empty_when_gamma_small(self, round_potential):
         # cos(pi/8) ~ 0.924 > 0.5: the sublevel set misses the small cap
-        assert sublevel_round_volume(round_metric, round_potential,
+        assert sublevel_round_volume(round_potential,
                                      +1, PI / 8, 0.0) == 0.0
 
-    def test_poles_mirror(self, round_metric, round_potential):
-        a = sublevel_round_volume(round_metric, round_potential,
+    def test_poles_mirror(self, round_potential):
+        a = sublevel_round_volume(round_potential,
                                   +1, PI / 8, 0.95)
-        b = sublevel_round_volume(round_metric, round_potential,
+        b = sublevel_round_volume(round_potential,
                                   -1, PI / 8, 0.95)
         assert a == pytest.approx(b, rel=1e-6, abs=1e-9)
 
 
 class TestGoodSets:
-    def test_inclusion_in_tau(self, round_metric, round_potential):
-        small = good_set_volumes(round_metric, round_potential, 0.01, 0.1)
-        large = good_set_volumes(round_metric, round_potential, 0.1, 0.1)
+    def test_inclusion_in_tau(self, round_potential):
+        small = good_set_volumes(round_potential, 0.01, 0.1)
+        large = good_set_volumes(round_potential, 0.1, 0.1)
         assert small.vol_E_g <= large.vol_E_g + 1e-12
         assert small.vol_E_round <= large.vol_E_round + 1e-12
 
-    def test_round_complement_empty(self, round_metric, round_potential):
-        gs = good_set_volumes(round_metric, round_potential, 0.1, 0.0)
+    def test_round_complement_empty(self, round_potential):
+        gs = good_set_volumes(round_potential, 0.1, 0.0)
         assert gs.vol_E_complement_g == pytest.approx(0.0, abs=1e-10)
         assert gs.vol_Etilde_complement_g == pytest.approx(0.0, abs=1e-10)
 
-    def test_domain_validation(self, round_metric, round_potential):
+    def test_domain_validation(self, round_potential):
         with pytest.raises(DomainError):
-            good_set_volumes(round_metric, round_potential, -0.1, 0.1)
+            good_set_volumes(round_potential, -0.1, 0.1)
         with pytest.raises(DomainError):
-            good_set_volumes(round_metric, round_potential, 0.1, 2.0)
+            good_set_volumes(round_potential, 0.1, 2.0)
 
 
 class TestPointPick:

@@ -7,8 +7,8 @@ from scipy.integrate import cumulative_simpson, simpson
 from warpedsphere import RadialGrid, refine_nodes
 from warpedsphere.errors import StructuralError
 from warpedsphere.families import _tendril_layout, tendril_grid
-from warpedsphere.grids import (PI, cumulative, cumulative_on, integrate,
-                                node_weights, simpson_rule)
+from warpedsphere.grids import (PI, cumulative, integrate, node_weights,
+                                simpson_rule)
 
 
 class TestRadialGrid:
@@ -80,13 +80,6 @@ class TestQuadrature:
         c = cumulative(np.sin(x), x)
         assert c[0] == 0.0
         assert np.max(np.abs(c - (1.0 - np.cos(x)))) < 1e-8
-
-    def test_cumulative_on_refines_callable(self):
-        nodes = np.linspace(0.0, PI, 41)
-        vals, total = cumulative_on(nodes, np.sin)
-        assert vals.size == nodes.size
-        assert total == pytest.approx(2.0, abs=1e-7)
-        assert np.max(np.abs(vals - (1.0 - np.cos(nodes)))) < 1e-7
 
     def test_node_weights_sum_to_span(self):
         x = np.sort(np.append(np.linspace(0.0, PI, 33),

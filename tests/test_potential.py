@@ -11,13 +11,14 @@ from warpedsphere import (RadialGrid, SolverConfig, flux_residual,
                           solve_quadrature, tendril_sphere)
 from warpedsphere import potential
 from warpedsphere.errors import ConfigError
-from warpedsphere.grids import PI
+from warpedsphere.grids import ANALYTIC_REFINE, PI, cumulative, integrate, \
+    refine_nodes
 
-from conftest import REFERENCE_BUILDERS, REFERENCE_NAMES
+from conftest import ORACLE_CASES, REFERENCE_BUILDERS, REFERENCE_NAMES
 
 
 class TestRoundExactness:
-    def test_u_is_cosine(self, round_metric, round_potential):
+    def test_u_is_cosine(self, round_potential):
         exact = np.cos(round_potential.theta)
         assert np.max(np.abs(round_potential.u - exact)) < 1e-10
 
@@ -46,26 +47,79 @@ class TestMaximumPrinciple:
 
 class TestResiduals:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_quadrature_flux_residual_small(self, reference_metrics,
-                                            reference_potentials, name):
-        res = flux_residual(reference_metrics[name],
-                            reference_potentials[name])
+    def test_quadrature_flux_residual_small(self, reference_potentials, name):
+        res = flux_residual(reference_potentials[name])
         assert res < 1e-4
 
-    def test_pde_residual_small_on_round(self, round_metric,
-                                         round_potential):
-        rep = pde_residual(round_metric, round_potential)
+    def test_pde_residual_small_on_round(self, round_potential):
+        rep = pde_residual(round_potential)
         assert rep.sup < 1e-6
 
-    def test_corrupted_potential_flagged(self, round_metric,
-                                         round_potential):
+    def test_corrupted_potential_flagged(self, round_potential):
         t = round_potential.theta
         s = np.clip(np.sin(t), 1e-12, None)
         bad = dataclasses.replace(
             round_potential, u=np.cos(2.0 * t), du=-2.0 * np.sin(2.0 * t),
             d2u=-4.0 * np.cos(2.0 * t),
             ratio=np.abs(-2.0 * np.sin(2.0 * t) / s))
-        assert flux_residual(round_metric, bad) > 1e2
+        assert flux_residual(bad) > 1e2
+
+
+def _flux_residual_oracle(pot, band=0.1):
+    """The flux guard with the profile evaluated again on the refined
+    band nodes, as it was computed before it sliced `fine_jet`."""
+    metric, t = pot.metric, pot.theta
+    mask = (t >= band) & (t <= PI - band)
+    tm = t[mask]
+    phi, f = metric.node_jet[:2]
+    w = f**2 * pot.du / phi
+    logw = np.log(np.clip(np.abs(w[mask]), 1e-300, None))
+    x = refine_nodes(tm)
+    target = cumulative(3.0 * metric.jet(x, 0)[0] * np.cos(x) / np.sin(x),
+                        x)[::ANALYTIC_REFINE]
+    defect = (np.diff(logw) - np.diff(target)) / np.diff(tm)
+    return float(np.max(np.abs(defect)))
+
+
+def _pde_residual_oracle(pot):
+    """The residual on the whole grid, masked to the band afterwards."""
+    t, band = pot.theta, pot.residual_band
+    mask = (t >= band) & (t <= PI - band)
+    phi, f = pot.metric.node_jet[:2]
+    w = f**2 * pot.du / phi
+    lo, hi = np.argmax(mask), t.size - np.argmax(mask[::-1])
+    sl = slice(max(lo - 6, 0), min(hi + 6, t.size))
+    dw = np.full_like(t, np.nan)
+    dw[sl] = potential._derivative_high_order(w[sl], t[sl])
+    cot = np.zeros_like(t)
+    cot[mask] = np.cos(t[mask]) / np.sin(t[mask])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = ((dw - 3.0 * phi * cot * w) / (phi * f**2))[mask]
+    l2 = float(np.sqrt(max(integrate(resid**2, t[mask]), 0.0)))
+    return resid, float(np.max(np.abs(resid))), l2
+
+
+class TestSlicedReaders:
+    """The residual readers slice the jets the metric caches; the bits
+    equal those of evaluating the profiles again on the slice's nodes."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_flux_residual_equals_oracle(self, oracle_solutions, case):
+        pot = oracle_solutions(case)
+        assert flux_residual(pot) == _flux_residual_oracle(pot)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_pde_residual_equals_oracle(self, oracle_solutions, case):
+        pot = oracle_solutions(case)
+        rep = pde_residual(pot)
+        resid, sup, l2 = _pde_residual_oracle(pot)
+        assert np.array_equal(rep.residual, resid)
+        assert (rep.sup, rep.l2) == (sup, l2) == (pot.residual_sup,
+                                                  pot.residual_l2)
+        assert rep.band == pot.residual_band
+
+    def test_theta_is_the_metric_grid(self, round_potential):
+        assert round_potential.theta is round_potential.metric.theta
 
 
 class TestSolverEquivalence:
@@ -201,11 +255,11 @@ class TestHighOrderDerivative:
             assert np.all(np.abs(fast - exact) <= tol)
 
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_residual_sup_unmoved(self, reference_metrics,
-                                  reference_potentials, monkeypatch, name):
-        metric, pot = reference_metrics[name], reference_potentials[name]
+    def test_residual_sup_unmoved(self, reference_potentials, monkeypatch,
+                                  name):
+        pot = reference_potentials[name]
         monkeypatch.setattr(potential, "_derivative_high_order",
                             _derivative_by_recursion)
-        slow = pde_residual(metric, pot, band=pot.residual_band).sup
+        slow = pde_residual(pot).sup
         assert abs(pot.residual_sup - slow) < 1e-8
         assert pot.residual_sup < 1e-2 * 1e-4   # residual_tol is 1e-4

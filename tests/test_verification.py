@@ -18,9 +18,9 @@ WIDE_PARAMS = ClassParams(volume_max=40.0, diameter_max=10.0,
                           mass_max=3.0, cheeger_min=0.1)
 
 
-def _suite(name, metric, pot, ledger=None, tolerance=None):
+def _suite(name, pot, ledger=None, tolerance=None):
     """One suite alone, on its own evaluation."""
-    return run_all_checks(metric, pot, ledger, tolerance, suites=(name,))
+    return run_all_checks(pot, ledger, tolerance, suites=(name,))
 
 
 @pytest.fixture(scope="module")
@@ -41,10 +41,8 @@ class TestTolDisc:
 
 class TestIdentitySuite:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_passes_on_references(self, reference_metrics,
-                                  reference_potentials, name):
-        checks = _suite("identity", reference_metrics[name],
-                        reference_potentials[name])
+    def test_passes_on_references(self, reference_potentials, name):
+        checks = _suite("identity", reference_potentials[name])
         assert {c.label for c in checks} == {"eq_2_2", "eq_2_3", "eq_2_4"}
         for c in checks:
             assert c.verdict == "pass", (name, c.label, c.margin)
@@ -56,7 +54,7 @@ class TestIdentitySuite:
             from warpedsphere import scaled_sphere
             metric = scaled_sphere(1.1, grid=RadialGrid.uniform(n))
             pot = solve_quadrature(metric)
-            for c in _suite("identity", metric, pot):
+            for c in _suite("identity", pot):
                 margins.setdefault(c.label, []).append(c.margin)
         for label, ms in margins.items():
             d1 = abs(ms[0] - ms[1])
@@ -67,41 +65,37 @@ class TestIdentitySuite:
 
 class TestFullSuite:
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_all_checks_pass(self, reference_metrics, reference_potentials,
+    def test_all_checks_pass(self, reference_potentials,
                              wide_ledger, name):
-        checks = run_all_checks(reference_metrics[name],
-                                reference_potentials[name], wide_ledger)
+        checks = run_all_checks(reference_potentials[name], wide_ledger)
         failed = [(c.label, c.margin) for c in checks
                   if c.verdict == "fail"]
         assert not failed, (name, failed)
 
-    def test_stable_order_and_labels(self, round_metric, round_potential,
+    def test_stable_order_and_labels(self, round_potential,
                                      wide_ledger):
-        checks = run_all_checks(round_metric, round_potential, wide_ledger)
+        checks = run_all_checks(round_potential, wide_ledger)
         labels = [c.label for c in checks]
         assert labels[:3] == ["eq_2_2", "eq_2_3", "eq_2_4"]
         assert labels == [c.label for c in
-                          run_all_checks(round_metric, round_potential,
+                          run_all_checks(round_potential,
                                          wide_ledger)]
         assert len(labels) == len(set(labels))
 
     @pytest.mark.parametrize("name", REFERENCE_NAMES)
-    def test_shell_colatitudes_in_band(self, reference_metrics,
-                                       reference_potentials, wide_ledger,
+    def test_shell_colatitudes_in_band(self, reference_potentials, wide_ledger,
                                        name):
-        checks = _suite("polar", reference_metrics[name],
-                        reference_potentials[name], wide_ledger)
+        checks = _suite("polar", reference_potentials[name], wide_ledger)
         by_label = {c.label: c for c in checks}
         for tag in ("p", "mp"):
             sigma = by_label[f"lemma_4_1_{tag}"].inputs["sigma"]
             assert PI / 8 <= sigma <= PI / 4
 
-    def test_witnesses_nonempty_when_bound_positive(self, reference_metrics,
-                                                    reference_potentials,
+    def test_witnesses_nonempty_when_bound_positive(self, reference_potentials,
                                                     wide_ledger):
         for name in REFERENCE_NAMES:
-            checks = _suite("goodset", reference_metrics[name],
-                            reference_potentials[name], wide_ledger)
+            checks = _suite("goodset", reference_potentials[name],
+                            wide_ledger)
             for c in checks:
                 if c.label.startswith("lemma_5_1_witness") \
                         and c.verdict != "skipped" \
@@ -109,11 +103,11 @@ class TestFullSuite:
                     assert c.inputs["nonempty"], (name, c.label)
 
 
-def _one_by_one(metric, pot, ledger, names):
+def _one_by_one(pot, ledger, names):
     """The named suites one at a time, each on its own evaluation, in
     SUITES order."""
     return [c for name in SUITES if name in names
-            for c in _suite(name, metric, pot, ledger)]
+            for c in _suite(name, pot, ledger)]
 
 
 def _report(checks):
@@ -125,25 +119,24 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize("subset", ["identity", "polar,global",
                                         "goodset", ",".join(SUITES)])
     def test_reports_byte_identical_to_suites_one_by_one(
-            self, reference_metrics, reference_potentials, wide_ledger,
-            name, subset):
-        metric, pot = reference_metrics[name], reference_potentials[name]
+            self, reference_potentials, wide_ledger, name, subset):
+        pot = reference_potentials[name]
         names = subset.split(",")
-        shared = run_all_checks(metric, pot, wide_ledger, suites=names)
+        shared = run_all_checks(pot, wide_ledger, suites=names)
         assert shared
         assert _report(shared) == _report(
-            _one_by_one(metric, pot, wide_ledger, names))
+            _one_by_one(pot, wide_ledger, names))
 
-    def test_suites_run_in_stable_order(self, round_metric, round_potential,
+    def test_suites_run_in_stable_order(self, round_potential,
                                         wide_ledger):
-        a = run_all_checks(round_metric, round_potential, wide_ledger,
+        a = run_all_checks(round_potential, wide_ledger,
                            suites=["goodset", "identity"])
-        b = run_all_checks(round_metric, round_potential, wide_ledger,
+        b = run_all_checks(round_potential, wide_ledger,
                            suites=["identity", "goodset"])
         assert [c.label for c in a] == [c.label for c in b]
         assert a[0].label == "eq_2_2"
 
-    def test_guard_runs_once(self, reference_metrics, reference_potentials,
+    def test_guard_runs_once(self, reference_potentials,
                              wide_ledger, monkeypatch):
         count = []
         original = potential.flux_residual
@@ -154,28 +147,25 @@ class TestSharedEvaluation:
 
         monkeypatch.setattr(potential, "flux_residual", counted)
         monkeypatch.setattr(functionals, "flux_residual", counted)
-        run_all_checks(reference_metrics["tendril"],
-                       reference_potentials["tendril"], wide_ledger)
+        run_all_checks(reference_potentials["tendril"], wide_ledger)
         assert len(count) == 1
 
     @pytest.mark.parametrize("suites", [SUITES, ("polar", "global"),
                                         *((name,) for name in SUITES)])
-    def test_corrupted_potential_refused(self, round_metric,
-                                         corrupted_potential, wide_ledger,
+    def test_corrupted_potential_refused(self, corrupted_potential, wide_ledger,
                                          suites):
         with pytest.raises(ResidualGuardError):
-            run_all_checks(round_metric, corrupted_potential, wide_ledger,
+            run_all_checks(corrupted_potential, wide_ledger,
                            suites=suites)
 
-    def test_unknown_suite_refused(self, round_metric, round_potential,
+    def test_unknown_suite_refused(self, round_potential,
                                    wide_ledger):
         with pytest.raises(ConfigError):
-            run_all_checks(round_metric, round_potential, wide_ledger,
+            run_all_checks(round_potential, wide_ledger,
                            suites=["identity", "nonsense"])
 
-    def test_no_suite_means_no_checks(self, round_metric,
-                                      corrupted_potential, wide_ledger):
-        assert run_all_checks(round_metric, corrupted_potential,
+    def test_no_suite_means_no_checks(self, corrupted_potential, wide_ledger):
+        assert run_all_checks(corrupted_potential,
                               wide_ledger, suites=[]) == []
 
 
@@ -188,9 +178,9 @@ class TestGlobalSuite:
         assert _check("x", 1.0 + 5e-10, 1.0, 1e-9).verdict == "pass"
         assert _check("x", 2.0, 1.0, 1e-9).margin == pytest.approx(-1.0)
 
-    def test_tolerance_override(self, round_metric, round_potential,
+    def test_tolerance_override(self, round_potential,
                                 wide_ledger):
-        checks = _suite("global", round_metric, round_potential,
+        checks = _suite("global", round_potential,
                         wide_ledger, tolerance=1e-3)
         assert all(c.tolerance == 1e-3 for c in checks)
 
