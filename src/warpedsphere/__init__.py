@@ -12,11 +12,10 @@ from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
                      SolverError, StructuralError, WarpedSphereError)
 from .grids import RadialGrid, refine_nodes
 from .metrics import (ClassParams, GeometrySummary, MembershipReport,
-                      ProfileFns, ValidationReport, WarpedMetric,
-                      ball_volume, cheeger_levelset, class_membership,
-                      load_profile_table, save_profile_table,
-                      scalar_curvature, scalar_deficit, summarize,
-                      validate, volume)
+                      ValidationReport, WarpedMetric, ball_volume,
+                      cheeger_levelset, class_membership, load_profile_table,
+                      save_profile_table, scalar_curvature, scalar_deficit,
+                      summarize, validate, volume)
 from .distance import diameter_bounds, meridian_arclength
 from .families import (FAMILIES, FAMILY_CATALOG, bubble_sphere, bump_sphere,
                        make, round_sphere, scaled_sphere, tendril_sphere)
@@ -24,8 +23,7 @@ from .potential import (PotentialSolution, SolverConfig, flux_residual,
                         pde_residual, solve_bvp, solve_quadrature)
 from .functionals import (AlignmentConstants, CoreIntegrals, GoodSetReport,
                           Evaluation, PointPickResult, ShellSelection,
-                          good_set_volumes, point_pick, polar_average,
-                          weighted_median)
+                          good_set_volumes, point_pick, weighted_median)
 from .constants import ConstantLedger, constant_ledger
 from .verification import (SUITES, CheckResult, ConvergenceReport,
                            SequenceEntry, SequenceSpec, run_all_checks,

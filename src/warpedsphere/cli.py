@@ -46,8 +46,8 @@ CONFIG_KEYS = {
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2, 3
 
-#: canonical dyadic schedules for the convergence experiments
 def _schedule(family: str, count: int) -> tuple:
+    """The canonical dyadic schedule of a convergence experiment."""
     if family == "bump":
         return tuple({"eta": 2.0 ** -i} for i in range(1, count + 1))
     if family == "tendril":
@@ -215,7 +215,7 @@ def _emit(config: dict, doc: dict, csv_text: str | None) -> None:
 
 def _summary_extras(metric, params: ClassParams) -> dict:
     s = summarize(metric)
-    member = class_membership(metric, params, summary=s)
+    member = class_membership(s, params)
     return {
         "metric": {"name": metric.name, "params": metric.params,
                    "grid_n": metric.grid.n},
@@ -227,15 +227,7 @@ def _summary_extras(metric, params: ClassParams) -> dict:
             "cheeger_surrogate": s.cheeger_surrogate,
             "validation_ok": s.validation.ok,
         },
-        "membership": {
-            "admitted": member.admitted,
-            "comparison_ok": member.comparison_ok,
-            "volume_ok": member.volume_ok,
-            "diameter_ok": member.diameter_ok,
-            "mass_ok": member.mass_ok,
-            "cheeger_fails": member.cheeger_fails,
-            "cheeger_provisional": member.cheeger_provisional,
-        },
+        "membership": {"admitted": member.admitted, **vars(member)},
     }
 
 
@@ -295,14 +287,7 @@ def cmd_pointpick(config: dict) -> int:
     metric = _build_metric(config)
     radius = _float(config.get("suites", {}), "pointpick_radius", 0.1)
     result = point_pick(metric, radius)
-    extras = {"pointpick": {
-        "radius": radius,
-        "q_colat": result.q_colat,
-        "sum_ball_volumes": result.sum_ball_volumes,
-        "certificate_rhs": result.certificate_rhs,
-        "certificate_ok": result.certificate_ok,
-        "beyond_proof_range": result.beyond_proof_range,
-    }}
+    extras = {"pointpick": {"radius": radius, **vars(result)}}
     doc = rep.build_report([], config, seed=_seed(config), extras=extras)
     rows = ["key,value"] + [f"{k},{v}" for k, v in extras["pointpick"].items()]
     _emit(config, doc, "\n".join(rows) + "\n")

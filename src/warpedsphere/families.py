@@ -106,8 +106,9 @@ def round_sphere(grid: RadialGrid | None = None) -> WarpedMetric:
 
 def scaled_sphere(c: float, grid: RadialGrid | None = None) -> WarpedMetric:
     """Round sphere of radius c >= 1 (scalar curvature 6 / c^2)."""
-    if c < 1.0:
-        raise DomainError("scale factor must be >= 1 to dominate the round metric")
+    if not (1.0 <= c < np.inf):
+        raise DomainError("scale factor must be finite and >= 1 to dominate "
+                          "the round metric")
     grid = grid or RadialGrid.uniform()
     return _build(grid, _sphere_profiles(c), "scaled", {"c": c})
 
@@ -119,8 +120,8 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
     The peak amplitude is eta * BUMP_PEAK, so sup |f - sin| <= eta * BUMP_PEAK
     and the curvature deficit norm scales linearly with eta.
     """
-    if eta < 0.0:
-        raise DomainError("bump amplitude must be nonnegative")
+    if not (0.0 <= eta < np.inf):
+        raise DomainError("bump amplitude must be finite and nonnegative")
     if not (0.0 < width and theta0 - width >= 0.0 and theta0 + width <= PI):
         raise ConstructionError("support", "bump support must sit inside (0, pi)")
     grid = grid or RadialGrid.uniform()
@@ -294,10 +295,11 @@ def _tendril_layout(length, width, theta0):
     return theta0, (b0, b1, b2, b3, b4, b5), thin
 
 
-def tendril_grid(breaks, n_base: int = 1601) -> RadialGrid:
-    """Graded grid enriched to resolve the squash region of a tendril."""
+def tendril_grid(breaks) -> RadialGrid:
+    """Graded grid of 1601 nodes enriched to resolve the squash region of
+    a tendril."""
     b0, b1, b2, b3, b4, b5 = breaks
-    base = RadialGrid.graded(n_base).nodes
+    base = RadialGrid.graded(1601).nodes
     lo = 0.5 * b0
     densea = np.linspace(lo, b3 + (b3 - b2), 1201)
     denseb = np.linspace(b3, min(b5 + 0.05, PI), 801)
@@ -307,7 +309,7 @@ def tendril_grid(breaks, n_base: int = 1601) -> RadialGrid:
     nodes = nodes[keep]
     if nodes[-1] != PI:
         nodes = np.append(nodes[nodes < PI - 1e-12], PI)
-    return RadialGrid(nodes, spacing="graded")
+    return RadialGrid(nodes)
 
 
 def tendril_sphere(length: float, width: float = 0.1,
@@ -324,8 +326,8 @@ def tendril_sphere(length: float, width: float = 0.1,
     below CORRIDOR_STAR the curvature deficit comes only from the taper
     and shrinks with the width.
     """
-    if length < 0.0:
-        raise DomainError("tendril length must be nonnegative")
+    if not (0.0 <= length < np.inf):
+        raise DomainError("tendril length must be finite and nonnegative")
     if not (width > 0.0):
         raise DomainError("tendril width must be positive")
     theta0, breaks, thin = _tendril_layout(length, width, theta0)
@@ -438,6 +440,8 @@ def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,
         raise DomainError("neck colatitude must lie in (0, pi/2)")
     if not (0.0 < span < 1.0 and 0.0 < band < 0.5):
         raise DomainError("span must be in (0, 1) and band in (0, 0.5)")
+    if not np.isfinite(area_radius):
+        raise DomainError("fiber radius area_radius must be finite")
     grid = grid or RadialGrid.graded()
     lo = neck_theta * (1.0 - span)
     mid = 0.5 * (lo + neck_theta)

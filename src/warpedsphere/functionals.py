@@ -14,7 +14,8 @@ cached jets (or slices of them) give phi, f and their derivatives.  An
 `Evaluation` refuses a potential whose flux residual exceeds the guard
 tolerance, so corrupted inputs surface as refusals rather than as
 spurious inequality failures.  The guard runs once per evaluation, and
-the check suites share one.
+the check suites share one.  The good-set report holds the measure of the
+polar-trimmed aligned set E under g and under the round metric.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ResidualGuardError
 from .grids import ANALYTIC_REFINE, PI, cumulative, integrate, node_weights
-from .metrics import (WarpedMetric, ball_volume, scalar_curvature,
-                      scalar_deficit, volume)
+from .metrics import WarpedMetric, ball_volume, scalar_curvature, volume
 from .potential import (PotentialSolution, _sin_fprime_over_f, f_over_sin,
                         flux_residual)
 
@@ -188,10 +188,10 @@ class Evaluation:
         h_sph = -fld.ratio * fld.sf / fld.phi + cot_term
         return h_rad**2 + 2.0 * h_sph**2
 
-    @cached_property
+    @property
     def m(self) -> float:
-        """The measured deficit m = (deficit norm)^(1/2)."""
-        return scalar_deficit(self.metric)
+        """The measured deficit m = (deficit norm)^(1/2) of the metric."""
+        return self.metric.deficit
 
     @cached_property
     def core(self) -> CoreIntegrals:
@@ -309,15 +309,8 @@ def set_measure(metric: WarpedMetric, mask: np.ndarray,
 
 
 # ----------------------------------------------------------------------
-# polar averages, sublevels
+# sublevels
 # ----------------------------------------------------------------------
-
-def polar_average(pot: PotentialSolution, t: float) -> float:
-    """(1/4pi) int_{partial B(p,t)} u dA_round = u(t) for radial u."""
-    if not (0.0 < t <= PI / 8):
-        raise DomainError("averaging radius must lie in (0, pi/8]")
-    return float(np.interp(t, pot.theta, pot.u))
-
 
 def _round_cap_volume(s: float) -> float:
     """Round volume of {theta <= s}: 2 pi s - pi sin 2s."""
@@ -361,27 +354,21 @@ class GoodSetReport:
     t: float
     vol_E_g: float                  # |E_{tau,g,t}| under dV_g
     vol_E_round: float              # |E_{tau,g,t}| under dV_round
-    vol_E_complement_g: float       # |S^3 \ E_{tau,g}|_g
-    vol_Etilde_complement_g: float  # |S^3 \ Etilde_{tau,g}|_g
 
 
 def good_set_volumes(pot: PotentialSolution, tau: float, t: float,
-                     constants: AlignmentConstants | None = None
-                     ) -> GoodSetReport:
-    """Measures of the aligned regions E, E-tilde and the polar-trimmed E."""
+                     constants: AlignmentConstants) -> GoodSetReport:
+    """Measures of the polar-trimmed aligned region E_{tau,g,t}, with the
+    alignment constant a taken from `constants`."""
     if tau < 0.0 or not (0.0 <= t < PI / 2):
         raise DomainError("tau must be >= 0 and t in [0, pi/2)")
-    ac = constants or Evaluation(pot).alignment
     metric, th = pot.metric, pot.theta
-    in_E = np.abs(pot.ratio - ac.a) <= tau
-    in_Etilde = np.abs(pot.u - ac.a * np.cos(th) - ac.sigma) <= tau
+    in_E = np.abs(pot.ratio - constants.a) <= tau
     trimmed = in_E & (th >= t) & (th <= PI - t)
     return GoodSetReport(
         tau=tau, t=t,
         vol_E_g=set_measure(metric, trimmed),
         vol_E_round=set_measure(metric, trimmed, use_round=True),
-        vol_E_complement_g=set_measure(metric, ~in_E),
-        vol_Etilde_complement_g=set_measure(metric, ~in_Etilde),
     )
 
 

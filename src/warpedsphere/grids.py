@@ -36,7 +36,6 @@ class RadialGrid:
     """Strictly increasing colatitude samples covering [0, pi]."""
 
     nodes: np.ndarray
-    spacing: str = "uniform"  # "uniform" | "graded"
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -54,13 +53,13 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, n: int = 2001) -> "RadialGrid":
-        return cls(np.linspace(0.0, PI, n), spacing="uniform")
+        return cls(np.linspace(0.0, PI, n))
 
     @classmethod
     def graded(cls, n: int = 2001) -> "RadialGrid":
         """Cosine-graded grid, clustered quadratically toward both poles."""
         j = np.linspace(0.0, PI, n)
-        return cls(0.5 * PI * (1.0 - np.cos(j)), spacing="graded")
+        return cls(0.5 * PI * (1.0 - np.cos(j)))
 
 
 def refine_nodes(nodes: np.ndarray, k: int = ANALYTIC_REFINE) -> np.ndarray:

@@ -106,6 +106,11 @@ class WarpedMetric:
     def fine_jet(self) -> tuple:
         return self.jet(self.fine)
 
+    @cached_property
+    def deficit(self) -> float:
+        """The deficit m(g) of `scalar_deficit`, computed once per metric."""
+        return scalar_deficit(self)
+
     def nodes_and_jet(self, fine: bool) -> tuple:
         """(nodes, jet) on the refined nodes or on the grid nodes."""
         if fine:
@@ -290,8 +295,6 @@ class GeometrySummary:
 
 @dataclass(frozen=True)
 class MembershipReport:
-    summary: GeometrySummary
-    params: ClassParams
     comparison_ok: bool
     volume_ok: bool
     diameter_ok: bool
@@ -312,31 +315,28 @@ def summarize(metric: WarpedMetric) -> GeometrySummary:
         volume=volume(metric),
         diameter_lower=lo,
         diameter_upper=hi,
-        mass=scalar_deficit(metric),
+        mass=metric.deficit,
         cheeger_surrogate=cheeger_levelset(metric)[0],
         validation=validate(metric),
     )
 
 
-def class_membership(metric: WarpedMetric, params: ClassParams,
-                     summary: Optional[GeometrySummary] = None
-                     ) -> MembershipReport:
-    """Test admissibility against (V, D, m_bar, Lambda).
+def class_membership(summary: GeometrySummary,
+                     params: ClassParams) -> MembershipReport:
+    """Test the summarized metric's admissibility against (V, D, m_bar,
+    Lambda).
 
     The Cheeger condition can only be *refuted* here: the level-set
     surrogate upper-bounds the true isoperimetric constant, so
     surrogate < Lambda is a certificate of failure, while
     surrogate >= Lambda leaves membership provisional.
     """
-    s = summary if summary is not None else summarize(metric)
-    cheeger_fails = s.cheeger_surrogate < params.cheeger_min
+    cheeger_fails = summary.cheeger_surrogate < params.cheeger_min
     return MembershipReport(
-        summary=s,
-        params=params,
-        comparison_ok=s.validation.comparison_ok,
-        volume_ok=s.volume <= params.volume_max,
-        diameter_ok=s.diameter_upper <= params.diameter_max,
-        mass_ok=s.mass <= params.mass_max,
+        comparison_ok=summary.validation.comparison_ok,
+        volume_ok=summary.volume <= params.volume_max,
+        diameter_ok=summary.diameter_upper <= params.diameter_max,
+        mass_ok=summary.mass <= params.mass_max,
         cheeger_fails=cheeger_fails,
         cheeger_provisional=not cheeger_fails,
     )
@@ -348,12 +348,12 @@ def save_profile_table(metric: WarpedMetric, path) -> None:
     np.savetxt(path, data, header="theta phi f", fmt="%.17e")
 
 
-def load_profile_table(path, name: str = "table") -> WarpedMetric:
+def load_profile_table(path) -> WarpedMetric:
     """Rebuild a sampled metric from a (theta, phi, f) text table."""
     data = np.loadtxt(path)
     if data.ndim != 2 or data.shape[1] != 3:
         raise StructuralError("profile table must have columns theta phi f")
     grid = RadialGrid(nodes=np.ascontiguousarray(data[:, 0]))
     return WarpedMetric(grid=grid, phi=np.ascontiguousarray(data[:, 1]),
-                        f=np.ascontiguousarray(data[:, 2]), name=name)
+                        f=np.ascontiguousarray(data[:, 2]), name="table")
 

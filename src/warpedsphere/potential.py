@@ -46,6 +46,9 @@ RESIDUAL_BAND = 0.1
 #: nodes per finite-difference stencil of the residual self-check
 STENCIL = 9
 
+#: sup-norm step between Picard iterates at which `solve_bvp` stops
+PICARD_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class PotentialSolution:
@@ -176,14 +179,11 @@ class SolverConfig:
 
     epsilon: float = 1e-3
     max_iterations: int = 50
-    picard_tolerance: float = 1e-10
     damping: float = 0.5
 
     def __post_init__(self):
         if not (0.0 < self.epsilon < PI / 8):
             raise ConfigError("epsilon must lie in (0, pi/8)")
-        if self.picard_tolerance <= 0.0:
-            raise ConfigError("picard_tolerance must be positive")
         if not (0.0 < self.damping <= 1.0):
             raise ConfigError("damping must lie in (0, 1]")
 
@@ -240,12 +240,12 @@ def solve_bvp(metric: WarpedMetric,
         delta = float(np.max(np.abs(u_new - u)))
         history.append(delta)
         u = cfg.damping * u_new + (1.0 - cfg.damping) * u
-        if delta <= cfg.picard_tolerance:
+        if delta <= PICARD_TOL:
             u = u_new
             break
     else:
         raise IterationError(
-            f"Picard iteration did not reach {cfg.picard_tolerance:.1e} "
+            f"Picard iteration did not reach {PICARD_TOL:.1e} "
             f"in {cfg.max_iterations} steps", history=history)
 
     du_b = np.gradient(u, tb, edge_order=2)

@@ -75,9 +75,7 @@ def build_report(checks: Iterable[CheckResult], config: dict,
                    sorted(checks, key=lambda c: c.label)],
     }
     if sequence is not None:
-        seq = _jsonable(sequence)
-        seq["spec"].pop("grid", None)
-        doc["sequence"] = seq
+        doc["sequence"] = _jsonable(sequence)
     if extras:
         doc.update(_jsonable(extras))
     return doc

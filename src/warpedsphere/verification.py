@@ -21,10 +21,10 @@ import numpy as np
 from .constants import ConstantLedger
 from .errors import ConfigError, DomainError
 from .families import make
-from .functionals import (Evaluation, good_set_volumes, polar_average,
-                          set_measure, sublevel_round_volume)
-from .grids import PI, RadialGrid
-from .metrics import ClassParams, WarpedMetric, class_membership
+from .functionals import (Evaluation, good_set_volumes, set_measure,
+                          sublevel_round_volume)
+from .grids import PI
+from .metrics import ClassParams, WarpedMetric, class_membership, summarize
 from .potential import PotentialSolution
 
 #: quadrature-noise coefficient, calibrated on the round sphere by
@@ -144,7 +144,7 @@ def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
         out.append(_check(f"lemma_4_2_mp_{i}", v_mp, ledger.C6, tol, r=r))
 
     for i, t in enumerate(_POLAR_RADII, start=1):
-        avg_p = polar_average(pot, t)
+        avg_p = float(np.interp(t, pot.theta, pot.u))
         avg_mp = float(np.interp(PI - t, pot.theta, pot.u))
         rhs = ledger.C7 * np.sin(t)
         out.append(_check(f"lemma_4_3_p_{i}", 1.0 - avg_p, rhs, tol,
@@ -219,7 +219,7 @@ def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
     else:
         tau = nrm**0.25
         t = nrm**(1.0 / 48.0)
-        gs = good_set_volumes(pot, tau, t, constants=ac)
+        gs = good_set_volumes(pot, tau, t, ac)
         diff = gs.vol_E_g - gs.vol_E_round
         out.append(_check("lemma_5_2_lower", 0.0, diff, tol,
                           tau=tau, t=t))
@@ -273,7 +273,6 @@ class SequenceSpec:
     family: str
     schedule: tuple                 # tuple of parameter dicts
     name: str = ""
-    grid: Optional[RadialGrid] = None
 
     def __post_init__(self):
         if not self.schedule:
@@ -320,9 +319,8 @@ def run_sequence(spec: SequenceSpec, params: ClassParams
     entries = []
     for i, fam_params in enumerate(spec.schedule, start=1):
         try:
-            metric = make(spec.family, grid=spec.grid, **fam_params)
-            member = class_membership(metric, params)
-            s = member.summary
+            s = summarize(make(spec.family, **fam_params))
+            member = class_membership(s, params)
             entries.append(SequenceEntry(
                 index=i, params=dict(fam_params), valid=s.validation.ok,
                 error="",

@@ -175,7 +175,7 @@ def test_criterion_7_bubble_membership_failure():
         for a in range(1, 7):
             metric = bubble_sphere(float(a), 0.05)
             s = summarize(metric)
-            member = class_membership(metric, params, summary=s)
+            member = class_membership(s, params)
             assert member.cheeger_fails, a
             assert not member.admitted, a
             cheegers.append(s.cheeger_surrogate)

@@ -87,6 +87,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "too small" in err
 
+    def test_non_finite_tendril_length_named(self, capsys):
+        assert main(["analyze", "--family", "tendril",
+                     "--param", "length=nan", "--grid-size", "301"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
 
 class TestInputContract:
     """Bad input exits 2 with one `error:` line and no traceback, and a
@@ -109,17 +115,32 @@ class TestInputContract:
         (["verify", "--family", "round"], "[solver]\nresidual_tol = nan\n"),
         (["verify", "--family", "round"], "[solver]\nresidual_tol = inf\n"),
         (["verify", "--family", "round", "--grid-size", "-5"], None),
+        (["analyze", "--grid-size", "301", "--family", "scaled",
+          "--param", "c=inf"], None),
+        (["analyze", "--grid-size", "301", "--family", "bump",
+          "--param", "eta=inf"], None),
+        (["analyze", "--grid-size", "301", "--family", "bubble",
+          "--param", "area_radius=inf", "--param", "neck_theta=0.05"], None),
+        (["analyze", "--grid-size", "301", "--family", "bubble",
+          "--param", "area_radius=nan", "--param", "neck_theta=0.05"], None),
+        (["analyze", "--grid-size", "301", "--family", "tendril",
+          "--param", "length=nan"], None),
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
-            "residual-tol-nan", "residual-tol-inf", "grid-size-negative"])
+            "residual-tol-nan", "residual-tol-inf", "grid-size-negative",
+            "scaled-c-inf", "bump-eta-inf", "bubble-area-radius-inf",
+            "bubble-area-radius-nan", "tendril-length-nan"])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:
             cfg = tmp_path / "scenario.ini"
             cfg.write_text(ini)
             argv = [argv[0], str(cfg), *argv[1:]]
-        assert main(argv) == 2
+        # a numpy RuntimeWarning would reach stderr ahead of the error line
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
@@ -130,6 +151,44 @@ class TestInputContract:
             assert main(["verify", "--family", "round",
                          "--grid-size", "40"]) == 0
         assert capsys.readouterr().err == ""
+
+
+#: one verify input per family; bubble and scaled c=2.65 exit 1
+VERIFY_PER_FAMILY = {
+    "round": ([], 0),
+    "scaled": (["--param", "c=2.65"], 1),
+    "bump": (["--param", "eta=0.5"], 0),
+    "tendril": (["--param", "length=1"], 0),
+    "bubble": (["--param", "area_radius=2", "--param", "neck_theta=0.05"], 1),
+}
+
+
+class TestEachQuantityOnce:
+    """A verify call computes the deficit m once, and the curvature once on
+    the grid nodes and once on the refined nodes; every check reads that
+    one m."""
+
+    @pytest.mark.parametrize("family", sorted(VERIFY_PER_FAMILY))
+    def test_one_deficit_two_curvatures(self, family, monkeypatch, capsys):
+        calls = {"scalar_deficit": 0, "scalar_curvature": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((warpedsphere.metrics, "scalar_deficit"),
+                             (warpedsphere.metrics, "scalar_curvature"),
+                             (warpedsphere.functionals, "scalar_curvature")):
+            monkeypatch.setattr(module, name,
+                                counted(name, getattr(module, name)))
+        params, code = VERIFY_PER_FAMILY[family]
+        assert main(["verify", "--family", family, *params]) == code
+        assert calls == {"scalar_deficit": 1, "scalar_curvature": 2}
+        doc = json.loads(capsys.readouterr().out)
+        ms = [c["inputs"]["m"] for c in doc["checks"] if "m" in c["inputs"]]
+        assert ms and all(m == doc["summary"]["mass"] for m in ms)
 
 
 class TestBvpCoarseGrid:
@@ -214,6 +273,26 @@ class TestSubcommands:
                      "--radius", "0.1", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["pointpick"]["certificate_ok"] is True
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["analyze", "--family", "bubble", "--param", "area_radius=2",
+          "--param", "neck_theta=0.05"],
+         ["summary.volume", "summary.diameter_lower",
+          "summary.diameter_upper", "summary.mass",
+          "summary.cheeger_surrogate", "summary.validation_ok",
+          "membership.admitted", "membership.comparison_ok",
+          "membership.volume_ok", "membership.diameter_ok",
+          "membership.mass_ok", "membership.cheeger_fails",
+          "membership.cheeger_provisional"]),
+        (["pointpick", "--family", "round", "--grid-size", "501"],
+         ["radius", "q_colat", "sum_ball_volumes", "certificate_rhs",
+          "certificate_ok", "beyond_proof_range"]),
+    ], ids=["analyze", "pointpick"])
+    def test_csv_key_column(self, argv, keys, capsys):
+        assert main(argv + ["--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "key,value"
+        assert [line.split(",")[0] for line in lines[1:]] == keys
 
     def test_families_lists_all(self, capsys):
         assert main(["families"]) == 0

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpedsphere import (good_set_volumes, point_pick, polar_average,
-                          round_sphere, scalar_deficit, weighted_median)
+from warpedsphere import (ClassParams, constant_ledger, good_set_volumes,
+                          point_pick, round_sphere, scalar_deficit,
+                          weighted_median)
 from warpedsphere import (cli, families, functionals, grids, metrics,
                           verification)
 from warpedsphere.errors import DomainError, ResidualGuardError
@@ -256,9 +257,18 @@ class TestPolar:
             Evaluation(round_potential).polar_csc3(1.0)
 
     def test_polar_average_is_u(self, round_potential):
-        t = PI / 16
-        assert polar_average(round_potential, t) == \
-            pytest.approx(np.cos(t), abs=1e-9)
+        ledger = constant_ledger(ClassParams(40.0, 10.0, 1.0, 1.0))
+        checks = verification.run_all_checks(round_potential, ledger,
+                                             suites=("polar",))
+        averages = {c.inputs["t"]: c.inputs["average"] for c in checks
+                    if c.label.startswith("lemma_4_3_p_")}
+        assert len(averages) == 3
+        # the average is u(t), read off the nodes linearly; PI/16 is a node
+        theta = round_potential.theta
+        for t, average in averages.items():
+            assert average == pytest.approx(
+                np.interp(t, theta, np.cos(theta)), abs=1e-9)
+        assert averages[PI / 16] == pytest.approx(np.cos(PI / 16), abs=1e-9)
 
 
 class TestSublevel:
@@ -287,21 +297,18 @@ class TestSublevel:
 
 class TestGoodSets:
     def test_inclusion_in_tau(self, round_potential):
-        small = good_set_volumes(round_potential, 0.01, 0.1)
-        large = good_set_volumes(round_potential, 0.1, 0.1)
+        ac = Evaluation(round_potential).alignment
+        small = good_set_volumes(round_potential, 0.01, 0.1, ac)
+        large = good_set_volumes(round_potential, 0.1, 0.1, ac)
         assert small.vol_E_g <= large.vol_E_g + 1e-12
         assert small.vol_E_round <= large.vol_E_round + 1e-12
 
-    def test_round_complement_empty(self, round_potential):
-        gs = good_set_volumes(round_potential, 0.1, 0.0)
-        assert gs.vol_E_complement_g == pytest.approx(0.0, abs=1e-10)
-        assert gs.vol_Etilde_complement_g == pytest.approx(0.0, abs=1e-10)
-
     def test_domain_validation(self, round_potential):
+        ac = Evaluation(round_potential).alignment
         with pytest.raises(DomainError):
-            good_set_volumes(round_potential, -0.1, 0.1)
+            good_set_volumes(round_potential, -0.1, 0.1, ac)
         with pytest.raises(DomainError):
-            good_set_volumes(round_potential, 0.1, 2.0)
+            good_set_volumes(round_potential, 0.1, 2.0, ac)
 
 
 class TestPointPick:

@@ -282,23 +282,36 @@ class TestAnalyticAgainstTable:
 
 class TestMembership:
     def test_round_admitted(self):
-        rep = class_membership(round_sphere(),
+        rep = class_membership(summarize(round_sphere()),
                                ClassParams(40.0, 10.0, 1.0, 1.0))
         assert rep.admitted
         assert rep.comparison_ok
         assert not rep.cheeger_fails
 
     def test_mass_cap_enforced(self):
-        rep = class_membership(bump_sphere(1.0),
+        rep = class_membership(summarize(bump_sphere(1.0)),
                                ClassParams(40.0, 10.0, 0.1, 1.0))
         assert not rep.mass_ok
         assert not rep.admitted
 
     def test_bubble_fails_cheeger(self):
-        rep = class_membership(bubble_sphere(2.0, 0.05),
+        rep = class_membership(summarize(bubble_sphere(2.0, 0.05)),
                                ClassParams(40.0, 10.0, 1e6, 1.0))
         assert rep.cheeger_fails
         assert not rep.admitted
+
+    def test_admitted_is_the_conjunction_of_flags(self, reference_metrics):
+        params = ClassParams(40.0, 10.0, 1.0, 1.0)
+        metrics = list(reference_metrics.values()) + [
+            bubble_sphere(2.0, 0.05), scaled_sphere(2.65)]
+        verdicts = []
+        for metric in metrics:
+            rep = class_membership(summarize(metric), params)
+            assert rep.admitted == (rep.comparison_ok and rep.volume_ok
+                                    and rep.diameter_ok and rep.mass_ok
+                                    and not rep.cheeger_fails)
+            verdicts.append(rep.admitted)
+        assert not verdicts[-2] and not verdicts[-1]
 
     def test_summary_fields_finite(self, reference_metrics):
         for metric in reference_metrics.values():

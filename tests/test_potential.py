@@ -154,7 +154,6 @@ class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"epsilon": 0.0}, {"epsilon": 1.0},
         {"damping": 0.0}, {"damping": 1.5},
-        {"picard_tolerance": -1.0},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):

@@ -26,18 +26,19 @@ import workloads  # noqa: E402
 from warpedsphere import cli  # noqa: E402
 
 #: leading inputs replayed per workload and seed
-INPUTS = 16
+INPUTS = {"verify": 16, "sequence": 16, "pointpick": 3}
 
 
 @pytest.mark.parametrize("seed", outputs.SHIPPED_SEEDS)
-@pytest.mark.parametrize("workload", ["verify", "sequence"])
+@pytest.mark.parametrize("workload", list(INPUTS))
 def test_outputs_match_stored_digests(workload, seed, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     workloads.write_configs()      # the graded-grid scenario files
     references = outputs.load_references(workload, seed)
-    assert len(references) >= INPUTS
+    count = INPUTS[workload]
+    assert len(references) >= count
     wrong = []
-    for i, argv in enumerate(workloads.generate(workload, seed)[:INPUTS]):
+    for i, argv in enumerate(workloads.generate(workload, seed)[:count]):
         code, out, err, _ = worker.call(cli, argv)
         why = worker.check(i, argv, code, out, err, references)
         if why:
