@@ -14,7 +14,9 @@ import argparse
 import configparser
 import functools
 import inspect
+import math
 import sys
+from typing import Callable
 
 from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
                      DomainError, IterationError, ResidualGuardError,
@@ -200,12 +202,14 @@ def _seed(config: dict):
     return _int(sec, "seed")
 
 
-def _emit(config: dict, doc: dict, csv_text: str | None) -> None:
+def _emit(config: dict, doc: dict, csv_text: Callable[[], str]) -> None:
+    """Write the report as JSON, or as the CSV text that `csv_text()`
+    builds, which is called only when the format is csv."""
     sec = config.get("output", {})
     fmt = sec.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    text = rep.report_json(doc) if fmt == "json" else (csv_text or "")
+    text = rep.report_json(doc) if fmt == "json" else csv_text()
     path = sec.get("path")
     if path:
         rep.write_text_atomic(path, text)
@@ -213,20 +217,33 @@ def _emit(config: dict, doc: dict, csv_text: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _key_value_csv(pairs) -> str:
+    """A two-column key,value CSV table of the (key, value) pairs."""
+    return "\n".join(["key,value"] + [f"{k},{v}" for k, v in pairs]) + "\n"
+
+
 def _summary_extras(metric, params: ClassParams) -> dict:
+    """The metric, summary and membership blocks of a report.  A summary
+    quantity that is not finite refuses the metric: no verdict can rest
+    on it."""
     s = summarize(metric)
+    summary = {
+        "volume": s.volume,
+        "diameter_lower": s.diameter_lower,
+        "diameter_upper": s.diameter_upper,
+        "mass": s.mass,
+        "cheeger_surrogate": s.cheeger_surrogate,
+    }
+    for key, value in summary.items():
+        if not math.isfinite(value):
+            raise DegenerateMetricError(
+                f"summary {key} is {value}, not a finite number; the metric "
+                f"cannot be reported")
     member = class_membership(s, params)
     return {
         "metric": {"name": metric.name, "params": metric.params,
                    "grid_n": metric.grid.n},
-        "summary": {
-            "volume": s.volume,
-            "diameter_lower": s.diameter_lower,
-            "diameter_upper": s.diameter_upper,
-            "mass": s.mass,
-            "cheeger_surrogate": s.cheeger_surrogate,
-            "validation_ok": s.validation.ok,
-        },
+        "summary": {**summary, "validation_ok": s.validation.ok},
         "membership": {"admitted": member.admitted, **vars(member)},
     }
 
@@ -236,11 +253,9 @@ def cmd_analyze(config: dict) -> int:
     params = _class_params(config)
     extras = _summary_extras(metric, params)
     doc = rep.build_report([], config, seed=_seed(config), extras=extras)
-    rows = ["key,value"]
-    for group in ("summary", "membership"):
-        for key, value in extras[group].items():
-            rows.append(f"{group}.{key},{value}")
-    _emit(config, doc, "\n".join(rows) + "\n")
+    _emit(config, doc, lambda: _key_value_csv(
+        (f"{group}.{key}", value) for group in ("summary", "membership")
+        for key, value in extras[group].items()))
     return EXIT_PASS
 
 
@@ -258,7 +273,7 @@ def cmd_verify(config: dict) -> int:
     extras = _summary_extras(metric, params)
     extras["ledger"] = ledger.as_dict()
     doc = rep.build_report(checks, config, seed=_seed(config), extras=extras)
-    _emit(config, doc, rep.checks_csv(checks))
+    _emit(config, doc, lambda: rep.checks_csv(checks))
     failed = any(c.verdict == "fail" for c in checks)
     return EXIT_FAIL if failed else EXIT_PASS
 
@@ -279,7 +294,7 @@ def cmd_sequence(config: dict) -> int:
     convergence = run_sequence(spec, params)
     doc = rep.build_report([], config, seed=_seed(config),
                            sequence=convergence)
-    _emit(config, doc, rep.sequence_csv(convergence))
+    _emit(config, doc, lambda: rep.sequence_csv(convergence))
     return EXIT_PASS
 
 
@@ -289,8 +304,7 @@ def cmd_pointpick(config: dict) -> int:
     result = point_pick(metric, radius)
     extras = {"pointpick": {"radius": radius, **vars(result)}}
     doc = rep.build_report([], config, seed=_seed(config), extras=extras)
-    rows = ["key,value"] + [f"{k},{v}" for k, v in extras["pointpick"].items()]
-    _emit(config, doc, "\n".join(rows) + "\n")
+    _emit(config, doc, lambda: _key_value_csv(extras["pointpick"].items()))
     if not result.certificate_ok:
         return EXIT_FAIL
     return EXIT_PASS

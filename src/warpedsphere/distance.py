@@ -18,7 +18,7 @@ On that strip the diameter is the meridian length L_tot:
 
 from __future__ import annotations
 
-from .grids import ANALYTIC_REFINE, cumulative
+from .grids import ANALYTIC_REFINE
 from .metrics import WarpedMetric
 
 
@@ -29,7 +29,7 @@ def meridian_arclength(metric: WarpedMetric):
     is the exact distance between the two poles: any path joining them
     sweeps every colatitude, so its length is at least int phi dtheta.
     """
-    cum = cumulative(metric.fine_jet[0], metric.fine)
+    cum = metric.fine_cumulative(metric.fine_jet[0])
     return cum[::ANALYTIC_REFINE], float(cum[-1])
 
 

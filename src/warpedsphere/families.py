@@ -76,9 +76,15 @@ def _modulated_sine(t, g, dg, d2g):
 
 
 def _build(grid, profiles, name, params):
-    phi, f = profiles(grid.nodes, 0)
-    return WarpedMetric(grid=grid, phi=phi, f=f, name=name,
-                        profiles=profiles, params=dict(params))
+    """The metric of `profiles` on `grid`.  The grid nodes are evaluated
+    once, at order 2: phi and f are the same arithmetic at every order,
+    so the samples are the jet's first two entries and the jet seeds the
+    metric's `node_jet`."""
+    jet = profiles(grid.nodes)
+    metric = WarpedMetric(grid=grid, phi=jet[0], f=jet[1], name=name,
+                          profiles=profiles, params=dict(params))
+    vars(metric)["node_jet"] = jet
+    return metric
 
 
 # ----------------------------------------------------------------------
@@ -355,14 +361,21 @@ def _tendril_normalize(length, shape, breaks):
     """Solve int (phi - 1) d theta = length for the squash depth c_max."""
     if length == 0.0:
         return 0.0
-    segs = [np.linspace(breaks[i], breaks[i + 1], 4001)
-            for i in range(len(breaks) - 1)]
-    t = np.unique(np.concatenate(segs))
+    segs = [np.linspace(a, b, 4001) for a, b in zip(breaks[:-1], breaks[1:])]
+    # consecutive segments share an endpoint; drop each repeat
+    t = np.concatenate([segs[0]] + [seg[1:] for seg in segs[1:]])
+    if not np.all(np.diff(t) > 0.0):
+        t = np.unique(t)    # breakpoints closer than the node spacing
     s, _, _ = shape(t)
     simpson = simpson_rule(t)
+    buf = np.empty_like(s)
 
     def excess(c_max):
-        return simpson((1.0 - c_max * s) ** -0.5 - 1.0) - length
+        np.multiply(c_max, s, out=buf)
+        np.subtract(1.0, buf, out=buf)
+        np.power(buf, -0.5, out=buf)
+        np.subtract(buf, 1.0, out=buf)
+        return simpson(buf) - length
 
     hi = (1.0 - 1e-15) / float(np.max(s))
     if excess(hi) < 0.0:

@@ -172,6 +172,11 @@ class Evaluation:
                              - 2.0 * phi * sf + dphi * s)
         return _Fields(True, t, phi, f, dphi, df, fos, sf, ratio, du, d2u)
 
+    @property
+    def _simpson(self):
+        """The metric's cached Simpson rule on the fields' node set."""
+        return self.metric.simpson(self.fields.refined)
+
     @cached_property
     def hessian_squared(self) -> np.ndarray:
         """|Hess u + cot |grad u| g|^2 in orthonormal components.
@@ -196,26 +201,26 @@ class Evaluation:
     @cached_property
     def core(self) -> CoreIntegrals:
         """The six Lemma-level integrals, by cancelled-form quadrature."""
-        metric, fld = self.metric, self.fields
-        t, phi, f, du = fld.theta, fld.phi, fld.f, fld.du
+        metric, fld, simpson = self.metric, self.fields, self._simpson
+        phi, f, du = fld.phi, fld.f, fld.du
 
         csc2_integrand = fld.ratio * phi * f * fld.fos
-        i_csc2 = 4.0 * PI * integrate(csc2_integrand, t)
-        i_align = 4.0 * PI * integrate(csc2_integrand * (1.0 - 1.0 / phi), t)
+        i_csc2 = 4.0 * PI * simpson(csc2_integrand)
+        i_align = 4.0 * PI * simpson(csc2_integrand * (1.0 - 1.0 / phi))
 
         grad = np.abs(du) / phi                       # |grad u|
         mass_integrand = np.where(grad > 1e-280,
                                   self.hessian_squared
                                   / np.where(grad > 1e-280, grad, 1.0),
                                   0.0) * phi * f**2
-        i_mass = 4.0 * PI * integrate(mass_integrand, t)
+        i_mass = 4.0 * PI * simpson(mass_integrand)
 
         deficit = np.clip(6.0 - scalar_curvature(metric, fld.refined),
                           0.0, None)
-        i_deficit = 4.0 * PI * integrate(deficit * np.abs(du) * f**2, t)
+        i_deficit = 4.0 * PI * simpson(deficit * np.abs(du) * f**2)
 
-        grad_l1 = 4.0 * PI * integrate(np.abs(du) * f**2, t)
-        grad_l2 = float(np.sqrt(4.0 * PI * integrate(du**2 * f**2 / phi, t)))
+        grad_l1 = 4.0 * PI * simpson(np.abs(du) * f**2)
+        grad_l2 = float(np.sqrt(4.0 * PI * simpson(du**2 * f**2 / phi)))
         return CoreIntegrals(i_csc2=i_csc2, i_align=i_align, i_mass=i_mass,
                              i_deficit=i_deficit, grad_l1=grad_l1,
                              grad_l2=grad_l2)
@@ -227,8 +232,8 @@ class Evaluation:
         csc * dV_g collapses to 4 pi phi f (f/sin) dtheta, finite at poles.
         """
         fld = self.fields
-        return 4.0 * PI * integrate(np.sqrt(self.hessian_squared)
-                                    * fld.phi * fld.f * fld.fos, fld.theta)
+        return 4.0 * PI * self._simpson(np.sqrt(self.hessian_squared)
+                                        * fld.phi * fld.f * fld.fos)
 
     @cached_property
     def ratio_seminorm(self) -> float:
@@ -243,7 +248,7 @@ class Evaluation:
         integrand = np.abs(fld.ratio
                            * ((3.0 * fld.phi - 1.0) * np.cos(t) * f * fld.fos
                               - 2.0 * fld.df * f))
-        return 4.0 * PI * integrate(integrand, t)
+        return 4.0 * PI * self._simpson(integrand)
 
     @cached_property
     def alignment(self) -> AlignmentConstants:

@@ -12,6 +12,13 @@ The two Simpson rules are fixed numpy ports of the 1-D paths of scipy
 every integral on strictly increasing x, and so every report, is
 bit-identical to scipy's and no longer depends on which scipy version is
 installed.  The tests keep scipy as the oracle.
+
+Each rule is built once per node set: `simpson_rule(x)` and
+`cumulative_rule(x)` compute the factors that depend on x alone and
+return the rule as a function of the samples y.  A metric keeps the
+rules of its grid nodes and refined nodes beside its profile jets;
+`integrate` and `cumulative` build a rule for one use, for node sets
+that occur once (band slices, polar sub-grids).
 """
 
 from __future__ import annotations
@@ -126,11 +133,12 @@ def integrate(y: np.ndarray, x: np.ndarray) -> float:
     return simpson_rule(x)(np.asarray(y))
 
 
-def _simpson_first_halves(y, dx):
-    """Simpson integral over [x_i, x_i+1] from the parabola through
-    x_i, x_i+1, x_i+2, for every i (Cartwright 2017, eq. 8)."""
-    x21 = dx[:-1]
-    x32 = dx[1:]
+def _parabola_halves(x21, x32):
+    """(w, c1, c2, c3) of the Simpson integral over an interval of length
+    x21 from the parabola through it and its neighbour of length x32
+    (Cartwright 2017, eq. 8): w * (c1 y_a + c2 y_b + c3 y_c), with y_a at
+    the interval's outer end, y_b at the node it shares with the
+    neighbour and y_c at the neighbour's far end."""
     x31 = x21 + x32
     x21_x31 = x21 / x31
     x21_x32 = x21 / x32
@@ -138,33 +146,57 @@ def _simpson_first_halves(y, dx):
     coeff1 = 3 - x21_x31
     coeff2 = 3 + x21x21_x31x32 + x21_x31
     coeff3 = -x21x21_x31x32
-    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+    return x21 / 6, coeff1, coeff2, coeff3
 
 
-def cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Cumulative integral from x[0], same length as x, starts at 0.
+def cumulative_rule(x: np.ndarray):
+    """`cumulative(., x)` as a function of the samples y alone.
 
-    scipy's `cumulative_simpson(y, x=x, initial=0.0)`: every interval
-    takes its Simpson integral from the parabola through its left
-    neighbourhood (forward pass) or its right one (reversed pass),
-    alternately, and the last interval from the reversed pass.
+    scipy's `cumulative_simpson(y, x=x, initial=0.0)`: the intervals
+    0, 2, 4, ... take their Simpson integral from the parabola through
+    their right neighbour (scipy's forward pass), the intervals 1, 3,
+    5, ... and the last one from the parabola through their left
+    neighbour (its reversed pass).  The coefficients depend on x only
+    and are computed once, and only the halves kept are evaluated, with
+    the same result bit for bit.
     """
-    y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
+    n = x.shape[0]
     dx = np.diff(x)
-    if y.shape[0] < 3:
-        sub = dx * (y[1:] + y[:-1]) / 2.0
+    if n < 3:
+        def subintervals(y):
+            return dx * (y[1:] + y[:-1]) / 2.0
     else:
         if np.any(dx <= 0):
             raise ValueError("Input x must be strictly increasing.")
-        fwd = _simpson_first_halves(y, dx)
-        rev = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
-        sub = np.empty(dx.shape[0])
-        sub[:-1:2] = fwd[::2]
-        sub[1::2] = rev[::2]
-        sub[-1] = rev[-1]
-    # the + 0.0 is scipy's `initial` offset; it turns -0.0 into 0.0
-    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+        fwd = _parabola_halves(dx[:-1:2], dx[1::2])
+        rev = _parabola_halves(dx[1::2], dx[:-1:2])
+        last = _parabola_halves(dx[-1:], dx[-2:-1]) if n % 2 == 0 else None
+
+        def subintervals(y):
+            y0, y1, y2 = y[:-2:2], y[1:-1:2], y[2::2]
+            sub = np.empty(n - 1)
+            w, c1, c2, c3 = fwd
+            sub[:-1:2] = w * (c1 * y0 + c2 * y1 + c3 * y2)
+            w, c1, c2, c3 = rev
+            sub[1::2] = w * (c1 * y2 + c2 * y1 + c3 * y0)
+            if last is not None:
+                w, c1, c2, c3 = last
+                sub[-1:] = w * (c1 * y[-1:] + c2 * y[-2:-1] + c3 * y[-3:-2])
+            return sub
+
+    def rule(y):
+        sub = subintervals(np.asarray(y, dtype=float))
+        # the + 0.0 is scipy's `initial` offset; it turns -0.0 into 0.0
+        return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+
+    return rule
+
+
+def cumulative(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative integral of y from x[0], same length as x, starting at
+    0; see `cumulative_rule`."""
+    return cumulative_rule(x)(y)
 
 
 def node_weights(x: np.ndarray) -> np.ndarray:

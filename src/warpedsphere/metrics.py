@@ -16,7 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError, StructuralError
-from .grids import PI, RadialGrid, cumulative, integrate, refine_nodes
+from .grids import (PI, RadialGrid, cumulative_rule, integrate, refine_nodes,
+                    simpson_rule)
 
 #: slop admitted in the pointwise comparison checks (phi >= 1, f >= sin)
 COMPARISON_TOL = 1e-12
@@ -41,7 +42,9 @@ class WarpedMetric:
     profiles and their derivatives, otherwise it interpolates the samples
     and their finite-difference derivatives.  Every reader takes phi, f
     and their derivatives from `jet`, or from the jets cached on the grid
-    nodes (`node_jet`) and on the refined nodes (`fine_jet`).
+    nodes (`node_jet`) and on the refined nodes (`fine_jet`), and
+    integrates on those node sets with the Simpson and cumulative rules
+    cached beside them.
     """
 
     grid: RadialGrid
@@ -105,6 +108,30 @@ class WarpedMetric:
     @cached_property
     def fine_jet(self) -> tuple:
         return self.jet(self.fine)
+
+    @cached_property
+    def node_simpson(self):
+        """`grids.simpson_rule` on the grid nodes, built once."""
+        return simpson_rule(self.theta)
+
+    @cached_property
+    def fine_simpson(self):
+        """`grids.simpson_rule` on the refined nodes, built once."""
+        return simpson_rule(self.fine)
+
+    @cached_property
+    def node_cumulative(self):
+        """`grids.cumulative_rule` on the grid nodes, built once."""
+        return cumulative_rule(self.theta)
+
+    @cached_property
+    def fine_cumulative(self):
+        """`grids.cumulative_rule` on the refined nodes, built once."""
+        return cumulative_rule(self.fine)
+
+    def simpson(self, fine: bool):
+        """The Simpson rule on the refined nodes or on the grid nodes."""
+        return self.fine_simpson if fine else self.node_simpson
 
     @cached_property
     def deficit(self) -> float:
@@ -208,16 +235,16 @@ def validate(metric: WarpedMetric) -> ValidationReport:
 def volume(metric: WarpedMetric) -> float:
     """Total volume, 4*pi * integral of phi f^2, on the refined nodes when
     the profiles are analytic."""
-    t, (phi, f, *_) = metric.nodes_and_jet(metric.profiles is not None)
-    return integrate(4.0 * PI * phi * f**2, t)
+    fine = metric.profiles is not None
+    _, (phi, f, *_) = metric.nodes_and_jet(fine)
+    return metric.simpson(fine)(4.0 * PI * phi * f**2)
 
 
 def scalar_deficit(metric: WarpedMetric) -> float:
     """m(g) = || (6 - R)^+ ||_{L^2(g)}^{1/2}  (note the outer square root)."""
-    t = metric.theta
     R = scalar_curvature(metric)
     pos = np.clip(6.0 - R, 0.0, None)
-    l2sq = integrate(pos**2 * 4.0 * PI * metric.phi * metric.f**2, t)
+    l2sq = metric.node_simpson(pos**2 * 4.0 * PI * metric.phi * metric.f**2)
     return float(l2sq ** 0.25)
 
 
@@ -232,7 +259,7 @@ def cheeger_levelset(metric: WarpedMetric) -> tuple[float, float]:
     while a large surrogate is only provisional evidence.
     """
     phi, f = metric.node_jet[:2]
-    cum = cumulative(4.0 * PI * phi * f**2, metric.theta)   # V_- per node
+    cum = metric.node_cumulative(4.0 * PI * phi * f**2)   # V_- per node
     total = float(cum[-1])
     areas = 4.0 * PI * metric.f[1:-1]**2
     small = np.minimum(cum[1:-1], total - cum[1:-1])

@@ -122,7 +122,7 @@ def log_ratio_parts(metric: WarpedMetric):
         ppi = 1.0
     p_side = np.where(fine < PI / 2, p0, ppi)
 
-    J = cumulative(_regular_cot_term(phi, dphi, p_side, fine), fine)
+    J = metric.fine_cumulative(_regular_cot_term(phi, dphi, p_side, fine))
     J = J - np.interp(PI / 2, fine, J)
 
     log_sin = np.log(np.clip(np.sin(fine), 1e-300, None))
@@ -147,12 +147,12 @@ def solve_quadrature(metric: WarpedMetric,
     lr_max = float(np.max(lr))
     r = np.exp(lr - lr_max)              # ratio up to the constant K
     dens = r * phi_fine * s              # |u'| up to K
-    total = integrate(dens, fine)
+    total = metric.fine_simpson(dens)
     if not np.isfinite(total) or total <= 0.0:
         raise SolverError("degenerate potential normalization")
     K = 2.0 / total                      # so that int u' = -2
     du_fine = -K * dens
-    u_fine = 1.0 + cumulative(du_fine, fine)
+    u_fine = 1.0 + metric.fine_cumulative(du_fine)
 
     sk = slice(None, None, ANALYTIC_REFINE)
     t = metric.theta

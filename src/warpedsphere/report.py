@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import tempfile
 from datetime import datetime, timezone
@@ -32,7 +33,20 @@ CSV_SEQUENCE_COLUMNS = ("index", "valid", "m", "volume", "volume_gap",
 
 
 def _jsonable(obj):
-    """Recursively convert dataclasses / numpy scalars to JSON types."""
+    """Recursively convert dataclasses / numpy scalars to JSON types.
+
+    The built-in types a report is made of are dispatched on their exact
+    type first; subclasses (numpy's float64 is a float) take the general
+    path below."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [_jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: _jsonable(getattr(obj, f.name))
                 for f in dataclasses.fields(obj)}

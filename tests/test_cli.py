@@ -8,10 +8,11 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import warpedsphere
-from warpedsphere import cli
+from warpedsphere import ClassParams, SequenceSpec, cli, run_sequence
 from warpedsphere import families as fam
 from warpedsphere.cli import main
 
@@ -144,6 +145,27 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_non_finite_summary_exits_2(self, capsys):
+        # volume overflows to inf; m and the Cheeger surrogate are nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["analyze", "--family", "bump",
+                         "--param", "eta=1e300"]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("error: summary volume is inf")
+
+    def test_sequence_reports_non_finite_member_in_place(self):
+        spec = SequenceSpec(family="bump", schedule=({"eta": 1e300},
+                                                     {"eta": 0.5}),
+                            name="bump-extreme")
+        with np.errstate(all="ignore"):
+            entries = run_sequence(spec, ClassParams(40.0, 10.0, 1.0,
+                                                     1.0)).entries
+        assert [e.index for e in entries] == [1, 2]
+        assert entries[0].volume == np.inf and not entries[0].admitted
+        assert np.isfinite(entries[1].volume) and entries[1].admitted
 
     def test_coarse_grid_verify_is_silent(self, capsys):
         with warnings.catch_warnings():

@@ -14,7 +14,7 @@ from warpedsphere.distance import meridian_arclength
 from warpedsphere.errors import (ConstructionError, DegenerateMetricError,
                                  DomainError)
 from warpedsphere.families import BUMP_PEAK, FAMILIES, FAMILY_CATALOG
-from warpedsphere.grids import PI
+from warpedsphere.grids import PI, simpson_rule
 from warpedsphere.potential import _derivative_high_order
 
 from conftest import REFERENCE_BUILDERS
@@ -195,6 +195,75 @@ class TestBrentqPort:
         assert info.value.constraint == "length"
 
 
+def _normalize_oracle(length, shape, breaks):
+    """`fam._tendril_normalize` as first written: nodes merged by
+    `np.unique`, and a fresh array for every evaluation of the excess."""
+    if length == 0.0:
+        return 0.0
+    segs = [np.linspace(breaks[i], breaks[i + 1], 4001)
+            for i in range(len(breaks) - 1)]
+    t = np.unique(np.concatenate(segs))
+    s, _, _ = shape(t)
+    simpson = simpson_rule(t)
+
+    def excess(c_max):
+        return simpson((1.0 - c_max * s) ** -0.5 - 1.0) - length
+
+    hi = (1.0 - 1e-15) / float(np.max(s))
+    if excess(hi) < 0.0:
+        raise ConstructionError(
+            "length", "requested tendril length is not attainable")
+    try:
+        return float(fam._brentq(excess, 1e-15, hi, xtol=1e-15,
+                                 rtol=8.9e-16))
+    except ValueError:
+        raise ConstructionError(
+            "length", "requested tendril length is too small to resolve; "
+            "use length = 0") from None
+
+
+def _normalize_outcome(normalize, length, width, theta0):
+    """c_max as float.hex(), or the ConstructionError raised."""
+    try:
+        _, breaks, thin = fam._tendril_layout(length, width, theta0)
+        return normalize(length, fam._tendril_shape(breaks, thin),
+                         breaks).hex()
+    except ConstructionError as exc:
+        return (exc.constraint, str(exc))
+
+
+#: (width, theta0): thin mode (b3 + width <= THIN_LIMIT), thick mode, a
+#: layout that does not fit, and breakpoints closer than the node spacing
+NORMALIZE_LAYOUTS = [(0.05, None), (0.07, None), (0.05, 0.1), (0.03, 0.2),
+                     (0.1, None), (0.12, 0.5), (0.3, 1.0), (0.2, 0.35),
+                     (0.1, 0.05), (1e-17, 0.3)]
+
+
+class TestTendrilNormalize:
+    """The normalization keeps the root of its first form bit for bit."""
+
+    @pytest.mark.parametrize("width, theta0", NORMALIZE_LAYOUTS)
+    def test_c_max_matches_oracle(self, width, theta0):
+        for length in (0.0, 1e-20, 1e-12, 1e-6, 0.3, 1.0, 2.0, 1e3, 1e8):
+            args = (length, width, theta0)
+            assert (_normalize_outcome(fam._tendril_normalize, *args)
+                    == _normalize_outcome(_normalize_oracle, *args)), args
+
+    def test_sweep_covers_every_outcome(self):
+        thin = [fam._tendril_layout(1.0, w, t0)[2]
+                for w, t0 in NORMALIZE_LAYOUTS[:8]]
+        assert any(thin) and not all(thin)
+        outcomes = {_normalize_outcome(fam._tendril_normalize, length, 0.1,
+                                       None)
+                    for length in (1e-20, 1e8)}
+        assert outcomes == {
+            ("length", "requested tendril length is too small to resolve; "
+             "use length = 0"),
+            ("length", "requested tendril length is not attainable")}
+        assert isinstance(_normalize_outcome(fam._tendril_normalize, 1.0,
+                                             0.1, 0.05), tuple)
+
+
 #: (family, params): every family at its catalog defaults and at the
 #: edges of its admissible ranges
 JET_CASES = [
@@ -239,6 +308,10 @@ class TestJet:
             assert np.array_equal(f, full[1])
         assert np.array_equal(metric.node_jet[0], metric.phi)
         assert np.array_equal(metric.node_jet[1], metric.f)
+        # the build samples the order-2 jet; order 0 gives the same bits
+        phi, f = metric.profiles(metric.theta, 0)
+        assert phi.tobytes() == metric.phi.tobytes()
+        assert f.tobytes() == metric.f.tobytes()
 
     @pytest.mark.parametrize("name", list(JET_DERIVATIVE_TOL))
     def test_derivatives_match_finite_differences(self, name):

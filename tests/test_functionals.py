@@ -1,7 +1,5 @@
 """Curvature functionals, medians, shells and good sets."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,9 +106,9 @@ class TestEvaluation:
     def test_verify_evaluates_profiles_once_per_node_set(self, argv,
                                                          monkeypatch,
                                                          capsys):
-        """One verify call evaluates the profile jet at most once on the
-        grid nodes and once on the refined nodes (the samples taken when
-        the metric is built are not counted), and refines the grid once."""
+        """One verify call evaluates the profile jet exactly once on the
+        grid nodes (the build's own samples included) and once on the
+        refined nodes, and refines the grid once."""
         built, node_sets, refined = [], [], []
         build = families._build
         refine = grids.refine_nodes
@@ -120,13 +118,11 @@ class TestEvaluation:
             return refine(*args)
 
         def counting_build(grid, profiles, name, params):
-            metric = build(grid, profiles, name, params)
-
             def counted(t, order=2):
                 node_sets.append(np.array(t))
                 return profiles(t, order)
 
-            built.append(dataclasses.replace(metric, profiles=counted))
+            built.append(build(grid, counted, name, params))
             return built[-1]
 
         monkeypatch.setattr(families, "_build", counting_build)
@@ -140,7 +136,7 @@ class TestEvaluation:
             return sum(t.shape == nodes.shape and np.array_equal(t, nodes)
                        for t in node_sets)
 
-        assert evaluations(metric.theta) <= 1
+        assert evaluations(metric.theta) == 1   # the build's samples
         assert evaluations(metric.fine) == 1    # the solve reads it
         assert len(refined) == 1
         # every other evaluation is one of polar_csc3's pole sub-grids
@@ -150,6 +146,45 @@ class TestEvaluation:
         radii = verification._POLAR_RADII
         assert sorted(others) == sorted(
             [(0.0, r) for r in radii] + [(PI - r, PI) for r in radii])
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "round"], ["--family", "scaled", "--param", "c=1.3"],
+        ["--family", "bump", "--param", "eta=0.5"],
+        ["--family", "tendril", "--param", "length=1.5"],
+        ["--family", "bubble", "--param", "area_radius=2",
+         "--param", "neck_theta=0.05"],
+        ["--family", "bump", "--param", "eta=2", "--grid-size", "1000"]])
+    def test_verify_builds_rules_once_per_node_set(self, argv, monkeypatch,
+                                                    capsys):
+        """One verify call builds exactly one Simpson rule and one
+        cumulative rule on the grid nodes and on the refined nodes."""
+        built, rules = [], []
+        build = families._build
+
+        def capturing_build(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        def counting(kind, make_rule):
+            def wrapper(x):
+                rules.append((kind, np.array(x)))
+                return make_rule(x)
+            return wrapper
+
+        monkeypatch.setattr(families, "_build", capturing_build)
+        for kind in ("simpson_rule", "cumulative_rule"):
+            wrapper = counting(kind, getattr(grids, kind))
+            for module in (grids, metrics, families):
+                if hasattr(module, kind):
+                    monkeypatch.setattr(module, kind, wrapper)
+        assert cli.main(["verify", *argv]) in (0, 1)
+        capsys.readouterr()
+        (metric,) = built
+        for nodes in (metric.theta, metric.fine):
+            kinds = sorted(kind for kind, x in rules
+                           if x.shape == nodes.shape
+                           and np.array_equal(x, nodes))
+            assert kinds == ["cumulative_rule", "simpson_rule"]
 
 
 class TestIdentityChain:

@@ -7,8 +7,8 @@ from scipy.integrate import cumulative_simpson, simpson
 from warpedsphere import RadialGrid, refine_nodes
 from warpedsphere.errors import StructuralError
 from warpedsphere.families import _tendril_layout, tendril_grid
-from warpedsphere.grids import (PI, cumulative, integrate, node_weights,
-                                simpson_rule)
+from warpedsphere.grids import (PI, cumulative, cumulative_rule, integrate,
+                                node_weights, simpson_rule)
 
 
 class TestRadialGrid:
@@ -170,3 +170,73 @@ class TestScipyOracle:
             cumulative(np.ones(4), x)
         with pytest.raises(ValueError, match="strictly increasing"):
             cumulative(np.ones(3), x[[0, 2, 1]])
+
+
+def _simpson_first_halves(y, dx):
+    """Simpson integral over [x_i, x_i+1] from the parabola through
+    x_i, x_i+1, x_i+2, for every i (Cartwright 2017, eq. 8)."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def _two_pass_cumulative(y, x):
+    """The cumulative rule as first written: both parabola passes over
+    every interval, half of each kept."""
+    dx = np.diff(x)
+    fwd = _simpson_first_halves(y, dx)
+    rev = _simpson_first_halves(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(dx.shape[0])
+    sub[:-1:2] = fwd[::2]
+    sub[1::2] = rev[::2]
+    sub[-1] = rev[-1]
+    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+
+
+def _node_set(kind, n):
+    """n strictly increasing nodes: uniform or cosine-graded on [0, pi],
+    or the n enriched tendril nodes around b3, where the dense blocks
+    overlap and near-duplicate nodes sit beside wide gaps."""
+    if kind == "uniform":
+        return np.linspace(0.0, PI, n)
+    if kind == "graded":
+        return 0.5 * PI * (1.0 - np.cos(np.linspace(0.0, PI, n)))
+    _, breaks, _ = _tendril_layout(1.0, 0.1, None)
+    nodes = tendril_grid(breaks).nodes
+    start = int(np.searchsorted(nodes, breaks[3])) - n // 2
+    return nodes[start:start + n]
+
+
+class TestCumulativeRule:
+    """`cumulative_rule` computes only the halves kept and is still
+    scipy's `cumulative_simpson` bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 33, 2001])
+    @pytest.mark.parametrize("kind", ["uniform", "graded", "tendril"])
+    def test_one_rule_many_integrands(self, n, kind):
+        x = _node_set(kind, n)
+        assert x.size == n and np.all(np.diff(x) > 0)
+        rule = cumulative_rule(x)
+        rng = np.random.default_rng(n)
+        for y in (np.sin(x), np.exp(-3.0 * x) * np.cos(7.0 * x),
+                  rng.normal(size=n) * 1e5, np.where(x > 1.0, 0.0, -0.0),
+                  (1.0 - 0.9 * np.sin(x) ** 2) ** -0.5 - 1.0):
+            got = _bits(rule(y))
+            assert got == _bits(cumulative_simpson(y=y, x=x, initial=0.0))
+            assert got == _bits(_two_pass_cumulative(y, x))
+            assert got == _bits(cumulative(y, x))
+
+    def test_rule_keeps_no_state_between_integrands(self):
+        x = _node_set("graded", 2001)
+        rule = cumulative_rule(x)
+        y = np.cos(x)
+        first = _bits(rule(y))
+        rule(np.sin(x) * 1e300)
+        assert _bits(rule(y)) == first

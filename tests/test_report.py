@@ -1,5 +1,6 @@
 """Report serialization: hashing, CSV precision, atomic writes."""
 
+import dataclasses
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 
 from warpedsphere import (build_report, checks_csv, config_hash,
                           report_json, write_text_atomic)
+from warpedsphere.report import _jsonable
 from warpedsphere.verification import CheckResult
 
 
@@ -63,6 +65,53 @@ class TestBuildReport:
         parsed = json.loads(report_json(doc))
         assert parsed["x"] == 1.5
         assert parsed["z"] is True
+
+
+@dataclasses.dataclass(frozen=True)
+class _Sample:
+    label: str
+    value: float
+    count: int
+    flags: tuple
+    inputs: dict
+
+
+#: (input, JSON text of `_jsonable(input)`); numpy scalars convert by
+#: `.item()`, so a numpy NaN stays a float NaN, while a non-finite
+#: Python float, in an ndarray too, becomes its repr string
+JSONABLE_CASES = [
+    (_Sample("a", 0.5, 3, (True, None), {"m": np.float64(2.0), 7: "x"}),
+     '{"label": "a", "value": 0.5, "count": 3, "flags": [true, null], '
+     '"inputs": {"m": 2.0, "7": "x"}}'),
+    (np.float64(1.5), "1.5"), (np.float32(0.25), "0.25"),
+    (np.int64(-4), "-4"), (np.bool_(True), "true"),
+    (np.float64("nan"), "NaN"), (np.float64("-inf"), "-Infinity"),
+    (np.array([1.0, np.nan, np.inf]), '[1.0, "nan", "inf"]'),
+    (np.arange(3), "[0, 1, 2]"),
+    (float("nan"), '"nan"'), (float("-inf"), '"-inf"'), (1e308, "1e+308"),
+    (((1, 2.0), (np.float64(3.0), [None, "s", (float("inf"),)])),
+     '[[1, 2.0], [3.0, [null, "s", ["inf"]]]]'),
+    ({"a": [np.int64(1)], "b": {"c": False}},
+     '{"a": [1], "b": {"c": false}}'),
+]
+
+
+def _builtin_leaves(obj) -> bool:
+    """True when every leaf of obj is exactly a JSON built-in type."""
+    if type(obj) is dict:
+        return all(type(k) is str and _builtin_leaves(v)
+                   for k, v in obj.items())
+    if type(obj) is list:
+        return all(_builtin_leaves(v) for v in obj)
+    return obj is None or type(obj) in (str, int, float, bool)
+
+
+class TestJsonable:
+    @pytest.mark.parametrize("obj, text", JSONABLE_CASES)
+    def test_output_pinned(self, obj, text):
+        got = _jsonable(obj)
+        assert json.dumps(got) == text
+        assert _builtin_leaves(got)
 
 
 class TestChecksCsv:
