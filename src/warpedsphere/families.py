@@ -75,18 +75,6 @@ def _modulated_sine(t, g, dg, d2g):
             -sin * (1.0 + g) + 2.0 * cos * dg + sin * d2g)
 
 
-def _build(grid, profiles, name, params):
-    """The metric of `profiles` on `grid`.  The grid nodes are evaluated
-    once, at order 2: phi and f are the same arithmetic at every order,
-    so the samples are the jet's first two entries and the jet seeds the
-    metric's `node_jet`."""
-    jet = profiles(grid.nodes)
-    metric = WarpedMetric(grid=grid, phi=jet[0], f=jet[1], name=name,
-                          profiles=profiles, params=dict(params))
-    vars(metric)["node_jet"] = jet
-    return metric
-
-
 # ----------------------------------------------------------------------
 # families
 # ----------------------------------------------------------------------
@@ -107,7 +95,8 @@ def _sphere_profiles(c):
 def round_sphere(grid: RadialGrid | None = None) -> WarpedMetric:
     """The unit round sphere: phi = 1, f = sin."""
     grid = grid or RadialGrid.uniform()
-    return _build(grid, _sphere_profiles(1.0), "round", {})
+    return WarpedMetric.from_profiles(grid, _sphere_profiles(1.0), "round",
+                                      {})
 
 
 def scaled_sphere(c: float, grid: RadialGrid | None = None) -> WarpedMetric:
@@ -116,7 +105,8 @@ def scaled_sphere(c: float, grid: RadialGrid | None = None) -> WarpedMetric:
         raise DomainError("scale factor must be finite and >= 1 to dominate "
                           "the round metric")
     grid = grid or RadialGrid.uniform()
-    return _build(grid, _sphere_profiles(c), "scaled", {"c": c})
+    return WarpedMetric.from_profiles(grid, _sphere_profiles(c), "scaled",
+                                      {"c": c})
 
 
 def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
@@ -143,8 +133,8 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
         f, df, d2f = _modulated_sine(t, g, dg, d2g)
         return 1.0 + g, f, dg, df, d2g, d2f
 
-    return _build(grid, profiles, "bump",
-                  {"eta": eta, "theta0": theta0, "width": width})
+    return WarpedMetric.from_profiles(
+        grid, profiles, "bump", {"eta": eta, "theta0": theta0, "width": width})
 
 
 def _gcorr(t):
@@ -352,9 +342,9 @@ def tendril_sphere(length: float, width: float = 0.1,
                 0.75 * (c_max * ds) ** 2 * r**-2.5 + 0.5 * c_max * d2s * r15,
                 -f)
 
-    return _build(grid, profiles, "tendril",
-                  {"length": length, "width": width, "theta0": theta0,
-                   "c_max": c_max})
+    return WarpedMetric.from_profiles(
+        grid, profiles, "tendril",
+        {"length": length, "width": width, "theta0": theta0, "c_max": c_max})
 
 
 def _tendril_normalize(length, shape, breaks):
@@ -476,9 +466,10 @@ def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,
         zero = np.zeros_like(t)
         return one, f, zero, df, zero, d2f
 
-    return _build(grid, profiles, "bubble",
-                  {"area_radius": area_radius, "neck_theta": neck_theta,
-                   "span": span, "band": band})
+    return WarpedMetric.from_profiles(
+        grid, profiles, "bubble",
+        {"area_radius": area_radius, "neck_theta": neck_theta, "span": span,
+         "band": band})
 
 
 FAMILIES = {

@@ -72,6 +72,19 @@ class WarpedMetric:
         if abs(f[0]) > 1e-13 or abs(f[-1]) > 1e-13:
             raise DegenerateMetricError("f must vanish at both poles")
 
+    @classmethod
+    def from_profiles(cls, grid: RadialGrid, profiles: ProfileFns, name: str,
+                      params: dict) -> "WarpedMetric":
+        """The metric of the analytic `profiles` on `grid`.  The grid nodes
+        are evaluated once, at order 2: phi and f are the same arithmetic
+        at every order, so the samples are the jet's first two entries
+        and the jet is the metric's `node_jet`."""
+        jet = profiles(grid.nodes)
+        metric = cls(grid=grid, phi=jet[0], f=jet[1], name=name,
+                     profiles=profiles, params=dict(params))
+        metric.__dict__["node_jet"] = jet
+        return metric
+
     @property
     def theta(self) -> np.ndarray:
         return self.grid.nodes

@@ -35,31 +35,26 @@ CSV_SEQUENCE_COLUMNS = ("index", "valid", "m", "volume", "volume_gap",
 def _jsonable(obj):
     """Recursively convert dataclasses / numpy scalars to JSON types.
 
-    The built-in types a report is made of are dispatched on their exact
-    type first; subclasses (numpy's float64 is a float) take the general
-    path below."""
+    Python floats, strings, ints, bools and None are dispatched on their
+    exact type first, so numpy scalars (numpy's float64 is a float) still
+    convert through `.item()`: a numpy NaN stays a float NaN, while a
+    non-finite Python float becomes its repr string."""
     kind = type(obj)
     if kind is float:
         return obj if math.isfinite(obj) else repr(obj)
     if kind is str or kind is int or kind is bool or obj is None:
         return obj
-    if kind is dict:
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if kind is list or kind is tuple:
-        return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return repr(obj)
     return obj
 
 

@@ -110,14 +110,14 @@ class TestEvaluation:
         grid nodes (the build's own samples included) and once on the
         refined nodes, and refines the grid once."""
         built, node_sets, refined = [], [], []
-        build = families._build
+        build = metrics.WarpedMetric.from_profiles
         refine = grids.refine_nodes
 
         def counting_refine(*args):
             refined.append(1)
             return refine(*args)
 
-        def counting_build(grid, profiles, name, params):
+        def counting_build(cls, grid, profiles, name, params):
             def counted(t, order=2):
                 node_sets.append(np.array(t))
                 return profiles(t, order)
@@ -125,7 +125,8 @@ class TestEvaluation:
             built.append(build(grid, counted, name, params))
             return built[-1]
 
-        monkeypatch.setattr(families, "_build", counting_build)
+        monkeypatch.setattr(metrics.WarpedMetric, "from_profiles",
+                            classmethod(counting_build))
         for module in (grids, metrics):
             monkeypatch.setattr(module, "refine_nodes", counting_refine)
         assert cli.main(["verify", *argv]) in (0, 1)
@@ -159,9 +160,9 @@ class TestEvaluation:
         """One verify call builds exactly one Simpson rule and one
         cumulative rule on the grid nodes and on the refined nodes."""
         built, rules = [], []
-        build = families._build
+        build = metrics.WarpedMetric.from_profiles
 
-        def capturing_build(*args):
+        def capturing_build(cls, *args):
             built.append(build(*args))
             return built[-1]
 
@@ -171,7 +172,8 @@ class TestEvaluation:
                 return make_rule(x)
             return wrapper
 
-        monkeypatch.setattr(families, "_build", capturing_build)
+        monkeypatch.setattr(metrics.WarpedMetric, "from_profiles",
+                            classmethod(capturing_build))
         for kind in ("simpson_rule", "cumulative_rule"):
             wrapper = counting(kind, getattr(grids, kind))
             for module in (grids, metrics, families):
