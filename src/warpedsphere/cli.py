@@ -14,7 +14,6 @@ import argparse
 import configparser
 import functools
 import inspect
-import math
 import sys
 from typing import Callable
 
@@ -223,27 +222,20 @@ def _key_value_csv(pairs) -> str:
 
 
 def _summary_extras(metric, params: ClassParams) -> dict:
-    """The metric, summary and membership blocks of a report.  A summary
-    quantity that is not finite refuses the metric: no verdict can rest
-    on it."""
+    """The metric, summary and membership blocks of a report."""
     s = summarize(metric)
-    summary = {
-        "volume": s.volume,
-        "diameter_lower": s.diameter_lower,
-        "diameter_upper": s.diameter_upper,
-        "mass": s.mass,
-        "cheeger_surrogate": s.cheeger_surrogate,
-    }
-    for key, value in summary.items():
-        if not math.isfinite(value):
-            raise DegenerateMetricError(
-                f"summary {key} is {value}, not a finite number; the metric "
-                f"cannot be reported")
     member = class_membership(s, params)
     return {
         "metric": {"name": metric.name, "params": metric.params,
                    "grid_n": metric.grid.n},
-        "summary": {**summary, "validation_ok": s.validation.ok},
+        "summary": {
+            "volume": s.volume,
+            "diameter_lower": s.diameter_lower,
+            "diameter_upper": s.diameter_upper,
+            "mass": s.mass,
+            "cheeger_surrogate": s.cheeger_surrogate,
+            "validation_ok": s.validation.ok,
+        },
         "membership": {"admitted": member.admitted, **vars(member)},
     }
 
@@ -268,9 +260,10 @@ def cmd_verify(config: dict) -> int:
              if s.strip()]
     require_suites(names)            # before the solve: bad names exit 2
     tolerance = _float(suite_sec, "tolerance")
+    # before the solve: a metric whose summary overflows is bad input
+    extras = _summary_extras(metric, params)
     pot = _solve(metric, config)
     checks = run_all_checks(pot, ledger, tolerance, suites=names)
-    extras = _summary_extras(metric, params)
     extras["ledger"] = ledger.as_dict()
     doc = rep.build_report(checks, config, seed=_seed(config), extras=extras)
     _emit(config, doc, lambda: rep.checks_csv(checks))

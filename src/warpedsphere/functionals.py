@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import DomainError, ResidualGuardError
 from .grids import ANALYTIC_REFINE, PI, cumulative, integrate, node_weights
-from .metrics import WarpedMetric, ball_volume, scalar_curvature, volume
-from .potential import (PotentialSolution, _sin_fprime_over_f, f_over_sin,
-                        flux_residual)
+from .metrics import (WarpedMetric, ball_volume, f_over_sin,
+                      scalar_curvature, volume)
+from .potential import PotentialSolution, flux_residual
 
 #: flux-law residual above which functional evaluation is refused
 GUARD_TOL = 1e-3
@@ -82,6 +82,7 @@ class _Fields:
     f: np.ndarray
     dphi: np.ndarray
     df: np.ndarray
+    cos: np.ndarray      # cos(theta)
     fos: np.ndarray      # f / sin, pole-safe
     sf: np.ndarray       # sin f'/f, pole-safe
     ratio: np.ndarray    # |grad u| / sin
@@ -100,14 +101,15 @@ def _ratio_on(pot: PotentialSolution) -> np.ndarray:
     node spacing.  The two pole cells (singular cot, f'/f) fall back to
     log interpolation; the ratio is smooth there.
     """
-    t, fine, k = pot.theta, pot.metric.fine, ANALYTIC_REFINE
+    metric, k = pot.metric, ANALYTIC_REFINE
+    t, fine = pot.theta, metric.fine
     n = t.size
     logr_nodes = np.log(np.clip(pot.ratio, 1e-300, None))
-    inner = fine[1:-1]
-    phi_i, f_i, _, df_i, _, _ = (y[1:-1] for y in pot.metric.fine_jet)
-    q = ((3.0 * phi_i - 1.0) * np.cos(inner) / np.sin(inner)
+    inner = slice(1, -1)
+    phi_i, f_i, _, df_i, _, _ = (y[inner] for y in metric.fine_jet)
+    q = ((3.0 * phi_i - 1.0) * metric.fine_cos[inner] / metric.fine_sin[inner]
          - 2.0 * df_i / f_i)
-    cum = cumulative(q, inner)            # zero at fine[1]
+    cum = cumulative(q, fine[inner])      # zero at fine[1]
     logr = np.empty(fine.size)
     logr[0], logr[-1] = logr_nodes[0], logr_nodes[-1]
     j = np.arange(1, fine.size - 1)
@@ -159,18 +161,16 @@ class Evaluation:
         metric, pot = self.metric, self.pot
         refined = metric.profiles is not None
         t, (phi, f, dphi, df, _, _) = metric.nodes_and_jet(refined)
-        fos = f_over_sin(t, f, df)
-        sf = _sin_fprime_over_f(t, f, df, fos)
+        s, c = metric.trig(refined)
+        fos, sf = metric.pole_safe(refined)
         if not refined:
-            return _Fields(False, t, phi, f, dphi, df, fos, sf,
+            return _Fields(False, t, phi, f, dphi, df, c, fos, sf,
                            pot.ratio, pot.du, pot.d2u)
         ratio = _ratio_on(pot)
         sgn = 1.0 if pot.u[-1] >= pot.u[0] else -1.0
-        s = np.sin(t)
         du = sgn * ratio * phi * s
-        d2u = sgn * ratio * (3.0 * phi**2 * np.cos(t)
-                             - 2.0 * phi * sf + dphi * s)
-        return _Fields(True, t, phi, f, dphi, df, fos, sf, ratio, du, d2u)
+        d2u = sgn * ratio * (3.0 * phi**2 * c - 2.0 * phi * sf + dphi * s)
+        return _Fields(True, t, phi, f, dphi, df, c, fos, sf, ratio, du, d2u)
 
     @property
     def _simpson(self):
@@ -186,7 +186,7 @@ class Evaluation:
         with cot |grad u| = ratio * cos in cancelled form.
         """
         fld = self.fields
-        cot_term = fld.ratio * np.cos(fld.theta)
+        cot_term = fld.ratio * fld.cos
         h_rad = (fld.d2u / fld.phi**2 - fld.dphi * fld.du / fld.phi**3
                  + cot_term)
         # (f' u')/(phi^2 f) = -ratio * (f' sin/f) / phi, finite at the poles
@@ -244,9 +244,9 @@ class Evaluation:
         stays finite at the poles.
         """
         fld = self.fields
-        t, f = fld.theta, fld.f
+        f = fld.f
         integrand = np.abs(fld.ratio
-                           * ((3.0 * fld.phi - 1.0) * np.cos(t) * f * fld.fos
+                           * ((3.0 * fld.phi - 1.0) * fld.cos * f * fld.fos
                               - 2.0 * fld.df * f))
         return 4.0 * PI * self._simpson(integrand)
 
@@ -259,7 +259,7 @@ class Evaluation:
         w = node_weights(t) * 4.0 * PI * phi * f**2
         a = max(0.0, weighted_median(pot.ratio, w))
         gap_ratio = float(np.sum(w * np.abs(pot.ratio - a)))
-        resid = pot.u - a * np.cos(t)
+        resid = pot.u - a * self.metric.node_cos
         sigma = weighted_median(resid, w)
         gap_u = float(np.sum(w * np.abs(resid - sigma)))
         return AlignmentConstants(a=a, sigma=sigma,
@@ -296,7 +296,7 @@ class Evaluation:
         def one_side(lo, hi):
             s = np.linspace(lo, hi, 2001)
             phi, f, _, df, _, _ = self.metric.jet(s)
-            fos = f_over_sin(s, f, df)
+            fos = f_over_sin(np.sin(s), f, df)
             ratio = np.interp(s, self.pot.theta, self.pot.ratio)
             return 4.0 * PI * integrate(ratio * phi * fos**2, s)
 
@@ -306,9 +306,8 @@ class Evaluation:
 def set_measure(metric: WarpedMetric, mask: np.ndarray,
                 use_round: bool = False) -> float:
     """Node-indicator measure of {mask} under dV_g or dV_round."""
-    t = metric.theta
-    w = node_weights(t)
-    dens = 4.0 * PI * (np.sin(t)**2 if use_round
+    w = node_weights(metric.theta)
+    dens = 4.0 * PI * (metric.node_sin**2 if use_round
                        else metric.phi * metric.f**2)
     return float(np.sum(w[mask] * dens[mask]))
 

@@ -44,7 +44,9 @@ class WarpedMetric:
     and their derivatives from `jet`, or from the jets cached on the grid
     nodes (`node_jet`) and on the refined nodes (`fine_jet`), and
     integrates on those node sets with the Simpson and cumulative rules
-    cached beside them.
+    cached beside them.  The sines and cosines of each node set, and the
+    pole-safe f/sin built from them, are cached there too; each is
+    computed from its own node set on first read.
     """
 
     grid: RadialGrid
@@ -147,6 +149,46 @@ class WarpedMetric:
         return self.fine_simpson if fine else self.node_simpson
 
     @cached_property
+    def node_sin(self) -> np.ndarray:
+        return np.sin(self.theta)
+
+    @cached_property
+    def node_cos(self) -> np.ndarray:
+        return np.cos(self.theta)
+
+    @cached_property
+    def fine_sin(self) -> np.ndarray:
+        return np.sin(self.fine)
+
+    @cached_property
+    def fine_cos(self) -> np.ndarray:
+        return np.cos(self.fine)
+
+    def trig(self, fine: bool) -> tuple:
+        """(sin, cos) of the refined nodes or of the grid nodes."""
+        if fine:
+            return self.fine_sin, self.fine_cos
+        return self.node_sin, self.node_cos
+
+    @cached_property
+    def node_fos(self) -> np.ndarray:
+        """f/sin on the grid nodes, pole-safe (`f_over_sin`)."""
+        return f_over_sin(self.node_sin, self.node_jet[1], self.node_jet[3])
+
+    @cached_property
+    def fine_fos(self) -> np.ndarray:
+        """f/sin on the refined nodes, pole-safe (`f_over_sin`)."""
+        return f_over_sin(self.fine_sin, self.fine_jet[1], self.fine_jet[3])
+
+    def pole_safe(self, fine: bool) -> tuple:
+        """(f/sin, sin f'/f) on the refined nodes or on the grid nodes.
+        f/sin is the cached one; sin f'/f is built from it on each call,
+        as an analytic metric reads it once per node set."""
+        t, jet = self.nodes_and_jet(fine)
+        fos = self.fine_fos if fine else self.node_fos
+        return fos, _sin_fprime_over_f(t, self.trig(fine)[0], jet, fos)
+
+    @cached_property
     def deficit(self) -> float:
         """The deficit m(g) of `scalar_deficit`, computed once per metric."""
         return scalar_deficit(self)
@@ -156,6 +198,29 @@ class WarpedMetric:
         if fine:
             return self.fine, self.fine_jet
         return self.theta, self.node_jet
+
+
+def f_over_sin(s: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
+    """f / sin from the sines s of some nodes and f, f' on them, with the
+    pole limit f'(pole) = phi(pole) filled in."""
+    out = np.empty_like(s)
+    safe = s > 1e-9
+    out[safe] = f[safe] / s[safe]
+    out[~safe] = df[~safe]
+    return np.abs(out)
+
+
+def _sin_fprime_over_f(t: np.ndarray, s: np.ndarray, jet: tuple,
+                       fos: np.ndarray) -> np.ndarray:
+    """sin * f'/f on the nodes t from their sines s, the profile jet and
+    f/sin, finite at the poles (limit cos * phi/phi = +-1)."""
+    f, df = jet[1], jet[3]
+    sgn = np.where(t <= PI / 2, 1.0, -1.0)
+    out = np.empty_like(s)
+    safe = np.abs(f) > 1e-12
+    out[safe] = s[safe] * df[safe] / f[safe]
+    out[~safe] = sgn[~safe] * np.abs(df[~safe]) / fos[~safe]
+    return out
 
 
 @dataclass(frozen=True)
@@ -223,7 +288,6 @@ class ValidationReport:
 
 def validate(metric: WarpedMetric) -> ValidationReport:
     """Check pole closure and the pointwise comparison g >= round."""
-    t = metric.theta
     msgs = []
     df = metric.node_jet[3]
     d0 = abs(df[0] - metric.phi[0])
@@ -234,7 +298,7 @@ def validate(metric: WarpedMetric) -> ValidationReport:
     if not closure:
         msgs.append(f"pole closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
     m_phi = float(np.min(metric.phi - 1.0))
-    m_f = float(np.min(metric.f - np.sin(t)))
+    m_f = float(np.min(metric.f - metric.node_sin))
     comparison = m_phi >= -COMPARISON_TOL and m_f >= -COMPARISON_TOL
     if not comparison:
         msgs.append("metric fails the pointwise comparison with the round sphere")
@@ -349,16 +413,20 @@ class MembershipReport:
 
 
 def summarize(metric: WarpedMetric) -> GeometrySummary:
+    """The geometry summary of the metric.  A summary quantity that is not
+    finite refuses the metric with a DegenerateMetricError: no verdict
+    can rest on it."""
     from .distance import diameter_bounds
     lo, hi = diameter_bounds(metric)
-    return GeometrySummary(
-        volume=volume(metric),
-        diameter_lower=lo,
-        diameter_upper=hi,
-        mass=metric.deficit,
-        cheeger_surrogate=cheeger_levelset(metric)[0],
-        validation=validate(metric),
-    )
+    values = {"volume": volume(metric), "diameter_lower": lo,
+              "diameter_upper": hi, "mass": metric.deficit,
+              "cheeger_surrogate": cheeger_levelset(metric)[0]}
+    for key, value in values.items():
+        if not np.isfinite(value):
+            raise DegenerateMetricError(
+                f"summary {key} is {value}, not a finite number; the metric "
+                f"cannot be reported")
+    return GeometrySummary(**values, validation=validate(metric))
 
 
 def class_membership(summary: GeometrySummary,

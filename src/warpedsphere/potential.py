@@ -21,7 +21,7 @@ whose logarithm stays moderate:
 
 with p the pole value of phi on each side and J the regular part of I.
 
-`solve_quadrature` evaluates this closed form; `solve_picard` solves the
+`solve_quadrature` evaluates this closed form; `solve_bvp` solves the
 flux fixed-point iteratively on a truncated interval and serves as an
 independent cross-check.  Both self-report a pointwise PDE residual.
 """
@@ -73,36 +73,12 @@ class PotentialSolution:
         return self.metric.theta
 
 
-def f_over_sin(t: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """f / sin from f, f' on the nodes t, with the pole limit f'(pole) =
-    phi(pole) filled in."""
-    s = np.sin(t)
+def _regular_cot_term(phi, dphi, p_side, s, c):
+    """(phi - p) cot(theta) from the sines s and cosines c of the nodes,
+    with the pole limits phi'(pole) filled in."""
     out = np.empty_like(s)
     safe = s > 1e-9
-    out[safe] = f[safe] / s[safe]
-    out[~safe] = df[~safe]
-    return np.abs(out)
-
-
-def _sin_fprime_over_f(t: np.ndarray, f: np.ndarray, df: np.ndarray,
-                       fos: np.ndarray) -> np.ndarray:
-    """sin * f'/f from f, f' and f/sin on the nodes t, finite at the poles
-    (limit cos * phi/phi = +-1)."""
-    sgn = np.where(t <= PI / 2, 1.0, -1.0)
-    s = np.sin(t)
-    out = np.empty_like(s)
-    safe = np.abs(f) > 1e-12
-    out[safe] = s[safe] * df[safe] / f[safe]
-    out[~safe] = sgn[~safe] * np.abs(df[~safe]) / fos[~safe]
-    return out
-
-
-def _regular_cot_term(phi, dphi, p_side, t):
-    """(phi - p) cot(theta) with the pole limits phi'(pole) filled in."""
-    s = np.sin(t)
-    out = np.empty_like(t)
-    safe = s > 1e-9
-    out[safe] = (phi[safe] - p_side[safe]) * np.cos(t[safe]) / s[safe]
+    out[safe] = (phi[safe] - p_side[safe]) * c[safe] / s[safe]
     out[~safe] = dphi[~safe]
     return out
 
@@ -110,11 +86,11 @@ def _regular_cot_term(phi, dphi, p_side, t):
 def log_ratio_parts(metric: WarpedMetric):
     """Unnormalized log ratio on the metric's refined nodes.
 
-    Returns (fine_nodes, log_ratio, phi_fine).  The additive constant is
-    arbitrary; the solver fixes it through the mass normalization.
+    Returns (log_ratio, phi_fine).  The additive constant is arbitrary;
+    the solver fixes it through the mass normalization.
     """
     fine = metric.fine
-    phi, f, dphi, df, _, _ = metric.fine_jet
+    phi, _, dphi, _, _, _ = metric.fine_jet
     p0, ppi = metric.phi[0], metric.phi[-1]
     if abs(p0 - 1.0) < _POLE_SNAP:
         p0 = 1.0
@@ -122,14 +98,15 @@ def log_ratio_parts(metric: WarpedMetric):
         ppi = 1.0
     p_side = np.where(fine < PI / 2, p0, ppi)
 
-    J = metric.fine_cumulative(_regular_cot_term(phi, dphi, p_side, fine))
+    s = metric.fine_sin
+    J = metric.fine_cumulative(
+        _regular_cot_term(phi, dphi, p_side, s, metric.fine_cos))
     J = J - np.interp(PI / 2, fine, J)
 
-    log_sin = np.log(np.clip(np.sin(fine), 1e-300, None))
+    log_sin = np.log(np.clip(s, 1e-300, None))
     coef = 3.0 * p_side - 3.0
     sin_term = np.where(coef == 0.0, 0.0, coef * log_sin)
-    fos = f_over_sin(fine, f, df)
-    return fine, 3.0 * J + sin_term - 2.0 * np.log(fos), phi
+    return 3.0 * J + sin_term - 2.0 * np.log(metric.fine_fos), phi
 
 
 def solve_quadrature(metric: WarpedMetric,
@@ -142,8 +119,8 @@ def solve_quadrature(metric: WarpedMetric,
     """
     if not (0.0 < residual_tol < np.inf):
         raise DomainError(f"residual_tol {residual_tol} must be finite > 0")
-    fine, lr, phi_fine = log_ratio_parts(metric)
-    s = np.sin(fine)
+    lr, phi_fine = log_ratio_parts(metric)
+    s = metric.fine_sin
     lr_max = float(np.max(lr))
     r = np.exp(lr - lr_max)              # ratio up to the constant K
     dens = r * phi_fine * s              # |u'| up to K
@@ -155,11 +132,11 @@ def solve_quadrature(metric: WarpedMetric,
     u_fine = 1.0 + metric.fine_cumulative(du_fine)
 
     sk = slice(None, None, ANALYTIC_REFINE)
-    t = metric.theta
     du, u, ratio = du_fine[sk], u_fine[sk], K * r[sk]
-    phi, f, dphi, df, _, _ = metric.node_jet
-    sf = _sin_fprime_over_f(t, f, df, f_over_sin(t, f, df))
-    d2u = du * dphi / phi + ratio * phi * (2.0 * sf - 3.0 * phi * np.cos(t))
+    phi, _, dphi, _, _, _ = metric.node_jet
+    _, sf = metric.pole_safe(False)
+    d2u = du * dphi / phi + ratio * phi * (2.0 * sf
+                                           - 3.0 * phi * metric.node_cos)
 
     sol = PotentialSolution(metric=metric, u=u, du=du, d2u=d2u,
                             ratio=ratio, method="quadrature",
@@ -257,7 +234,7 @@ def solve_bvp(metric: WarpedMetric,
                         np.interp(t, tb, np.gradient(du_b, tb, edge_order=2)),
                         0.0)
     phi_t = metric.node_jet[0]
-    s = np.clip(np.sin(t), 1e-300, None)
+    s = np.clip(metric.node_sin, 1e-300, None)
     ratio = np.abs(du_full) / (phi_t * s)
     i_mid = n // 2
     flux_c = float(a[i_mid] * du_b[i_mid])   # I(pi/2) = 0 in the flux law
@@ -329,15 +306,15 @@ def pde_residual(sol: PotentialSolution) -> ResidualReport:
     differentiates it with 9-point finite differences, so the check is
     independent of how the solution was produced.
     """
-    t, band = sol.theta, sol.residual_band
+    t, band, metric = sol.theta, sol.residual_band, sol.metric
     b = _band(t, band)
-    phi, f = sol.metric.node_jet[:2]
+    phi, f = metric.node_jet[:2]
     w = f**2 * sol.du / phi
     sl = slice(max(b.start - 6, 0), min(b.stop + 6, t.size))
     dw = _derivative_high_order(w[sl], t[sl])[b.start - sl.start:
                                               b.stop - sl.start]
     tb, phi, f = t[b], phi[b], f[b]
-    cot = np.cos(tb) / np.sin(tb)
+    cot = metric.node_cos[b] / metric.node_sin[b]
     resid = (dw - 3.0 * phi * cot * w[b]) / (phi * f**2)
     l2 = float(np.sqrt(max(integrate(resid**2, tb), 0.0)))
     return ResidualReport(theta=tb, residual=resid,
@@ -361,8 +338,7 @@ def flux_residual(sol: PotentialSolution) -> float:
     w = f**2 * sol.du / phi
     logw = np.log(np.clip(np.abs(w[b]), 1e-300, None))
     fb = slice(k * b.start, k * (b.stop - 1) + 1)
-    x = metric.fine[fb]
-    target = cumulative(3.0 * metric.fine_jet[0][fb] * np.cos(x) / np.sin(x),
-                        x)[::k]
+    target = cumulative(3.0 * metric.fine_jet[0][fb] * metric.fine_cos[fb]
+                        / metric.fine_sin[fb], metric.fine[fb])[::k]
     defect = (np.diff(logw) - np.diff(target)) / np.diff(t[b])
     return float(np.max(np.abs(defect)))

@@ -94,7 +94,6 @@ def _global_suite(ev: Evaluation, ledger: ConstantLedger,
     """
     metric, pot = ev.metric, ev.pot
     ci, m, ac = ev.core, ev.m, ev.alignment
-    th = pot.theta
     tau_cheb = 0.1
 
     out = [
@@ -113,7 +112,7 @@ def _global_suite(ev: Evaluation, ledger: ConstantLedger,
                       set_measure(metric, bad_ratio),
                       ledger.C4 * m / tau_cheb, tol,
                       m=m, tau=tau_cheb, a=ac.a))
-    bad_u = np.abs(pot.u - ac.a * np.cos(th) - ac.sigma) > tau_cheb
+    bad_u = np.abs(pot.u - ac.a * metric.node_cos - ac.sigma) > tau_cheb
     out.append(_check("cor_3_6_chebyshev",
                       set_measure(metric, bad_u),
                       ledger.c_cor36 * m / tau_cheb, tol,
@@ -167,7 +166,7 @@ def _witness_measure(pot: PotentialSolution, a: float, sigma: float,
                      r: float, tau: float, gamma: float, pole: int) -> float:
     """Round measure of {|u - a cos - sigma| <= tau, u >< gamma} cap."""
     th = pot.theta
-    aligned = np.abs(pot.u - a * np.cos(th) - sigma) <= tau
+    aligned = np.abs(pot.u - a * pot.metric.node_cos - sigma) <= tau
     if pole > 0:
         mask = aligned & (pot.u > gamma) & (th <= r)
     else:

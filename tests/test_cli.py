@@ -146,17 +146,22 @@ class TestInputContract:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_non_finite_summary_exits_2(self, capsys):
-        # volume overflows to inf; m and the Cheeger surrogate are nan
+    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    def test_non_finite_summary_exits_2(self, command, capsys):
+        # volume overflows to inf; m and the Cheeger surrogate are nan.
+        # verify refuses the metric before the solve, whose residual
+        # self-check would otherwise read nan and exit 3
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert main(["analyze", "--family", "bump",
+            assert main([command, "--family", "bump",
                          "--param", "eta=1e300"]) == 2
-        err = capsys.readouterr().err
-        assert "Traceback" not in err
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
         assert err.splitlines()[-1].startswith("error: summary volume is inf")
 
     def test_sequence_reports_non_finite_member_in_place(self):
+        """A member whose summary is not finite is invalid, with the
+        summary gate's one-line error; the sequence goes on."""
         spec = SequenceSpec(family="bump", schedule=({"eta": 1e300},
                                                      {"eta": 0.5}),
                             name="bump-extreme")
@@ -164,7 +169,12 @@ class TestInputContract:
             entries = run_sequence(spec, ClassParams(40.0, 10.0, 1.0,
                                                      1.0)).entries
         assert [e.index for e in entries] == [1, 2]
-        assert entries[0].volume == np.inf and not entries[0].admitted
+        bad = entries[0]
+        assert not bad.valid and not bad.admitted and not bad.cheeger_fails
+        assert bad.error.startswith(
+            "DegenerateMetricError: summary volume is inf")
+        assert "\n" not in bad.error and np.isnan(bad.volume)
+        assert entries[1].valid and entries[1].error == ""
         assert np.isfinite(entries[1].volume) and entries[1].admitted
 
     def test_coarse_grid_verify_is_silent(self, capsys):

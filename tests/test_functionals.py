@@ -1,5 +1,7 @@
 """Curvature functionals, medians, shells and good sets."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,6 +189,51 @@ class TestEvaluation:
                            if x.shape == nodes.shape
                            and np.array_equal(x, nodes))
             assert kinds == ["cumulative_rule", "simpson_rule"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "round"], ["--family", "scaled", "--param", "c=1.3"],
+        ["--family", "bump", "--param", "eta=0.5"],
+        ["--family", "tendril", "--param", "length=1.5"],
+        ["--family", "bubble", "--param", "area_radius=2",
+         "--param", "neck_theta=0.05"],
+        ["--family", "bump", "--param", "eta=2", "--grid-size", "1000"]])
+    def test_verify_takes_trig_once_per_node_set(self, argv, monkeypatch,
+                                                  capsys):
+        """Outside the families' profile jets, one verify call runs np.sin
+        and np.cos each at most once on the grid nodes and at most once
+        on the refined nodes; every other reader slices those."""
+        built, calls = [], []
+        build = metrics.WarpedMetric.from_profiles
+
+        def capturing_build(cls, *args):
+            built.append(build(*args))
+            return built[-1]
+
+        def counting(name, fn):
+            def wrapper(x, *args, **kwargs):
+                caller = sys._getframe(1).f_globals.get("__name__")
+                if caller != families.__name__ and isinstance(x, np.ndarray):
+                    calls.append((name, np.array(x)))
+                return fn(x, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(metrics.WarpedMetric, "from_profiles",
+                            classmethod(capturing_build))
+        for name in ("sin", "cos"):
+            monkeypatch.setattr(np, name, counting(name, getattr(np, name)))
+        assert cli.main(["verify", *argv]) in (0, 1)
+        capsys.readouterr()
+        (metric,) = built
+        for name in ("sin", "cos"):
+            on_grid = on_fine = 0
+            for fn, x in calls:
+                if fn != name:
+                    continue
+                if np.isin(x, metric.theta).all():     # grid nodes or a part
+                    on_grid += 1
+                elif np.isin(x, metric.fine).all():
+                    on_fine += 1
+            assert on_grid <= 1 and on_fine <= 1, (name, on_grid, on_fine)
 
 
 class TestIdentityChain:
