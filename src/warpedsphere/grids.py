@@ -18,7 +18,7 @@ Each rule is built once per node set: `simpson_rule(x)` and
 return the rule as a function of the samples y.  A metric keeps the
 rules of its grid nodes and refined nodes beside its profile jets;
 `integrate` and `cumulative` build a rule for one use, for node sets
-that occur once (band slices, polar sub-grids).
+that occur once (band slices, ball sub-grids).
 """
 
 from __future__ import annotations

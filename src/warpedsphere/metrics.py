@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError, StructuralError
-from .grids import (PI, RadialGrid, cumulative_rule, integrate, refine_nodes,
-                    simpson_rule)
+from .grids import (PI, RadialGrid, cumulative_rule, integrate, node_weights,
+                    refine_nodes, simpson_rule)
 
 #: slop admitted in the pointwise comparison checks (phi >= 1, f >= sin)
 COMPARISON_TOL = 1e-12
@@ -143,6 +143,11 @@ class WarpedMetric:
     def fine_cumulative(self):
         """`grids.cumulative_rule` on the refined nodes, built once."""
         return cumulative_rule(self.fine)
+
+    @cached_property
+    def node_trapezoid(self) -> np.ndarray:
+        """`grids.node_weights` of the grid nodes, built once."""
+        return node_weights(self.theta)
 
     def simpson(self, fine: bool):
         """The Simpson rule on the refined nodes or on the grid nodes."""
@@ -415,12 +420,15 @@ class MembershipReport:
 def summarize(metric: WarpedMetric) -> GeometrySummary:
     """The geometry summary of the metric.  A summary quantity that is not
     finite refuses the metric with a DegenerateMetricError: no verdict
-    can rest on it."""
+    can rest on it.  numpy's overflow and invalid-value warnings are
+    therefore silenced while the quantities are computed; the refusal
+    names the first one that is not finite."""
     from .distance import diameter_bounds
-    lo, hi = diameter_bounds(metric)
-    values = {"volume": volume(metric), "diameter_lower": lo,
-              "diameter_upper": hi, "mass": metric.deficit,
-              "cheeger_surrogate": cheeger_levelset(metric)[0]}
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lo, hi = diameter_bounds(metric)
+        values = {"volume": volume(metric), "diameter_lower": lo,
+                  "diameter_upper": hi, "mass": metric.deficit,
+                  "cheeger_surrogate": cheeger_levelset(metric)[0]}
     for key, value in values.items():
         if not np.isfinite(value):
             raise DegenerateMetricError(

@@ -5,6 +5,10 @@ One JSON document per run with schema
 plus CSV flattenings of the check table and the convergence table.
 Identical configuration and seed yield byte-identical reports except for
 the timestamp field; file writes go through a temp file and rename.
+
+`report_json` writes the document directly: its bytes equal those of
+`json.dumps(doc, sort_keys=True, indent=2)`, whose `indent` would send
+Python's json through its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import math
 import os
 import tempfile
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Optional
 
 import numpy as np
@@ -90,8 +95,84 @@ def build_report(checks: Iterable[CheckResult], config: dict,
     return doc
 
 
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(obj) -> str:
+    """A str, float, None, bool or int as `json` writes it, subclasses
+    included: floats by float.__repr__, non-finite ones as NaN, Infinity
+    and -Infinity."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    f"is not JSON serializable")
+
+
+def _write(obj, pad: str, out: list) -> None:
+    """Append the text of obj, indented by `pad`, to out, as json's
+    encoder writes it with sort_keys=True and indent=2.  Dict keys must
+    be strings, as `_jsonable` makes them."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        head = "{\n" + inner
+        for key, value in sorted(obj.items()):
+            # finite floats and strings, most of a report, skip the call
+            kind = type(value)
+            if kind is float and value - value == 0.0:
+                out.append(f"{head}{_quote(key)}: {value!r}")
+            elif kind is str:
+                out.append(f"{head}{_quote(key)}: {_quote(value)}")
+            elif isinstance(value, _CONTAINERS):
+                out.append(f"{head}{_quote(key)}: ")
+                _write(value, inner, out)
+            else:
+                out.append(f"{head}{_quote(key)}: {_scalar(value)}")
+            head = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        head = "[\n" + inner
+        for value in obj:
+            if isinstance(value, _CONTAINERS):
+                out.append(head)
+                _write(value, inner, out)
+            else:
+                out.append(head + _scalar(value))
+            head = ",\n" + inner
+        out.append("\n" + pad + "]")
+    else:
+        out.append(_scalar(obj))
+
+
 def report_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The document as `json.dumps(doc, sort_keys=True, indent=2)` writes
+    it, plus a newline; its dict keys must be strings."""
+    out: list = []
+    _write(doc, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _csv_num(x) -> str:

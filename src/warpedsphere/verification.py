@@ -21,8 +21,8 @@ import numpy as np
 from .constants import ConstantLedger
 from .errors import ConfigError, DomainError
 from .families import make
-from .functionals import (Evaluation, good_set_volumes, set_measure,
-                          sublevel_round_volume)
+from .functionals import (POLAR_RADII, Evaluation, good_set_volumes,
+                          set_measure, sublevel_round_volume)
 from .grids import PI
 from .metrics import ClassParams, WarpedMetric, class_membership, summarize
 from .potential import PotentialSolution
@@ -120,7 +120,6 @@ def _global_suite(ev: Evaluation, ledger: ConstantLedger,
     return out
 
 
-_POLAR_RADII = (PI / 32, PI / 16, PI / 8)
 _SUBLEVEL_GAMMAS = (0.0, 0.5, 0.9)
 
 
@@ -137,12 +136,12 @@ def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
                           value / np.sin(sigma)**2, ledger.c_shell, tol,
                           sigma=sigma, shell_integral=value))
 
-    for i, r in enumerate(_POLAR_RADII, start=1):
+    for i, r in enumerate(POLAR_RADII, start=1):
         v_p, v_mp = ev.polar_csc3(r)
         out.append(_check(f"lemma_4_2_p_{i}", v_p, ledger.C6, tol, r=r))
         out.append(_check(f"lemma_4_2_mp_{i}", v_mp, ledger.C6, tol, r=r))
 
-    for i, t in enumerate(_POLAR_RADII, start=1):
+    for i, t in enumerate(POLAR_RADII, start=1):
         avg_p = float(np.interp(t, pot.theta, pot.u))
         avg_mp = float(np.interp(PI - t, pot.theta, pot.u))
         rhs = ledger.C7 * np.sin(t)
@@ -151,7 +150,7 @@ def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
         out.append(_check(f"lemma_4_3_mp_{i}", 1.0 + avg_mp, rhs, tol,
                           t=t, average=avg_mp))
 
-    for i, r in enumerate(_POLAR_RADII, start=1):
+    for i, r in enumerate(POLAR_RADII, start=1):
         sin3 = 2.0 / 3.0 - np.cos(r) + np.cos(r)**3 / 3.0
         for j, gamma in enumerate(_SUBLEVEL_GAMMAS, start=1):
             rhs = 4.0 * PI * ledger.C8 / (1.0 - gamma) * sin3

@@ -126,12 +126,15 @@ class TestInputContract:
           "--param", "area_radius=nan", "--param", "neck_theta=0.05"], None),
         (["analyze", "--grid-size", "301", "--family", "tendril",
           "--param", "length=nan"], None),
+        (["analyze", "--family", "bump", "--param", "eta=1e300"], None),
+        (["verify", "--family", "bump", "--param", "eta=1e300"], None),
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
             "residual-tol-nan", "residual-tol-inf", "grid-size-negative",
             "scaled-c-inf", "bump-eta-inf", "bubble-area-radius-inf",
-            "bubble-area-radius-nan", "tendril-length-nan"])
+            "bubble-area-radius-nan", "tendril-length-nan",
+            "analyze-bump-eta-1e300", "verify-bump-eta-1e300"])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:

@@ -110,7 +110,9 @@ class TestEvaluation:
                                                          capsys):
         """One verify call evaluates the profile jet exactly once on the
         grid nodes (the build's own samples included) and once on the
-        refined nodes, and refines the grid once."""
+        refined nodes, and refines the grid once.  The polar masses add
+        one order-0 evaluation on the concatenated pole sub-grids and one
+        order-2 evaluation on their pole nodes, and nothing else."""
         built, node_sets, refined = [], [], []
         build = metrics.WarpedMetric.from_profiles
         refine = grids.refine_nodes
@@ -121,7 +123,7 @@ class TestEvaluation:
 
         def counting_build(cls, grid, profiles, name, params):
             def counted(t, order=2):
-                node_sets.append(np.array(t))
+                node_sets.append((order, np.array(t)))
                 return profiles(t, order)
 
             built.append(build(grid, counted, name, params))
@@ -135,20 +137,17 @@ class TestEvaluation:
         capsys.readouterr()
         (metric,) = built
 
-        def evaluations(nodes):
-            return sum(t.shape == nodes.shape and np.array_equal(t, nodes)
-                       for t in node_sets)
+        def evaluations(nodes, order=2):
+            return sum(o == order and t.shape == nodes.shape
+                       and np.array_equal(t, nodes) for o, t in node_sets)
 
+        polar = functionals._polar_grids()
         assert evaluations(metric.theta) == 1   # the build's samples
         assert evaluations(metric.fine) == 1    # the solve reads it
+        assert evaluations(polar.nodes, 0) == 1
+        assert evaluations(polar.nodes[polar.poles]) == 1
+        assert len(node_sets) == 4
         assert len(refined) == 1
-        # every other evaluation is one of polar_csc3's pole sub-grids
-        others = [(t[0], t[-1]) for t in node_sets
-                  if not (np.array_equal(t, metric.theta)
-                          or np.array_equal(t, metric.fine))]
-        radii = verification._POLAR_RADII
-        assert sorted(others) == sorted(
-            [(0.0, r) for r in radii] + [(PI - r, PI) for r in radii])
 
     @pytest.mark.parametrize("argv", [
         ["--family", "round"], ["--family", "scaled", "--param", "c=1.3"],
@@ -189,6 +188,27 @@ class TestEvaluation:
                            if x.shape == nodes.shape
                            and np.array_equal(x, nodes))
             assert kinds == ["cumulative_rule", "simpson_rule"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "round"], ["--family", "bump", "--param", "eta=0.5"],
+        ["--family", "tendril", "--param", "length=1.5"]])
+    def test_verify_builds_trapezoid_weights_once(self, argv, monkeypatch,
+                                                  capsys):
+        """The set measures and the alignment constants of one verify call
+        read one set of trapezoid weights, cached on the metric."""
+        calls = []
+        weights = grids.node_weights
+
+        def counting(x):
+            calls.append(1)
+            return weights(x)
+
+        for module in (grids, metrics, functionals):
+            if hasattr(module, "node_weights"):
+                monkeypatch.setattr(module, "node_weights", counting)
+        assert cli.main(["verify", *argv]) in (0, 1)
+        capsys.readouterr()
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("argv", [
         ["--family", "round"], ["--family", "scaled", "--param", "c=1.3"],

@@ -16,14 +16,16 @@ import pytest
 from warpedsphere import (RadialGrid, flux_residual, load_profile_table,
                           save_profile_table, solve_quadrature)
 from warpedsphere import verification
-from warpedsphere.functionals import (Evaluation, _Fields, set_measure,
+from warpedsphere.functionals import (POLAR_RADII, Evaluation, _Fields,
+                                      _polar_grids, set_measure,
                                       weighted_median)
-from warpedsphere.grids import ANALYTIC_REFINE, PI, cumulative, node_weights
+from warpedsphere.grids import (ANALYTIC_REFINE, PI, cumulative, integrate,
+                                node_weights)
 from warpedsphere.metrics import validate
 from warpedsphere.potential import (RESIDUAL_BAND, _POLE_SNAP, _band,
                                     _derivative_high_order)
 
-from conftest import REFERENCE_BUILDERS, REFERENCE_NAMES
+from conftest import ORACLE_CASES, REFERENCE_BUILDERS, REFERENCE_NAMES
 
 #: (reference, grid) cases: the five families on uniform and graded
 #: grids, tendril on its own grid, and two sampled tables
@@ -167,6 +169,20 @@ def _ratio_on(pot):
     return np.exp(logr)
 
 
+def _polar_csc3(pot, r):
+    """The polar masses at r, one radius at a time: an order-2 jet, fresh
+    sines and a fresh Simpson rule on each 2001-node sub-grid."""
+
+    def one_side(lo, hi):
+        s = np.linspace(lo, hi, 2001)
+        phi, f, _, df, _, _ = pot.metric.jet(s)
+        fos = _f_over_sin(s, f, df)
+        ratio = np.interp(s, pot.theta, pot.ratio)
+        return 4.0 * PI * integrate(ratio * phi * fos**2, s)
+
+    return one_side(0.0, r), one_side(PI - r, PI)
+
+
 class _OracleEvaluation(Evaluation):
     """An Evaluation whose trig readers use the pre-cache formulas; the
     properties built on them (core, csc_hessian_l1) follow."""
@@ -275,8 +291,19 @@ class TestBitwiseOracle:
         assert ev.core == oracle.core
         assert ev.csc_hessian_l1 == oracle.csc_hessian_l1
         assert ev.m == oracle.m and ev.shells == oracle.shells
-        for r in verification._POLAR_RADII:
-            assert ev.polar_csc3(r) == oracle.polar_csc3(r)
+        for r in POLAR_RADII:
+            assert ev.polar_csc3(r) == _polar_csc3(pot, r), r
+
+    @pytest.mark.parametrize("case", [c for c in ORACLE_CASES
+                                      if c.endswith("-bvp")])
+    def test_polar_masses_of_bvp_solutions(self, oracle_solutions, case):
+        pot = oracle_solutions(case)
+        # unguarded, so that the bvp potentials the guard refuses
+        # are compared too
+        ev = Evaluation.__new__(Evaluation)
+        ev.metric, ev.pot = pot.metric, pot
+        for r in POLAR_RADII:
+            assert ev.polar_csc3(r) == _polar_csc3(pot, r), r
 
     @pytest.mark.parametrize("case", CASES)
     def test_set_measures_and_validation(self, solutions, case):
@@ -310,6 +337,46 @@ def _reader_slices(metric):
     out.append((fine, slice(1, -1)))                       # _ratio_on
     out.append((fine, np.sin(fine) > 1e-9))                # cot term
     return out
+
+
+class TestPolarBatch:
+    """The polar masses evaluate the six sub-grids as one concatenated
+    node set, phi and f at order 0 and f' on the pole nodes only."""
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_order_0_is_the_order_2_phi_and_f(self, solutions, case):
+        metric, nodes = solutions(case).metric, _polar_grids().nodes
+        phi, f = metric.jet(nodes, 0)
+        jet = metric.jet(nodes)
+        assert _same(phi, jet[0]) and _same(f, jet[1])
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_slices_equal_each_sub_grid_alone(self, solutions, case):
+        pot = solutions(case)
+        grids = _polar_grids()
+        batch = pot.metric.jet(grids.nodes)
+        ratio = np.interp(grids.nodes, pot.theta, pot.ratio)
+        for piece, _ in grids.pieces:
+            s = grids.nodes[piece]
+            alone = pot.metric.jet(s)
+            for got, want in zip(batch, alone):
+                assert _same(got[piece], want)
+            assert _same(ratio[piece],
+                         np.interp(s, pot.theta, pot.ratio))
+        poles = pot.metric.jet(grids.nodes[grids.poles])
+        for got, want in zip(poles, batch):
+            assert _same(got, want[grids.poles])
+
+    def test_sub_grids_and_pole_nodes(self):
+        grids = _polar_grids()
+        assert grids is _polar_grids()         # built once per process
+        n = grids.nodes.size // 6
+        expected = [np.linspace(lo, hi, n) for r in POLAR_RADII
+                    for lo, hi in ((0.0, r), (PI - r, PI))]
+        assert _same(grids.nodes, np.concatenate(expected))
+        sin = np.sin(grids.nodes)
+        assert _same(grids.poles, np.flatnonzero(sin <= 1e-9))
+        assert grids.nodes[grids.poles].tolist() == [0.0, PI] * 3
 
 
 class TestSlicesOfTheCache:

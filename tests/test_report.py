@@ -1,11 +1,15 @@
-"""Report serialization: hashing, CSV precision, atomic writes."""
+"""Report serialization: hashing, JSON text, CSV precision, atomic
+writes."""
 
 import dataclasses
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpedsphere import (build_report, checks_csv, config_hash,
                           report_json, write_text_atomic)
@@ -112,6 +116,109 @@ class TestJsonable:
         got = _jsonable(obj)
         assert json.dumps(got) == text
         assert _builtin_leaves(got)
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not the int"
+
+
+class _Float(float):
+    def __repr__(self):
+        return "not the float"
+
+
+class _Str(str):
+    def __str__(self):
+        return "not the str"
+
+
+#: characters json escapes or that need care: quotes, backslash, control
+#: characters, DEL, non-ASCII, line separators, astral code points
+_AWKWARD = st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f",
+                            "\x7f", "/", "\u00e9", "\u2028", "\u2603",
+                            "\U0001f600", "a"])
+_TEXT = st.one_of(st.text(max_size=8), st.text(_AWKWARD, max_size=8))
+_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16,
+                     1e-7, float("nan"), float("inf"), float("-inf")]),
+    st.floats(allow_nan=True, allow_infinity=True))
+_LEAVES = st.one_of(
+    _TEXT, _FLOATS, st.integers(), st.booleans(), st.none(),
+    _FLOATS.map(np.float64), _FLOATS.map(_Float), _TEXT.map(np.str_),
+    _TEXT.map(_Str), st.integers().map(_Int))
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=5)),
+    max_leaves=40)
+
+
+def _nested(depth, leaf):
+    """A list / dict chain `depth` levels deep around `leaf`."""
+    for i in range(depth):
+        leaf = [leaf] if i % 2 else {f"k{i}": leaf, "": []}
+    return leaf
+
+
+def _json_text(tree) -> str:
+    return json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+class TestReportJson:
+    """`report_json` writes the bytes of json.dumps(sort_keys=True,
+    indent=2) plus a newline."""
+
+    @given(_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_random_trees(self, tree):
+        assert report_json(tree) == _json_text(tree)
+
+    @pytest.mark.parametrize("tree", [
+        {}, [], (), "", {"": {}}, [[], {}, ()], _nested(60, 1.5),
+        _nested(61, {}), {"b": 1, "a": 2, "\u00e9": 3, "A": 4, "\x00": 5}])
+    def test_empty_and_deep(self, tree):
+        assert report_json(tree) == _json_text(tree)
+
+    def test_stored_reference_reports(self):
+        """The timestamp-free reports of the benchmark's stored reference
+        inputs, every workload and shipped seed."""
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        sys.path.insert(0, os.path.join(root, "perfbench"))
+        try:
+            import outputs
+        finally:
+            sys.path.pop(0)
+        count = 0
+        for workload in ("verify", "sequence", "pointpick"):
+            for seed in outputs.SHIPPED_SEEDS:
+                for record in outputs.load_references(workload, seed):
+                    report = record["digest"]["report"]
+                    assert report_json(report) == _json_text(report)
+                    count += 1
+        assert count > 0
+
+    def test_built_report(self):
+        doc = build_report(_checks(), {"grid": {"n": "501"}}, seed=3,
+                           extras={"x": np.float64(np.nan),
+                                   "y": np.arange(3)},
+                           timestamp="t")
+        assert report_json(doc) == _json_text(doc)
+
+    def test_refuses_what_json_refuses(self):
+        for tree in ({"a": object()}, [np.int64(1)]):
+            with pytest.raises(TypeError):
+                json.dumps(tree)
+            with pytest.raises(TypeError):
+                report_json(tree)
+
+    def test_refuses_keys_that_are_not_strings(self):
+        # `_jsonable` makes every key a string; json would convert these
+        for key in (1, 1.5, None, True):
+            with pytest.raises(TypeError):
+                report_json({key: 0})
 
 
 class TestChecksCsv:
