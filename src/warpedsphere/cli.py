@@ -47,6 +47,11 @@ CONFIG_KEYS = {
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2, 3
 
+#: largest `sequence` count: 2.0**-1075 == 0.0, so past this index the
+#: bump schedule's eta and the tendril schedule's width are exactly 0
+MAX_SEQUENCE_COUNT = 1074
+
+
 def _schedule(family: str, count: int) -> tuple:
     """The canonical dyadic schedule of a convergence experiment."""
     if family == "bump":
@@ -61,17 +66,23 @@ def _schedule(family: str, count: int) -> tuple:
 
 
 def _read_config(path: str) -> dict:
+    """The sections of the scenario file at `path`.  A file configparser
+    cannot decode or parse is invalid input, reported on one line."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        sections = {name: parser.items(name) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: "
+                          + " ".join(str(exc).split())) from None
     config: dict = {}
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"unknown config section [{section}]")
         allowed = CONFIG_KEYS[section]
         sec = {}
-        for key, value in parser.items(section):
+        for key, value in items:
             if key not in allowed:
                 raise ConfigError(
                     f"unknown key {key!r} in section [{section}]; "
@@ -281,6 +292,9 @@ def cmd_sequence(config: dict) -> int:
         raise ConfigError(
             f"unknown family {family!r}; choose from {sorted(fam.FAMILIES)}")
     count = _int(sec, "sequence_count", 10)
+    if count > MAX_SEQUENCE_COUNT:
+        raise ConfigError(f"sequence count must be at most "
+                          f"{MAX_SEQUENCE_COUNT}, got {count}")
     spec = SequenceSpec(family=family, schedule=_schedule(family, count),
                         name=f"{family}-dyadic")
     params = _class_params(config)

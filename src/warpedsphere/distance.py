@@ -29,7 +29,7 @@ def meridian_arclength(metric: WarpedMetric):
     is the exact distance between the two poles: any path joining them
     sweeps every colatitude, so its length is at least int phi dtheta.
     """
-    cum = metric.fine_cumulative(metric.fine_jet[0])
+    cum = metric.on_fine.cumulative(metric.on_fine.jet[0])
     return cum[::ANALYTIC_REFINE], float(cum[-1])
 
 

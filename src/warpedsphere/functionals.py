@@ -10,12 +10,13 @@ ratio = |grad u| / sin(theta).  With dV_g = 4 pi phi f^2 dtheta and
     int |grad u| dV        = 4 pi int ratio phi f^2 sin dtheta   etc.
 
 Every reader takes one potential and its metric `pot.metric`, whose
-cached jets (or slices of them) give phi, f and their derivatives.  An
-`Evaluation` refuses a potential whose flux residual exceeds the guard
-tolerance, so corrupted inputs surface as refusals rather than as
-spurious inequality failures.  The guard runs once per evaluation, and
-the check suites share one.  The good-set report holds the measure of the
-polar-trimmed aligned set E under g and under the round metric.
+node sets `on_grid` and `on_fine` (or slices of them) give phi, f and
+their derivatives.  An `Evaluation` refuses a potential whose flux
+residual exceeds the guard tolerance, so corrupted inputs surface as
+refusals rather than as spurious inequality failures.  The guard runs
+once per evaluation, and the check suites share one.  The good-set
+report holds the measure of the polar-trimmed aligned set E under g and
+under the round metric.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .grids import ANALYTIC_REFINE, PI, cumulative, simpson_rule
 # no longer called here; still importable as functionals.integrate, a
 # binding the benchmark's tracer tests look up
 from .grids import integrate  # noqa: F401
-from .metrics import WarpedMetric, ball_volume, scalar_curvature, volume
+from .metrics import (NodeSet, WarpedMetric, ball_volume, scalar_curvature,
+                      volume)
 from .potential import PotentialSolution, flux_residual
 
 #: flux-law residual above which functional evaluation is refused
@@ -83,16 +85,8 @@ class ShellSelection:
 
 @dataclass(frozen=True)
 class _Fields:
-    """Potential and profile fields on the quadrature node set."""
-    refined: bool        # theta is the metric's refined node set
-    theta: np.ndarray
-    phi: np.ndarray
-    f: np.ndarray
-    dphi: np.ndarray
-    df: np.ndarray
-    cos: np.ndarray      # cos(theta)
-    fos: np.ndarray      # f / sin, pole-safe
-    sf: np.ndarray       # sin f'/f, pole-safe
+    """Potential fields on the quadrature node set `ns` of the metric."""
+    ns: NodeSet
     ratio: np.ndarray    # |grad u| / sin
     du: np.ndarray
     d2u: np.ndarray
@@ -110,12 +104,12 @@ def _ratio_on(pot: PotentialSolution) -> np.ndarray:
     log interpolation; the ratio is smooth there.
     """
     metric, k = pot.metric, ANALYTIC_REFINE
-    t, fine = pot.theta, metric.fine
+    t, fine, ns = pot.theta, metric.fine, metric.on_fine
     n = t.size
     logr_nodes = np.log(np.clip(pot.ratio, 1e-300, None))
     inner = slice(1, -1)
-    phi_i, f_i, _, df_i, _, _ = (y[inner] for y in metric.fine_jet)
-    q = ((3.0 * phi_i - 1.0) * metric.fine_cos[inner] / metric.fine_sin[inner]
+    phi_i, f_i, _, df_i, _, _ = (y[inner] for y in ns.jet)
+    q = ((3.0 * phi_i - 1.0) * ns.cos[inner] / ns.sin[inner]
          - 2.0 * df_i / f_i)
     cum = cumulative(q, fine[inner])      # zero at fine[1]
     logr = np.empty(fine.size)
@@ -192,23 +186,16 @@ class Evaluation:
         equation u'' = u' (3 phi cot - 2 f'/f + phi'/phi).
         """
         metric, pot = self.metric, self.pot
-        refined = metric.profiles is not None
-        t, (phi, f, dphi, df, _, _) = metric.nodes_and_jet(refined)
-        s, c = metric.trig(refined)
-        fos, sf = metric.pole_safe(refined)
-        if not refined:
-            return _Fields(False, t, phi, f, dphi, df, c, fos, sf,
-                           pot.ratio, pot.du, pot.d2u)
+        ns = metric.quadrature
+        if ns is metric.on_grid:
+            return _Fields(ns, pot.ratio, pot.du, pot.d2u)
+        phi, _, dphi, _, _, _ = ns.jet
         ratio = _ratio_on(pot)
         sgn = 1.0 if pot.u[-1] >= pot.u[0] else -1.0
-        du = sgn * ratio * phi * s
-        d2u = sgn * ratio * (3.0 * phi**2 * c - 2.0 * phi * sf + dphi * s)
-        return _Fields(True, t, phi, f, dphi, df, c, fos, sf, ratio, du, d2u)
-
-    @property
-    def _simpson(self):
-        """The metric's cached Simpson rule on the fields' node set."""
-        return self.metric.simpson(self.fields.refined)
+        du = sgn * ratio * phi * ns.sin
+        d2u = sgn * ratio * (3.0 * phi**2 * ns.cos - 2.0 * phi * ns.sf
+                             + dphi * ns.sin)
+        return _Fields(ns, ratio, du, d2u)
 
     @cached_property
     def hessian_squared(self) -> np.ndarray:
@@ -219,11 +206,11 @@ class Evaluation:
         with cot |grad u| = ratio * cos in cancelled form.
         """
         fld = self.fields
-        cot_term = fld.ratio * fld.cos
-        h_rad = (fld.d2u / fld.phi**2 - fld.dphi * fld.du / fld.phi**3
-                 + cot_term)
+        phi, _, dphi, _, _, _ = fld.ns.jet
+        cot_term = fld.ratio * fld.ns.cos
+        h_rad = fld.d2u / phi**2 - dphi * fld.du / phi**3 + cot_term
         # (f' u')/(phi^2 f) = -ratio * (f' sin/f) / phi, finite at the poles
-        h_sph = -fld.ratio * fld.sf / fld.phi + cot_term
+        h_sph = -fld.ratio * fld.ns.sf / phi + cot_term
         return h_rad**2 + 2.0 * h_sph**2
 
     @property
@@ -234,10 +221,11 @@ class Evaluation:
     @cached_property
     def core(self) -> CoreIntegrals:
         """The six Lemma-level integrals, by cancelled-form quadrature."""
-        metric, fld, simpson = self.metric, self.fields, self._simpson
-        phi, f, du = fld.phi, fld.f, fld.du
+        fld = self.fields
+        ns, simpson, du = fld.ns, fld.ns.simpson, fld.du
+        phi, f = ns.jet[:2]
 
-        csc2_integrand = fld.ratio * phi * f * fld.fos
+        csc2_integrand = fld.ratio * phi * f * ns.fos
         i_csc2 = 4.0 * PI * simpson(csc2_integrand)
         i_align = 4.0 * PI * simpson(csc2_integrand * (1.0 - 1.0 / phi))
 
@@ -248,8 +236,7 @@ class Evaluation:
                                   0.0) * phi * f**2
         i_mass = 4.0 * PI * simpson(mass_integrand)
 
-        deficit = np.clip(6.0 - scalar_curvature(metric, fld.refined),
-                          0.0, None)
+        deficit = np.clip(6.0 - scalar_curvature(ns), 0.0, None)
         i_deficit = 4.0 * PI * simpson(deficit * np.abs(du) * f**2)
 
         grad_l1 = 4.0 * PI * simpson(np.abs(du) * f**2)
@@ -264,9 +251,10 @@ class Evaluation:
 
         csc * dV_g collapses to 4 pi phi f (f/sin) dtheta, finite at poles.
         """
-        fld = self.fields
-        return 4.0 * PI * self._simpson(np.sqrt(self.hessian_squared)
-                                        * fld.phi * fld.f * fld.fos)
+        ns = self.fields.ns
+        phi, f = ns.jet[:2]
+        return 4.0 * PI * ns.simpson(np.sqrt(self.hessian_squared)
+                                     * phi * f * ns.fos)
 
     @cached_property
     def ratio_seminorm(self) -> float:
@@ -276,22 +264,22 @@ class Evaluation:
         - 2 f'/f), so ratio' f^2 = ratio ((3 phi - 1) cos f (f/sin) - 2 f' f)
         stays finite at the poles.
         """
-        fld = self.fields
-        f = fld.f
+        fld, ns = self.fields, self.fields.ns
+        phi, f, _, df, _, _ = ns.jet
         integrand = np.abs(fld.ratio
-                           * ((3.0 * fld.phi - 1.0) * fld.cos * f * fld.fos
-                              - 2.0 * fld.df * f))
-        return 4.0 * PI * self._simpson(integrand)
+                           * ((3.0 * phi - 1.0) * ns.cos * f * ns.fos
+                              - 2.0 * df * f))
+        return 4.0 * PI * ns.simpson(integrand)
 
     @cached_property
     def alignment(self) -> AlignmentConstants:
         """a(g), sigma(g) as L^1(dV_g) minimizers over constants."""
-        pot = self.pot
-        phi, f = self.metric.node_jet[:2]
-        w = self.metric.node_trapezoid * 4.0 * PI * phi * f**2
+        pot, grid = self.pot, self.metric.on_grid
+        phi, f = grid.jet[:2]
+        w = grid.trapezoid * 4.0 * PI * phi * f**2
         a = max(0.0, weighted_median(pot.ratio, w))
         gap_ratio = float(np.sum(w * np.abs(pot.ratio - a)))
-        resid = pot.u - a * self.metric.node_cos
+        resid = pot.u - a * grid.cos
         sigma = weighted_median(resid, w)
         gap_u = float(np.sum(w * np.abs(resid - sigma)))
         return AlignmentConstants(a=a, sigma=sigma,
@@ -303,7 +291,7 @@ class Evaluation:
         """Minimizing shells in [pi/8, pi/4] near each pole (grid scan) of
         int_{partial B(p,s)} |grad u| dA_g = 4 pi (|u'(s)|/phi) f(s)^2."""
         pot, t = self.pot, self.pot.theta
-        phi, f = self.metric.node_jet[:2]
+        phi, f = self.metric.on_grid.jet[:2]
         vals = 4.0 * PI * np.abs(pot.du) / phi * f**2
         near = (t >= PI / 8) & (t <= PI / 4)
         vals_p = vals[near]
@@ -350,8 +338,8 @@ class Evaluation:
 def set_measure(metric: WarpedMetric, mask: np.ndarray,
                 use_round: bool = False) -> float:
     """Node-indicator measure of {mask} under dV_g or dV_round."""
-    w = metric.node_trapezoid
-    dens = 4.0 * PI * (metric.node_sin**2 if use_round
+    w = metric.on_grid.trapezoid
+    dens = 4.0 * PI * (metric.on_grid.sin**2 if use_round
                        else metric.phi * metric.f**2)
     return float(np.sum(w[mask] * dens[mask]))
 

@@ -15,8 +15,8 @@ installed.  The tests keep scipy as the oracle.
 
 Each rule is built once per node set: `simpson_rule(x)` and
 `cumulative_rule(x)` compute the factors that depend on x alone and
-return the rule as a function of the samples y.  A metric keeps the
-rules of its grid nodes and refined nodes beside its profile jets;
+return the rule as a function of the samples y.  A metric's node sets
+(`metrics.NodeSet`) keep their rules beside their profile jets;
 `integrate` and `cumulative` build a rule for one use, for node sets
 that occur once (band slices, ball sub-grids).
 """

@@ -34,6 +34,60 @@ BALL_SUBGRID_N = 4001
 ProfileFns = Callable[..., tuple]
 
 
+@dataclass(frozen=True, eq=False)
+class NodeSet:
+    """One node set of a metric, its grid nodes or its refined nodes: the
+    nodes t, the profile jet evaluated on them, and, each computed on
+    first read and then kept, their rules, sines, cosines and pole-safe
+    fields.  It holds the evaluated jet and never its metric: a reference
+    back would make a cycle, and a dropped metric's arrays would stay
+    resident until the cyclic garbage collector ran."""
+
+    t: np.ndarray
+    jet: tuple
+
+    @cached_property
+    def simpson(self):
+        return simpson_rule(self.t)
+
+    @cached_property
+    def cumulative(self):
+        return cumulative_rule(self.t)
+
+    @cached_property
+    def trapezoid(self) -> np.ndarray:
+        return node_weights(self.t)
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return np.sin(self.t)
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        return np.cos(self.t)
+
+    @cached_property
+    def fos(self) -> np.ndarray:
+        """f / sin, with the pole limit f'(pole) = phi(pole) filled in."""
+        s, f, df = self.sin, self.jet[1], self.jet[3]
+        out = np.empty_like(s)
+        safe = s > 1e-9
+        out[safe] = f[safe] / s[safe]
+        out[~safe] = df[~safe]
+        return np.abs(out)
+
+    @cached_property
+    def sf(self) -> np.ndarray:
+        """sin * f'/f, finite at the poles (limit cos * phi/phi = +-1)."""
+        s, f, df, fos = self.sin, self.jet[1], self.jet[3], self.fos
+        sgn = np.where(self.t <= PI / 2, 1.0, -1.0)
+        out = np.empty_like(s)
+        safe = np.abs(f) > 1e-12
+        out[safe] = s[safe] * df[safe] / f[safe]
+        out[~safe] = sgn[~safe] * np.abs(df[~safe]) / fos[~safe]
+        return out
+
+
 @dataclass(frozen=True)
 class WarpedMetric:
     """A warped-product metric sampled on a radial grid.
@@ -41,12 +95,11 @@ class WarpedMetric:
     `profiles` is optional; when present, `jet` evaluates the analytic
     profiles and their derivatives, otherwise it interpolates the samples
     and their finite-difference derivatives.  Every reader takes phi, f
-    and their derivatives from `jet`, or from the jets cached on the grid
-    nodes (`node_jet`) and on the refined nodes (`fine_jet`), and
-    integrates on those node sets with the Simpson and cumulative rules
-    cached beside them.  The sines and cosines of each node set, and the
-    pole-safe f/sin built from them, are cached there too; each is
-    computed from its own node set on first read.
+    and their derivatives from `jet`, or from one of the metric's two
+    cached `NodeSet`s, `on_grid` (the grid nodes) and `on_fine` (the
+    refined nodes), and integrates there with the rules, sines, cosines
+    and pole-safe fields that node set caches.  `quadrature` is the node
+    set of analytic integrands.
     """
 
     grid: RadialGrid
@@ -80,11 +133,11 @@ class WarpedMetric:
         """The metric of the analytic `profiles` on `grid`.  The grid nodes
         are evaluated once, at order 2: phi and f are the same arithmetic
         at every order, so the samples are the jet's first two entries
-        and the jet is the metric's `node_jet`."""
+        and the jet seeds the metric's `on_grid`."""
         jet = profiles(grid.nodes)
         metric = cls(grid=grid, phi=jet[0], f=jet[1], name=name,
                      profiles=profiles, params=dict(params))
-        metric.__dict__["node_jet"] = jet
+        metric.__dict__["on_grid"] = NodeSet(grid.nodes, jet)
         return metric
 
     @property
@@ -117,115 +170,23 @@ class WarpedMetric:
         return refine_nodes(self.theta)
 
     @cached_property
-    def node_jet(self) -> tuple:
-        return self.jet(self.theta)
+    def on_grid(self) -> NodeSet:
+        return NodeSet(self.theta, self.jet(self.theta))
 
     @cached_property
-    def fine_jet(self) -> tuple:
-        return self.jet(self.fine)
+    def on_fine(self) -> NodeSet:
+        return NodeSet(self.fine, self.jet(self.fine))
 
-    @cached_property
-    def node_simpson(self):
-        """`grids.simpson_rule` on the grid nodes, built once."""
-        return simpson_rule(self.theta)
-
-    @cached_property
-    def fine_simpson(self):
-        """`grids.simpson_rule` on the refined nodes, built once."""
-        return simpson_rule(self.fine)
-
-    @cached_property
-    def node_cumulative(self):
-        """`grids.cumulative_rule` on the grid nodes, built once."""
-        return cumulative_rule(self.theta)
-
-    @cached_property
-    def fine_cumulative(self):
-        """`grids.cumulative_rule` on the refined nodes, built once."""
-        return cumulative_rule(self.fine)
-
-    @cached_property
-    def node_trapezoid(self) -> np.ndarray:
-        """`grids.node_weights` of the grid nodes, built once."""
-        return node_weights(self.theta)
-
-    def simpson(self, fine: bool):
-        """The Simpson rule on the refined nodes or on the grid nodes."""
-        return self.fine_simpson if fine else self.node_simpson
-
-    @cached_property
-    def node_sin(self) -> np.ndarray:
-        return np.sin(self.theta)
-
-    @cached_property
-    def node_cos(self) -> np.ndarray:
-        return np.cos(self.theta)
-
-    @cached_property
-    def fine_sin(self) -> np.ndarray:
-        return np.sin(self.fine)
-
-    @cached_property
-    def fine_cos(self) -> np.ndarray:
-        return np.cos(self.fine)
-
-    def trig(self, fine: bool) -> tuple:
-        """(sin, cos) of the refined nodes or of the grid nodes."""
-        if fine:
-            return self.fine_sin, self.fine_cos
-        return self.node_sin, self.node_cos
-
-    @cached_property
-    def node_fos(self) -> np.ndarray:
-        """f/sin on the grid nodes, pole-safe (`f_over_sin`)."""
-        return f_over_sin(self.node_sin, self.node_jet[1], self.node_jet[3])
-
-    @cached_property
-    def fine_fos(self) -> np.ndarray:
-        """f/sin on the refined nodes, pole-safe (`f_over_sin`)."""
-        return f_over_sin(self.fine_sin, self.fine_jet[1], self.fine_jet[3])
-
-    def pole_safe(self, fine: bool) -> tuple:
-        """(f/sin, sin f'/f) on the refined nodes or on the grid nodes.
-        f/sin is the cached one; sin f'/f is built from it on each call,
-        as an analytic metric reads it once per node set."""
-        t, jet = self.nodes_and_jet(fine)
-        fos = self.fine_fos if fine else self.node_fos
-        return fos, _sin_fprime_over_f(t, self.trig(fine)[0], jet, fos)
+    @property
+    def quadrature(self) -> NodeSet:
+        """The node set of analytic integrands: the refined nodes when the
+        profiles are analytic, the grid nodes of a sampled table."""
+        return self.on_fine if self.profiles is not None else self.on_grid
 
     @cached_property
     def deficit(self) -> float:
         """The deficit m(g) of `scalar_deficit`, computed once per metric."""
         return scalar_deficit(self)
-
-    def nodes_and_jet(self, fine: bool) -> tuple:
-        """(nodes, jet) on the refined nodes or on the grid nodes."""
-        if fine:
-            return self.fine, self.fine_jet
-        return self.theta, self.node_jet
-
-
-def f_over_sin(s: np.ndarray, f: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """f / sin from the sines s of some nodes and f, f' on them, with the
-    pole limit f'(pole) = phi(pole) filled in."""
-    out = np.empty_like(s)
-    safe = s > 1e-9
-    out[safe] = f[safe] / s[safe]
-    out[~safe] = df[~safe]
-    return np.abs(out)
-
-
-def _sin_fprime_over_f(t: np.ndarray, s: np.ndarray, jet: tuple,
-                       fos: np.ndarray) -> np.ndarray:
-    """sin * f'/f on the nodes t from their sines s, the profile jet and
-    f/sin, finite at the poles (limit cos * phi/phi = +-1)."""
-    f, df = jet[1], jet[3]
-    sgn = np.where(t <= PI / 2, 1.0, -1.0)
-    out = np.empty_like(s)
-    safe = np.abs(f) > 1e-12
-    out[safe] = s[safe] * df[safe] / f[safe]
-    out[~safe] = sgn[~safe] * np.abs(df[~safe]) / fos[~safe]
-    return out
 
 
 @dataclass(frozen=True)
@@ -250,16 +211,16 @@ class ClassParams:
 # derivatives, curvature
 # ----------------------------------------------------------------------
 
-def scalar_curvature(metric: WarpedMetric, fine: bool = False) -> np.ndarray:
-    """Scalar curvature R(theta) on the grid nodes, or on the refined
-    nodes when `fine`; poles filled by one-sided parabolic fit.
+def scalar_curvature(nodes: NodeSet) -> np.ndarray:
+    """Scalar curvature R(theta) on a node set of a metric (`on_grid` or
+    `on_fine`); poles filled by one-sided parabolic fit.
 
     With f_s = f'/phi and f_ss = (f_s)'/phi,
         R = -4 f_ss / f + 2 (1 - f_s^2) / f^2.
     Both terms are 0/0 at the poles, so pole values are extrapolated
     from the three nearest interior samples.
     """
-    t, (phi, f, dphi, df, _, d2f) = metric.nodes_and_jet(fine)
+    t, (phi, f, dphi, df, _, d2f) = nodes.t, nodes.jet
     fs = df / phi
     # f_ss = (f_s)'/phi = (f'' phi - f' phi') / phi^3
     fss = (d2f * phi - df * dphi) / phi**3
@@ -294,7 +255,7 @@ class ValidationReport:
 def validate(metric: WarpedMetric) -> ValidationReport:
     """Check pole closure and the pointwise comparison g >= round."""
     msgs = []
-    df = metric.node_jet[3]
+    df = metric.on_grid.jet[3]
     d0 = abs(df[0] - metric.phi[0])
     # closure at theta = pi requires |f'(pi)| = phi(pi) with f > 0 on (0, pi)
     d1 = abs(abs(df[-1]) - metric.phi[-1])
@@ -303,7 +264,7 @@ def validate(metric: WarpedMetric) -> ValidationReport:
     if not closure:
         msgs.append(f"pole closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
     m_phi = float(np.min(metric.phi - 1.0))
-    m_f = float(np.min(metric.f - metric.node_sin))
+    m_f = float(np.min(metric.f - metric.on_grid.sin))
     comparison = m_phi >= -COMPARISON_TOL and m_f >= -COMPARISON_TOL
     if not comparison:
         msgs.append("metric fails the pointwise comparison with the round sphere")
@@ -315,18 +276,19 @@ def validate(metric: WarpedMetric) -> ValidationReport:
 # ----------------------------------------------------------------------
 
 def volume(metric: WarpedMetric) -> float:
-    """Total volume, 4*pi * integral of phi f^2, on the refined nodes when
-    the profiles are analytic."""
-    fine = metric.profiles is not None
-    _, (phi, f, *_) = metric.nodes_and_jet(fine)
-    return metric.simpson(fine)(4.0 * PI * phi * f**2)
+    """Total volume, 4*pi * integral of phi f^2, on the metric's
+    `quadrature` node set."""
+    nodes = metric.quadrature
+    phi, f = nodes.jet[:2]
+    return nodes.simpson(4.0 * PI * phi * f**2)
 
 
 def scalar_deficit(metric: WarpedMetric) -> float:
     """m(g) = || (6 - R)^+ ||_{L^2(g)}^{1/2}  (note the outer square root)."""
-    R = scalar_curvature(metric)
+    grid = metric.on_grid
+    R = scalar_curvature(grid)
     pos = np.clip(6.0 - R, 0.0, None)
-    l2sq = metric.node_simpson(pos**2 * 4.0 * PI * metric.phi * metric.f**2)
+    l2sq = grid.simpson(pos**2 * 4.0 * PI * metric.phi * metric.f**2)
     return float(l2sq ** 0.25)
 
 
@@ -340,8 +302,8 @@ def cheeger_levelset(metric: WarpedMetric) -> tuple[float, float]:
     infimum, so a small surrogate certifies a genuinely small constant
     while a large surrogate is only provisional evidence.
     """
-    phi, f = metric.node_jet[:2]
-    cum = metric.node_cumulative(4.0 * PI * phi * f**2)   # V_- per node
+    phi, f = metric.on_grid.jet[:2]
+    cum = metric.on_grid.cumulative(4.0 * PI * phi * f**2)   # V_- per node
     total = float(cum[-1])
     areas = 4.0 * PI * metric.f[1:-1]**2
     small = np.minimum(cum[1:-1], total - cum[1:-1])

@@ -89,24 +89,23 @@ def log_ratio_parts(metric: WarpedMetric):
     Returns (log_ratio, phi_fine).  The additive constant is arbitrary;
     the solver fixes it through the mass normalization.
     """
-    fine = metric.fine
-    phi, _, dphi, _, _, _ = metric.fine_jet
+    fine = metric.on_fine
+    phi, _, dphi, _, _, _ = fine.jet
     p0, ppi = metric.phi[0], metric.phi[-1]
     if abs(p0 - 1.0) < _POLE_SNAP:
         p0 = 1.0
     if abs(ppi - 1.0) < _POLE_SNAP:
         ppi = 1.0
-    p_side = np.where(fine < PI / 2, p0, ppi)
+    p_side = np.where(fine.t < PI / 2, p0, ppi)
 
-    s = metric.fine_sin
-    J = metric.fine_cumulative(
-        _regular_cot_term(phi, dphi, p_side, s, metric.fine_cos))
-    J = J - np.interp(PI / 2, fine, J)
+    s = fine.sin
+    J = fine.cumulative(_regular_cot_term(phi, dphi, p_side, s, fine.cos))
+    J = J - np.interp(PI / 2, fine.t, J)
 
     log_sin = np.log(np.clip(s, 1e-300, None))
     coef = 3.0 * p_side - 3.0
     sin_term = np.where(coef == 0.0, 0.0, coef * log_sin)
-    return 3.0 * J + sin_term - 2.0 * np.log(metric.fine_fos), phi
+    return 3.0 * J + sin_term - 2.0 * np.log(fine.fos), phi
 
 
 def solve_quadrature(metric: WarpedMetric,
@@ -120,23 +119,22 @@ def solve_quadrature(metric: WarpedMetric,
     if not (0.0 < residual_tol < np.inf):
         raise DomainError(f"residual_tol {residual_tol} must be finite > 0")
     lr, phi_fine = log_ratio_parts(metric)
-    s = metric.fine_sin
+    fine, grid = metric.on_fine, metric.on_grid
     lr_max = float(np.max(lr))
     r = np.exp(lr - lr_max)              # ratio up to the constant K
-    dens = r * phi_fine * s              # |u'| up to K
-    total = metric.fine_simpson(dens)
+    dens = r * phi_fine * fine.sin       # |u'| up to K
+    total = fine.simpson(dens)
     if not np.isfinite(total) or total <= 0.0:
         raise SolverError("degenerate potential normalization")
     K = 2.0 / total                      # so that int u' = -2
     du_fine = -K * dens
-    u_fine = 1.0 + metric.fine_cumulative(du_fine)
+    u_fine = 1.0 + fine.cumulative(du_fine)
 
     sk = slice(None, None, ANALYTIC_REFINE)
     du, u, ratio = du_fine[sk], u_fine[sk], K * r[sk]
-    phi, _, dphi, _, _, _ = metric.node_jet
-    _, sf = metric.pole_safe(False)
-    d2u = du * dphi / phi + ratio * phi * (2.0 * sf
-                                           - 3.0 * phi * metric.node_cos)
+    phi, _, dphi, _, _, _ = grid.jet
+    d2u = du * dphi / phi + ratio * phi * (2.0 * grid.sf
+                                           - 3.0 * phi * grid.cos)
 
     sol = PotentialSolution(metric=metric, u=u, du=du, d2u=d2u,
                             ratio=ratio, method="quadrature",
@@ -233,8 +231,8 @@ def solve_bvp(metric: WarpedMetric,
     d2u_full = np.where((t >= eps) & (t <= PI - eps),
                         np.interp(t, tb, np.gradient(du_b, tb, edge_order=2)),
                         0.0)
-    phi_t = metric.node_jet[0]
-    s = np.clip(metric.node_sin, 1e-300, None)
+    phi_t = metric.on_grid.jet[0]
+    s = np.clip(metric.on_grid.sin, 1e-300, None)
     ratio = np.abs(du_full) / (phi_t * s)
     i_mid = n // 2
     flux_c = float(a[i_mid] * du_b[i_mid])   # I(pi/2) = 0 in the flux law
@@ -306,15 +304,15 @@ def pde_residual(sol: PotentialSolution) -> ResidualReport:
     differentiates it with 9-point finite differences, so the check is
     independent of how the solution was produced.
     """
-    t, band, metric = sol.theta, sol.residual_band, sol.metric
+    t, band, grid = sol.theta, sol.residual_band, sol.metric.on_grid
     b = _band(t, band)
-    phi, f = metric.node_jet[:2]
+    phi, f = grid.jet[:2]
     w = f**2 * sol.du / phi
     sl = slice(max(b.start - 6, 0), min(b.stop + 6, t.size))
     dw = _derivative_high_order(w[sl], t[sl])[b.start - sl.start:
                                               b.stop - sl.start]
     tb, phi, f = t[b], phi[b], f[b]
-    cot = metric.node_cos[b] / metric.node_sin[b]
+    cot = grid.cos[b] / grid.sin[b]
     resid = (dw - 3.0 * phi * cot * w[b]) / (phi * f**2)
     l2 = float(np.sqrt(max(integrate(resid**2, tb), 0.0)))
     return ResidualReport(theta=tb, residual=resid,
@@ -334,11 +332,12 @@ def flux_residual(sol: PotentialSolution) -> float:
     """
     t, metric, k = sol.theta, sol.metric, ANALYTIC_REFINE
     b = _band(t, RESIDUAL_BAND)
-    phi, f = metric.node_jet[:2]
+    phi, f = metric.on_grid.jet[:2]
     w = f**2 * sol.du / phi
     logw = np.log(np.clip(np.abs(w[b]), 1e-300, None))
     fb = slice(k * b.start, k * (b.stop - 1) + 1)
-    target = cumulative(3.0 * metric.fine_jet[0][fb] * metric.fine_cos[fb]
-                        / metric.fine_sin[fb], metric.fine[fb])[::k]
+    fine = metric.on_fine
+    target = cumulative(3.0 * fine.jet[0][fb] * fine.cos[fb] / fine.sin[fb],
+                        fine.t[fb])[::k]
     defect = (np.diff(logw) - np.diff(target)) / np.diff(t[b])
     return float(np.max(np.abs(defect)))

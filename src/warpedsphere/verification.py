@@ -112,7 +112,7 @@ def _global_suite(ev: Evaluation, ledger: ConstantLedger,
                       set_measure(metric, bad_ratio),
                       ledger.C4 * m / tau_cheb, tol,
                       m=m, tau=tau_cheb, a=ac.a))
-    bad_u = np.abs(pot.u - ac.a * metric.node_cos - ac.sigma) > tau_cheb
+    bad_u = np.abs(pot.u - ac.a * metric.on_grid.cos - ac.sigma) > tau_cheb
     out.append(_check("cor_3_6_chebyshev",
                       set_measure(metric, bad_u),
                       ledger.c_cor36 * m / tau_cheb, tol,
@@ -165,7 +165,7 @@ def _witness_measure(pot: PotentialSolution, a: float, sigma: float,
                      r: float, tau: float, gamma: float, pole: int) -> float:
     """Round measure of {|u - a cos - sigma| <= tau, u >< gamma} cap."""
     th = pot.theta
-    aligned = np.abs(pot.u - a * pot.metric.node_cos - sigma) <= tau
+    aligned = np.abs(pot.u - a * pot.metric.on_grid.cos - sigma) <= tau
     if pole > 0:
         mask = aligned & (pot.u > gamma) & (th <= r)
     else:
@@ -208,12 +208,9 @@ def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
 
     # volume sandwich at tau = nrm^(1/4), t = nrm^(1/48)
     if m > 1.0:
-        out.append(_skipped("lemma_5_2_lower",
-                            "deficit norm exceeds 1; bound hypotheses unmet",
-                            m=m))
-        out.append(_skipped("lemma_5_2_upper",
-                            "deficit norm exceeds 1; bound hypotheses unmet",
-                            m=m))
+        for side in ("lower", "upper"):
+            out.append(_skipped(f"lemma_5_2_{side}", "deficit norm exceeds "
+                                "1; bound hypotheses unmet", m=m))
     else:
         tau = nrm**0.25
         t = nrm**(1.0 / 48.0)

@@ -128,18 +128,29 @@ class TestInputContract:
           "--param", "length=nan"], None),
         (["analyze", "--family", "bump", "--param", "eta=1e300"], None),
         (["verify", "--family", "bump", "--param", "eta=1e300"], None),
+        (["sequence", "--family", "bump", "--count", "1075"], None),
+        (["analyze"], b"[metric]\nfamily = round\nfamily = bump\n"),
+        (["analyze"], b"[metric]\nfamily = round\n[metric]\nfamily = bump\n"),
+        (["analyze"], b"family = round\n"),
+        (["analyze"], b"[metric]\nfamily round\n"),
+        (["analyze"], b"\xff\xfe[metric]\nfamily = round\n"),
+        (["analyze"], b"[grid]\nn = %(x)s\n"),
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
             "residual-tol-nan", "residual-tol-inf", "grid-size-negative",
             "scaled-c-inf", "bump-eta-inf", "bubble-area-radius-inf",
             "bubble-area-radius-nan", "tendril-length-nan",
-            "analyze-bump-eta-1e300", "verify-bump-eta-1e300"])
+            "analyze-bump-eta-1e300", "verify-bump-eta-1e300",
+            "sequence-count-1075", "ini-duplicate-key",
+            "ini-duplicate-section", "ini-no-section-header",
+            "ini-line-without-equals", "ini-not-utf8",
+            "ini-interpolation-missing"])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:
             cfg = tmp_path / "scenario.ini"
-            cfg.write_text(ini)
+            cfg.write_bytes(ini.encode() if isinstance(ini, str) else ini)
             argv = [argv[0], str(cfg), *argv[1:]]
         # a numpy RuntimeWarning would reach stderr ahead of the error line
         with warnings.catch_warnings():
@@ -148,6 +159,20 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_sequence_count_refused_before_any_schedule(self, monkeypatch,
+                                                        capsys):
+        def no_schedule(*args):
+            raise AssertionError("a schedule was built")
+
+        monkeypatch.setattr(cli, "_schedule", no_schedule)
+        assert main(["sequence", "--family", "tendril",
+                     "--count", "1075"]) == 2
+        assert capsys.readouterr().err == (
+            "error: sequence count must be at most 1074, got 1075\n")
+        assert cli.MAX_SEQUENCE_COUNT == 1074
+        assert 2.0 ** -cli.MAX_SEQUENCE_COUNT > 0.0
+        assert 2.0 ** -(cli.MAX_SEQUENCE_COUNT + 1) == 0.0
 
     @pytest.mark.parametrize("command", ["analyze", "verify"])
     def test_non_finite_summary_exits_2(self, command, capsys):

@@ -306,8 +306,8 @@ class TestJet:
             phi, f = metric.jet(t, 0)
             assert np.array_equal(phi, full[0])
             assert np.array_equal(f, full[1])
-        assert np.array_equal(metric.node_jet[0], metric.phi)
-        assert np.array_equal(metric.node_jet[1], metric.f)
+        assert np.array_equal(metric.on_grid.jet[0], metric.phi)
+        assert np.array_equal(metric.on_grid.jet[1], metric.f)
         # the build samples the order-2 jet; order 0 gives the same bits
         phi, f = metric.profiles(metric.theta, 0)
         assert phi.tobytes() == metric.phi.tobytes()

@@ -1,5 +1,8 @@
 """Metric construction, curvature, volume, Cheeger and membership."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -77,7 +80,7 @@ def test_scalar_curvature_matches_symbolic_oracle():
     metric = WarpedMetric(grid=grid, phi=phi, f=f, name="oracle",
                           profiles=profiles)
     t = grid.nodes
-    r_num = scalar_curvature(metric)
+    r_num = scalar_curvature(metric.on_grid)
     sample = slice(3, -3)  # symbolic expression is 0/0 at the poles
     assert np.max(np.abs(r_num[sample] - r_fn(t[sample]))) < 1e-9
 
@@ -86,7 +89,7 @@ def test_scalar_curvature_matches_symbolic_oracle():
                                          (2.0, 1.5)])
 def test_scaled_sphere_curvature_constant(c, expected):
     metric = scaled_sphere(c) if c != 1.0 else round_sphere()
-    r = scalar_curvature(metric)
+    r = scalar_curvature(metric.on_grid)
     assert np.max(np.abs(r - expected)) < 1e-9
 
 
@@ -223,27 +226,47 @@ class TestJet:
         expected = (table.phi, table.f, dphi, df,
                     np.gradient(dphi, t, edge_order=2),
                     np.gradient(df, t, edge_order=2))
-        for got, want in zip(table.node_jet, expected):
+        for got, want in zip(table.on_grid.jet, expected):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", list(REFERENCE_BUILDERS))
     def test_cached_jets_equal_fresh_ones(self, reference_metrics, name):
         metric = reference_metrics[name]
         assert np.array_equal(metric.fine, refine_nodes(metric.theta))
-        for cached, t in ((metric.node_jet, metric.theta),
-                          (metric.fine_jet, metric.fine)):
+        for nodes, t in ((metric.on_grid, metric.theta),
+                         (metric.on_fine, metric.fine)):
+            assert nodes.t is t
             assert all(np.array_equal(a, b)
-                       for a, b in zip(cached, metric.jet(t)))
-        assert metric.node_jet is metric.node_jet
-        assert metric.fine_jet is metric.fine_jet
+                       for a, b in zip(nodes.jet, metric.jet(t)))
+        assert metric.on_grid is metric.on_grid
+        assert metric.on_fine is metric.on_fine
 
     def test_curvature_on_refined_nodes(self, reference_metrics):
         metric = reference_metrics["scaled"]
-        r = scalar_curvature(metric, fine=True)
+        r = scalar_curvature(metric.on_fine)
         assert r.shape == metric.fine.shape
         # the 0/0 terms next to the poles lose more digits on the finer
         # nodes: 1.7e-9 there against 9e-11 on the grid nodes
         assert np.max(np.abs(r - 6.0 / 1.1**2)) < 1e-8
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_BUILDERS))
+def test_metric_is_freed_without_the_cyclic_gc(name):
+    """A node set holds its evaluated jet and not its metric, so a dropped
+    metric is freed by reference counting alone, cached arrays and all."""
+    gc.disable()
+    try:
+        metric = REFERENCE_BUILDERS[name](RadialGrid.uniform(301))
+        for nodes in (metric.on_grid, metric.on_fine):
+            for prop in ("t", "jet", "simpson", "cumulative", "trapezoid",
+                         "sin", "cos", "fos", "sf"):
+                getattr(nodes, prop)
+        assert metric.quadrature is metric.on_fine
+        ref = weakref.ref(metric)
+        del metric, nodes
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class TestAnalyticAgainstTable:

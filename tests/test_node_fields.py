@@ -1,11 +1,11 @@
 """The trigonometric and pole-safe fields a metric caches per node set.
 
 The readers of `potential`, `functionals` and `verification` take sin,
-cos and f/sin from the metric's `node_*`/`fine_*` caches or from slices
-of them, and build sin f'/f from those.  The oracles below are the
-formulas as they read before those caches existed, calling np.sin and
-np.cos afresh on each node set or slice; every value must equal them
-bit for bit.
+cos, f/sin and sin f'/f from the metric's two node sets, `on_grid` and
+`on_fine`, or from slices of them.  The oracles below are the formulas
+as they read before those caches existed, calling np.sin and np.cos
+afresh on each node set or slice; every value must equal them bit for
+bit.
 """
 
 from functools import cached_property
@@ -21,7 +21,7 @@ from warpedsphere.functionals import (POLAR_RADII, Evaluation, _Fields,
                                       weighted_median)
 from warpedsphere.grids import (ANALYTIC_REFINE, PI, cumulative, integrate,
                                 node_weights)
-from warpedsphere.metrics import validate
+from warpedsphere.metrics import NodeSet, validate
 from warpedsphere.potential import (RESIDUAL_BAND, _POLE_SNAP, _band,
                                     _derivative_high_order)
 
@@ -91,14 +91,14 @@ def _regular_cot_term(phi, dphi, p_side, t):
 def _solve_quadrature(metric):
     """(u, du, d2u, ratio, residual_sup) of the quadrature solve."""
     fine = metric.fine
-    phi, f, dphi, df, _, _ = metric.fine_jet
+    phi, f, dphi, df, _, _ = metric.on_fine.jet
     p0, ppi = metric.phi[0], metric.phi[-1]
     if abs(p0 - 1.0) < _POLE_SNAP:
         p0 = 1.0
     if abs(ppi - 1.0) < _POLE_SNAP:
         ppi = 1.0
     p_side = np.where(fine < PI / 2, p0, ppi)
-    J = metric.fine_cumulative(_regular_cot_term(phi, dphi, p_side, fine))
+    J = metric.on_fine.cumulative(_regular_cot_term(phi, dphi, p_side, fine))
     J = J - np.interp(PI / 2, fine, J)
     log_sin = np.log(np.clip(np.sin(fine), 1e-300, None))
     coef = 3.0 * p_side - 3.0
@@ -108,13 +108,13 @@ def _solve_quadrature(metric):
     s = np.sin(fine)
     r = np.exp(lr - float(np.max(lr)))
     dens = r * phi * s
-    K = 2.0 / metric.fine_simpson(dens)
+    K = 2.0 / metric.on_fine.simpson(dens)
     du_fine = -K * dens
-    u_fine = 1.0 + metric.fine_cumulative(du_fine)
+    u_fine = 1.0 + metric.on_fine.cumulative(du_fine)
     sk = slice(None, None, ANALYTIC_REFINE)
     t = metric.theta
     du, u, ratio = du_fine[sk], u_fine[sk], K * r[sk]
-    phi, f, dphi, df, _, _ = metric.node_jet
+    phi, f, dphi, df, _, _ = metric.on_grid.jet
     sf = _sin_fprime_over_f(t, f, df, _f_over_sin(t, f, df))
     d2u = du * dphi / phi + ratio * phi * (2.0 * sf - 3.0 * phi * np.cos(t))
     return u, du, d2u, ratio, _residual_sup(metric, du)
@@ -123,7 +123,7 @@ def _solve_quadrature(metric):
 def _residual_sup(metric, du):
     t = metric.theta
     b = _band(t, RESIDUAL_BAND)
-    phi, f = metric.node_jet[:2]
+    phi, f = metric.on_grid.jet[:2]
     w = f**2 * du / phi
     sl = slice(max(b.start - 6, 0), min(b.stop + 6, t.size))
     dw = _derivative_high_order(w[sl], t[sl])[b.start - sl.start:
@@ -137,13 +137,13 @@ def _residual_sup(metric, du):
 def _flux_residual(pot):
     t, metric, k = pot.theta, pot.metric, ANALYTIC_REFINE
     b = _band(t, RESIDUAL_BAND)
-    phi, f = metric.node_jet[:2]
+    phi, f = metric.on_grid.jet[:2]
     w = f**2 * pot.du / phi
     logw = np.log(np.clip(np.abs(w[b]), 1e-300, None))
     fb = slice(k * b.start, k * (b.stop - 1) + 1)
     x = metric.fine[fb]
-    target = cumulative(3.0 * metric.fine_jet[0][fb] * np.cos(x) / np.sin(x),
-                        x)[::k]
+    target = cumulative(3.0 * metric.on_fine.jet[0][fb] * np.cos(x)
+                        / np.sin(x), x)[::k]
     defect = (np.diff(logw) - np.diff(target)) / np.diff(t[b])
     return float(np.max(np.abs(defect)))
 
@@ -153,7 +153,7 @@ def _ratio_on(pot):
     n = t.size
     logr_nodes = np.log(np.clip(pot.ratio, 1e-300, None))
     inner = fine[1:-1]
-    phi_i, f_i, _, df_i, _, _ = (y[1:-1] for y in pot.metric.fine_jet)
+    phi_i, f_i, _, df_i, _, _ = (y[1:-1] for y in pot.metric.on_fine.jet)
     q = ((3.0 * phi_i - 1.0) * np.cos(inner) / np.sin(inner)
          - 2.0 * df_i / f_i)
     cum = cumulative(q, inner)
@@ -183,6 +183,23 @@ def _polar_csc3(pot, r):
     return one_side(0.0, r), one_side(PI - r, PI)
 
 
+def _oracle_node_set(t, jet, fos, sf):
+    """A fresh node set on t whose sin, cos, f/sin and sin f'/f are the
+    oracle values, set before any reader can compute its own."""
+    ns = NodeSet(t, jet)
+    ns.__dict__.update(sin=np.sin(t), cos=np.cos(t), fos=fos, sf=sf)
+    return ns
+
+
+def _field_arrays(fld):
+    """{name: array} of the node set and potential fields in `fld`."""
+    ns = fld.ns
+    phi, f, dphi, df, _, _ = ns.jet
+    return {"theta": ns.t, "phi": phi, "f": f, "dphi": dphi, "df": df,
+            "cos": ns.cos, "fos": ns.fos, "sf": ns.sf, "ratio": fld.ratio,
+            "du": fld.du, "d2u": fld.d2u}
+
+
 class _OracleEvaluation(Evaluation):
     """An Evaluation whose trig readers use the pre-cache formulas; the
     properties built on them (core, csc_hessian_l1) follow."""
@@ -191,44 +208,45 @@ class _OracleEvaluation(Evaluation):
     def fields(self):
         metric, pot = self.metric, self.pot
         refined = metric.profiles is not None
-        t, (phi, f, dphi, df, _, _) = metric.nodes_and_jet(refined)
+        jet = (metric.on_fine if refined else metric.on_grid).jet
+        t = metric.fine if refined else metric.theta
+        phi, f, dphi, df, _, _ = jet
         fos = _f_over_sin(t, f, df)
         sf = _sin_fprime_over_f(t, f, df, fos)
+        ns = _oracle_node_set(t, jet, fos, sf)
         if not refined:
-            return _Fields(False, t, phi, f, dphi, df, np.cos(t), fos, sf,
-                           pot.ratio, pot.du, pot.d2u)
+            return _Fields(ns, pot.ratio, pot.du, pot.d2u)
         ratio = _ratio_on(pot)
         sgn = 1.0 if pot.u[-1] >= pot.u[0] else -1.0
         s = np.sin(t)
         du = sgn * ratio * phi * s
         d2u = sgn * ratio * (3.0 * phi**2 * np.cos(t)
                              - 2.0 * phi * sf + dphi * s)
-        return _Fields(True, t, phi, f, dphi, df, np.cos(t), fos, sf,
-                       ratio, du, d2u)
+        return _Fields(ns, ratio, du, d2u)
 
     @cached_property
     def hessian_squared(self):
         fld = self.fields
-        cot_term = fld.ratio * np.cos(fld.theta)
-        h_rad = (fld.d2u / fld.phi**2 - fld.dphi * fld.du / fld.phi**3
-                 + cot_term)
-        h_sph = -fld.ratio * fld.sf / fld.phi + cot_term
+        phi, _, dphi, _, _, _ = fld.ns.jet
+        cot_term = fld.ratio * np.cos(fld.ns.t)
+        h_rad = fld.d2u / phi**2 - dphi * fld.du / phi**3 + cot_term
+        h_sph = -fld.ratio * fld.ns.sf / phi + cot_term
         return h_rad**2 + 2.0 * h_sph**2
 
     @property
     def ratio_seminorm(self):
         fld = self.fields
-        t, f = fld.theta, fld.f
+        t, (phi, f, _, df, _, _) = fld.ns.t, fld.ns.jet
         integrand = np.abs(fld.ratio
-                           * ((3.0 * fld.phi - 1.0) * np.cos(t) * f * fld.fos
-                              - 2.0 * fld.df * f))
-        return 4.0 * PI * self._simpson(integrand)
+                           * ((3.0 * phi - 1.0) * np.cos(t) * f * fld.ns.fos
+                              - 2.0 * df * f))
+        return 4.0 * PI * fld.ns.simpson(integrand)
 
     @property
     def alignment(self):
         pot = self.pot
         t = pot.theta
-        phi, f = self.metric.node_jet[:2]
+        phi, f = self.metric.on_grid.jet[:2]
         w = node_weights(t) * 4.0 * PI * phi * f**2
         a = max(0.0, weighted_median(pot.ratio, w))
         gap_ratio = float(np.sum(w * np.abs(pot.ratio - a)))
@@ -278,11 +296,12 @@ class TestBitwiseOracle:
     def test_evaluation_properties(self, solutions, case):
         pot = solutions(case)
         ev, oracle = Evaluation(pot), _OracleEvaluation(pot)
-        fld, want = ev.fields, oracle.fields
-        assert fld.refined == want.refined
-        for name in ("theta", "phi", "f", "dphi", "df", "cos", "fos", "sf",
-                     "ratio", "du", "d2u"):
-            assert _same(getattr(fld, name), getattr(want, name)), name
+        fields, want = _field_arrays(ev.fields), _field_arrays(oracle.fields)
+        refined = pot.metric.profiles is not None
+        assert ev.fields.ns is (pot.metric.on_fine if refined
+                                else pot.metric.on_grid)
+        for name in want:
+            assert _same(fields[name], want[name]), name
         assert _same(ev.hessian_squared, oracle.hessian_squared)
         assert ev.ratio_seminorm == oracle.ratio_seminorm
         ac = ev.alignment
@@ -396,11 +415,11 @@ class TestSlicesOfTheCache:
     def test_caches_are_the_fields_of_their_own_node_set(self, solutions,
                                                          case):
         metric = solutions(case).metric
-        for fine in (False, True):
-            t, (_, f, _, df, _, _) = metric.nodes_and_jet(fine)
-            s, c = metric.trig(fine)
-            fos, sf = metric.pole_safe(fine)
+        for ns in (metric.on_grid, metric.on_fine):
+            t, (_, f, _, df, _, _) = ns.t, ns.jet
+            s, c = ns.sin, ns.cos
+            fos, sf = ns.fos, ns.sf
             assert _same(s, np.sin(t)) and _same(c, np.cos(t))
             assert _same(fos, _f_over_sin(t, f, df))
             assert _same(sf, _sin_fprime_over_f(t, f, df, fos))
-            assert metric.trig(fine)[0] is s     # computed once
+            assert ns.sin is s and ns.sf is sf   # computed once

@@ -67,11 +67,11 @@ class TestResiduals:
 
 def _flux_residual_oracle(pot, band=0.1):
     """The flux guard with the profile evaluated again on the refined
-    band nodes, as it was computed before it sliced `fine_jet`."""
+    band nodes, as it was computed before it sliced the refined jet."""
     metric, t = pot.metric, pot.theta
     mask = (t >= band) & (t <= PI - band)
     tm = t[mask]
-    phi, f = metric.node_jet[:2]
+    phi, f = metric.on_grid.jet[:2]
     w = f**2 * pot.du / phi
     logw = np.log(np.clip(np.abs(w[mask]), 1e-300, None))
     x = refine_nodes(tm)
@@ -85,7 +85,7 @@ def _pde_residual_oracle(pot):
     """The residual on the whole grid, masked to the band afterwards."""
     t, band = pot.theta, pot.residual_band
     mask = (t >= band) & (t <= PI - band)
-    phi, f = pot.metric.node_jet[:2]
+    phi, f = pot.metric.on_grid.jet[:2]
     w = f**2 * pot.du / phi
     lo, hi = np.argmax(mask), t.size - np.argmax(mask[::-1])
     sl = slice(max(lo - 6, 0), min(hi + 6, t.size))
