@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import functools
 import inspect
+import os
 import sys
 from typing import Callable
 
@@ -46,6 +48,16 @@ CONFIG_KEYS = {
 }
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2, 3
+
+#: freed heap memory glibc keeps in the process instead of trimming it.
+#: glibc's default (128 KiB, raised as large blocks are freed) returns
+#: the top of the heap after each scenario frees its arrays, and the next
+#: scenario faults the same pages back in; 64 MiB is well above what one
+#: scenario frees, so the pages stay mapped for the next
+HEAP_KEEP_BYTES = 64 << 20
+
+#: mallopt's parameter number for the trim threshold (glibc malloc.h)
+_M_TRIM_THRESHOLD = -1
 
 #: largest `sequence` count: 2.0**-1075 == 0.0, so past this index the
 #: bump schedule's eta and the tendril schedule's width are exactly 0
@@ -339,6 +351,24 @@ def cmd_families(config: dict) -> int:
 
 
 @functools.cache
+def _keep_freed_heap() -> bool:
+    """Ask glibc, once per process, to keep up to HEAP_KEEP_BYTES of freed
+    heap instead of returning it to the system; True if it accepted.
+    Does nothing where the C library is not glibc or mallopt cannot be
+    found.  It changes only where memory is reused from, never a
+    result."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TRIM_THRESHOLD, HEAP_KEEP_BYTES) == 1
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it
     unchanged."""
@@ -387,6 +417,7 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = _parser().parse_args(argv)
     try:
         config = _read_config(args.config) if getattr(args, "config", None) \

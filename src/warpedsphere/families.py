@@ -153,6 +153,7 @@ def _gcorr_d2(t):
 def _tendril_shape(breaks, thin=True):
     """Unit-amplitude squash profile shape(theta) in [0, 1] and its two
     derivatives; c = c_max * shape with phi = (1 - c)^(-1/2).
+    `shape(t, order=0)` gives the profile alone, by the same arithmetic.
 
     In thin mode the regions between the breakpoints b0..b5 are: quintic
     rise, flat plateau, a quintic blend in the exponent onto the exact
@@ -163,22 +164,25 @@ def _tendril_shape(breaks, thin=True):
     over [b2, b5] instead.
     """
     b0, b1, b2, b3, b4, b5 = breaks
-    g2 = _gcorr(b2)
 
-    def pieces(t):
+    def pieces(t, order=2):
         t = np.asarray(t, dtype=float)
         s = np.zeros_like(t)
-        ds = np.zeros_like(t)
-        d2s = np.zeros_like(t)
+        if order:
+            ds = np.zeros_like(t)
+            d2s = np.zeros_like(t)
 
         # quintic rise on [b0, b1]
         m = (t >= b0) & (t < b1)
         if np.any(m):
             x = (t[m] - b0) / (b1 - b0)
-            S, S1, S2 = _smootherstep(x)
-            s[m] = S
-            ds[m] = S1 / (b1 - b0)
-            d2s[m] = S2 / (b1 - b0) ** 2
+            if not order:
+                s[m] = _smootherstep(x, 0)
+            else:
+                S, S1, S2 = _smootherstep(x)
+                s[m] = S
+                ds[m] = S1 / (b1 - b0)
+                d2s[m] = S2 / (b1 - b0) ** 2
 
         # plateau on [b1, b2]
         m = (t >= b1) & (t < b2)
@@ -188,11 +192,14 @@ def _tendril_shape(breaks, thin=True):
             m = (t >= b2) & (t < b5)
             if np.any(m):
                 x = (t[m] - b2) / (b5 - b2)
-                S, S1, S2 = _smootherstep(x)
-                s[m] = 1.0 - S
-                ds[m] = -S1 / (b5 - b2)
-                d2s[m] = -S2 / (b5 - b2) ** 2
-            return s, ds, d2s
+                if not order:
+                    s[m] = 1.0 - _smootherstep(x, 0)
+                else:
+                    S, S1, S2 = _smootherstep(x)
+                    s[m] = 1.0 - S
+                    ds[m] = -S1 / (b5 - b2)
+                    d2s[m] = -S2 / (b5 - b2) ** 2
+            return (s, ds, d2s) if order else s
 
         # log-slope blend on [b2, b3]: (ln s)' ramps from 0 down to the
         # scalar-flat slope -k(b3); since k decreases with theta, the
@@ -204,17 +211,18 @@ def _tendril_shape(breaks, thin=True):
         m = (t >= b2) & (t < b3)
         if np.any(m):
             x = (t[m] - b2) / delta
-            S, S1, _ = _smootherstep(x)
             intS = 2.5 * x**4 - 3.0 * x**5 + x**6
-            rho = x**3 * (x - 1.0)
-            rho1 = 4.0 * x**3 - 3.0 * x**2
             int_rho = x**5 / 5.0 - x**4 / 4.0
             h = -k3 * delta * intS - dk3 * delta**2 * int_rho
-            h1 = -k3 * S - dk3 * delta * rho
-            h2 = -k3 * S1 / delta - dk3 * rho1
             s[m] = np.exp(h)
-            ds[m] = s[m] * h1
-            d2s[m] = s[m] * (h2 + h1**2)
+            if order:
+                S, S1, _ = _smootherstep(x)
+                rho = x**3 * (x - 1.0)
+                rho1 = 4.0 * x**3 - 3.0 * x**2
+                h1 = -k3 * S - dk3 * delta * rho
+                h2 = -k3 * S1 / delta - dk3 * rho1
+                ds[m] = s[m] * h1
+                d2s[m] = s[m] * (h2 + h1**2)
 
         # ln of the blend value at b3, where the exact branch takes over
         h_mid = -0.5 * k3 * delta + 0.05 * dk3 * delta**2
@@ -225,32 +233,36 @@ def _tendril_shape(breaks, thin=True):
         if np.any(m):
             tm = t[m]
             g = _gcorr(tm)
-            k = _gcorr_d1(tm) / g
-            dk = _gcorr_d2(tm) / g - k**2
             s[m] = s_mid * g3 / g
-            ds[m] = -s[m] * k
-            d2s[m] = s[m] * (k**2 - dk)
+            if order:
+                k = _gcorr_d1(tm) / g
+                dk = _gcorr_d2(tm) / g - k**2
+                ds[m] = -s[m] * k
+                d2s[m] = s[m] * (k**2 - dk)
 
         # quintic taper on [b4, b5]
         m = (t >= b4) & (t < b5)
         if np.any(m):
             tm = t[m]
             x = (tm - b4) / (b5 - b4)
-            dx = 1.0 / (b5 - b4)
             g = _gcorr(tm)
-            k = _gcorr_d1(tm) / g
-            dk = _gcorr_d2(tm) / g - k**2
             base = s_mid * g3 / g
-            base1 = -base * k
-            base2 = base * (k**2 - dk)
-            S, S1, S2 = _smootherstep(x)
-            T = 1.0 - S
-            T1 = -S1 * dx
-            T2 = -S2 * dx**2
-            s[m] = base * T
-            ds[m] = base1 * T + base * T1
-            d2s[m] = base2 * T + 2.0 * base1 * T1 + base * T2
-        return s, ds, d2s
+            if not order:
+                s[m] = base * (1.0 - _smootherstep(x, 0))
+            else:
+                dx = 1.0 / (b5 - b4)
+                k = _gcorr_d1(tm) / g
+                dk = _gcorr_d2(tm) / g - k**2
+                base1 = -base * k
+                base2 = base * (k**2 - dk)
+                S, S1, S2 = _smootherstep(x)
+                T = 1.0 - S
+                T1 = -S1 * dx
+                T2 = -S2 * dx**2
+                s[m] = base * T
+                ds[m] = base1 * T + base * T1
+                d2s[m] = base2 * T + 2.0 * base1 * T1 + base * T2
+        return (s, ds, d2s) if order else s
 
     return pieces
 
@@ -332,11 +344,11 @@ def tendril_sphere(length: float, width: float = 0.1,
     c_max = _tendril_normalize(length, shape, breaks)
 
     def profiles(t, order=2):
+        if not order:
+            return (1.0 - c_max * shape(t, 0)) ** -0.5, np.sin(t)
         s, ds, d2s = shape(t)
         r = 1.0 - c_max * s
         phi, f = r ** -0.5, np.sin(t)
-        if not order:
-            return phi, f
         r15 = r**-1.5
         return (phi, f, 0.5 * c_max * ds * r15, np.cos(t),
                 0.75 * (c_max * ds) ** 2 * r**-2.5 + 0.5 * c_max * d2s * r15,
@@ -356,7 +368,15 @@ def _tendril_normalize(length, shape, breaks):
     t = np.concatenate([segs[0]] + [seg[1:] for seg in segs[1:]])
     if not np.all(np.diff(t) > 0.0):
         t = np.unique(t)    # breakpoints closer than the node spacing
-    s, _, _ = shape(t)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s = shape(t, 0)
+    bad = ~np.isfinite(s)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConstructionError(
+            "width", f"tendril squash profile is {s[i]} at theta = "
+            f"{t[i]:.6g}, not a finite number; the tendril width is too "
+            f"small to resolve")
     simpson = simpson_rule(t)
     buf = np.empty_like(s)
 

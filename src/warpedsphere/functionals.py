@@ -104,7 +104,8 @@ def _ratio_on(pot: PotentialSolution) -> np.ndarray:
     log interpolation; the ratio is smooth there.
     """
     metric, k = pot.metric, ANALYTIC_REFINE
-    t, fine, ns = pot.theta, metric.fine, metric.on_fine
+    t, ns = pot.theta, metric.on_fine
+    fine = ns.t
     n = t.size
     logr_nodes = np.log(np.clip(pot.ratio, 1e-300, None))
     inner = slice(1, -1)

@@ -33,6 +33,9 @@ BALL_SUBGRID_N = 4001
 #: d2phi, d2f) on the nodes t, and profiles(t, 0) gives (phi, f) only
 ProfileFns = Callable[..., tuple]
 
+#: the entries of a profile jet, in order
+JET_LABELS = ("phi", "f", "dphi", "df", "d2phi", "d2f")
+
 
 @dataclass(frozen=True, eq=False)
 class NodeSet:
@@ -133,8 +136,20 @@ class WarpedMetric:
         """The metric of the analytic `profiles` on `grid`.  The grid nodes
         are evaluated once, at order 2: phi and f are the same arithmetic
         at every order, so the samples are the jet's first two entries
-        and the jet seeds the metric's `on_grid`."""
-        jet = profiles(grid.nodes)
+        and the jet seeds the metric's `on_grid`.  A jet entry that is
+        not finite on the grid refuses the metric with a
+        DegenerateMetricError naming the first one, so numpy's overflow
+        and invalid-value warnings are silenced while it is computed."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            jet = profiles(grid.nodes)
+        for label, y in zip(JET_LABELS, jet):
+            bad = ~np.isfinite(y)
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DegenerateMetricError(
+                    f"{name} profile {label} is {y[i]} at theta = "
+                    f"{grid.nodes[i]:.6g}, not a finite number; the metric "
+                    f"cannot be built")
         metric = cls(grid=grid, phi=jet[0], f=jet[1], name=name,
                      profiles=profiles, params=dict(params))
         metric.__dict__["on_grid"] = NodeSet(grid.nodes, jet)
@@ -164,18 +179,15 @@ class WarpedMetric:
                 np.gradient(df, t, edge_order=2))
 
     @cached_property
-    def fine(self) -> np.ndarray:
-        """The grid nodes with every cell split into ANALYTIC_REFINE equal
-        parts: the quadrature nodes of analytic integrands."""
-        return refine_nodes(self.theta)
-
-    @cached_property
     def on_grid(self) -> NodeSet:
         return NodeSet(self.theta, self.jet(self.theta))
 
     @cached_property
     def on_fine(self) -> NodeSet:
-        return NodeSet(self.fine, self.jet(self.fine))
+        """The grid nodes with every cell split into ANALYTIC_REFINE equal
+        parts, the quadrature nodes of analytic integrands."""
+        fine = refine_nodes(self.theta)
+        return NodeSet(fine, self.jet(fine))
 
     @property
     def quadrature(self) -> NodeSet:

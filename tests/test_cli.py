@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, configs, determinism."""
 
+import ctypes
 import inspect
 import json
 import os
@@ -135,6 +136,14 @@ class TestInputContract:
         (["analyze"], b"[metric]\nfamily round\n"),
         (["analyze"], b"\xff\xfe[metric]\nfamily = round\n"),
         (["analyze"], b"[grid]\nn = %(x)s\n"),
+        (["analyze", "--family", "tendril", "--param", "length=2.3",
+          "--param", "width=1e-300"], None),
+        (["verify", "--family", "bubble", "--param", "area_radius=0.3",
+          "--param", "neck_theta=1e-300"], None),
+        (["analyze", "--family", "bump", "--param", "eta=1",
+          "--param", "width=1e-300", "--param", "theta0=1"], None),
+        (["pointpick", "--family", "bump", "--param", "eta=1",
+          "--param", "width=1e-300", "--param", "theta0=1"], None),
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
@@ -145,7 +154,9 @@ class TestInputContract:
             "sequence-count-1075", "ini-duplicate-key",
             "ini-duplicate-section", "ini-no-section-header",
             "ini-line-without-equals", "ini-not-utf8",
-            "ini-interpolation-missing"])
+            "ini-interpolation-missing", "tendril-width-1e-300",
+            "bubble-neck-theta-1e-300", "analyze-bump-width-1e-300",
+            "pointpick-bump-width-1e-300"])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:
@@ -159,6 +170,27 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_unresolvable_tendril_width_blames_the_width(self, capsys):
+        assert main(["analyze", "--family", "tendril", "--param",
+                     "length=2.3", "--param", "width=1e-300"]) == 2
+        err = capsys.readouterr().err
+        assert "width is too small" in err and "length = 0" not in err
+
+    def test_longest_tendril_sequence_is_silent(self, capsys):
+        """Widths down to 2**-1074 are reported invalid in place, each
+        with its own error, and nothing reaches stderr."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sequence", "--family", "tendril",
+                         "--count", "1074"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        entries = json.loads(out)["sequence"]["entries"]
+        assert len(entries) == 1074
+        assert not any("length = 0" in e["error"] for e in entries)
+        assert all("width is too small" in e["error"]
+                   for e in entries[513:1073])
 
     def test_sequence_count_refused_before_any_schedule(self, monkeypatch,
                                                         capsys):
@@ -420,6 +452,67 @@ class TestImportFootprint:
             ["verify", "--family", "round", "--solver", "bvp"])
         assert codes == [0]
         assert "scipy.linalg" in scipy_modules
+
+
+def _raising(exc):
+    def refuse(*args):
+        raise exc
+    return refuse
+
+
+class TestHeapKept:
+    """On glibc, `main` keeps freed heap in the process, so repeated calls
+    reuse the pages of earlier ones; elsewhere it leaves the allocator
+    alone, silently."""
+
+    def test_repeated_sequence_calls_fault_few_pages(self, capsys):
+        if not cli._keep_freed_heap():
+            pytest.skip("glibc's mallopt is not available here")
+        import resource
+        argv = ["sequence", "--family", "tendril", "--count", "2"]
+        for _ in range(3):
+            assert main(argv) == 0
+        capsys.readouterr()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(5):
+            assert main(argv) == 0
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        capsys.readouterr()
+        assert faults / 5 < 100
+
+    @pytest.mark.parametrize("module, name, replacement", [
+        (os, "confstr", None),
+        (os, "confstr", _raising(ValueError("unrecognized name"))),
+        (os, "confstr", lambda name: None),
+        (ctypes, "CDLL", _raising(OSError("no C library")))],
+        ids=["no-confstr", "not-glibc", "confstr-undefined", "no-libc"])
+    def test_failed_libc_lookup_is_silent(self, module, name, replacement,
+                                          monkeypatch, capsys):
+        argv = ["sequence", "--family", "bump", "--count", "1"]
+        assert main(argv) == 0
+        expected = _strip_timestamp(capsys.readouterr().out)
+        if replacement is None:
+            monkeypatch.delattr(module, name, raising=False)
+        else:
+            monkeypatch.setattr(module, name, replacement)
+        cli._keep_freed_heap.cache_clear()
+        try:
+            assert main(argv) == 0
+            assert cli._keep_freed_heap() is False
+        finally:
+            cli._keep_freed_heap.cache_clear()
+        out, err = capsys.readouterr()
+        assert err == "" and _strip_timestamp(out) == expected
+
+    def test_import_leaves_the_allocator_alone(self):
+        script = ("import warpedsphere\n"
+                  "from warpedsphere import cli\n"
+                  "print(cli._keep_freed_heap.cache_info().currsize)\n")
+        src = os.path.dirname(os.path.dirname(warpedsphere.__file__))
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout == "0\n"
 
 
 class TestDeterminism:

@@ -239,6 +239,17 @@ NORMALIZE_LAYOUTS = [(0.05, None), (0.07, None), (0.05, 0.1), (0.03, 0.2),
                      (0.1, 0.05), (1e-17, 0.3)]
 
 
+@pytest.mark.parametrize("width, theta0, thin", [(0.05, None, True),
+                                                  (0.3, 1.0, False)])
+def test_tendril_shape_order_zero_is_the_profile(width, theta0, thin):
+    """shape(t, 0) is shape(t)[0] bit for bit, on every branch."""
+    _, breaks, is_thin = fam._tendril_layout(1.0, width, theta0)
+    assert is_thin == thin
+    shape = fam._tendril_shape(breaks, thin)
+    t = np.sort(np.concatenate([np.linspace(0.0, PI, 20001), breaks]))
+    assert np.array_equal(shape(t, 0), shape(t)[0])
+
+
 class TestTendrilNormalize:
     """The normalization keeps the root of its first form bit for bit."""
 
@@ -299,7 +310,7 @@ class TestJet:
     def test_order_zero_is_the_leading_pair(self, name, params):
         metric = make(name, **params)
         rng = np.random.default_rng(3)
-        for t in (metric.theta, metric.fine, rng.uniform(0.0, PI, 999),
+        for t in (metric.theta, metric.on_fine.t, rng.uniform(0.0, PI, 999),
                   np.array([0.0, PI])):
             full = metric.jet(t)
             assert len(full) == 6

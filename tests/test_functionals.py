@@ -143,7 +143,7 @@ class TestEvaluation:
 
         polar = functionals._polar_grids()
         assert evaluations(metric.theta) == 1   # the build's samples
-        assert evaluations(metric.fine) == 1    # the solve reads it
+        assert evaluations(metric.on_fine.t) == 1    # the solve reads it
         assert evaluations(polar.nodes, 0) == 1
         assert evaluations(polar.nodes[polar.poles]) == 1
         assert len(node_sets) == 4
@@ -183,7 +183,7 @@ class TestEvaluation:
         assert cli.main(["verify", *argv]) in (0, 1)
         capsys.readouterr()
         (metric,) = built
-        for nodes in (metric.theta, metric.fine):
+        for nodes in (metric.theta, metric.on_fine.t):
             kinds = sorted(kind for kind, x in rules
                            if x.shape == nodes.shape
                            and np.array_equal(x, nodes))
@@ -251,7 +251,7 @@ class TestEvaluation:
                     continue
                 if np.isin(x, metric.theta).all():     # grid nodes or a part
                     on_grid += 1
-                elif np.isin(x, metric.fine).all():
+                elif np.isin(x, metric.on_fine.t).all():
                     on_fine += 1
             assert on_grid <= 1 and on_fine <= 1, (name, on_grid, on_fine)
 

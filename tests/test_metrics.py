@@ -212,7 +212,7 @@ class TestJet:
 
     def test_table_order_zero_is_the_leading_pair(self, table):
         rng = np.random.default_rng(5)
-        for t in (table.theta, table.fine, rng.uniform(0.0, PI, 777)):
+        for t in (table.theta, table.on_fine.t, rng.uniform(0.0, PI, 777)):
             full = table.jet(t)
             assert len(full) == 6
             phi, f = table.jet(t, 0)
@@ -232,9 +232,9 @@ class TestJet:
     @pytest.mark.parametrize("name", list(REFERENCE_BUILDERS))
     def test_cached_jets_equal_fresh_ones(self, reference_metrics, name):
         metric = reference_metrics[name]
-        assert np.array_equal(metric.fine, refine_nodes(metric.theta))
+        assert np.array_equal(metric.on_fine.t, refine_nodes(metric.theta))
         for nodes, t in ((metric.on_grid, metric.theta),
-                         (metric.on_fine, metric.fine)):
+                         (metric.on_fine, metric.on_fine.t)):
             assert nodes.t is t
             assert all(np.array_equal(a, b)
                        for a, b in zip(nodes.jet, metric.jet(t)))
@@ -244,7 +244,7 @@ class TestJet:
     def test_curvature_on_refined_nodes(self, reference_metrics):
         metric = reference_metrics["scaled"]
         r = scalar_curvature(metric.on_fine)
-        assert r.shape == metric.fine.shape
+        assert r.shape == metric.on_fine.t.shape
         # the 0/0 terms next to the poles lose more digits on the finer
         # nodes: 1.7e-9 there against 9e-11 on the grid nodes
         assert np.max(np.abs(r - 6.0 / 1.1**2)) < 1e-8

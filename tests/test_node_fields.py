@@ -90,7 +90,7 @@ def _regular_cot_term(phi, dphi, p_side, t):
 
 def _solve_quadrature(metric):
     """(u, du, d2u, ratio, residual_sup) of the quadrature solve."""
-    fine = metric.fine
+    fine = metric.on_fine.t
     phi, f, dphi, df, _, _ = metric.on_fine.jet
     p0, ppi = metric.phi[0], metric.phi[-1]
     if abs(p0 - 1.0) < _POLE_SNAP:
@@ -141,7 +141,7 @@ def _flux_residual(pot):
     w = f**2 * pot.du / phi
     logw = np.log(np.clip(np.abs(w[b]), 1e-300, None))
     fb = slice(k * b.start, k * (b.stop - 1) + 1)
-    x = metric.fine[fb]
+    x = metric.on_fine.t[fb]
     target = cumulative(3.0 * metric.on_fine.jet[0][fb] * np.cos(x)
                         / np.sin(x), x)[::k]
     defect = (np.diff(logw) - np.diff(target)) / np.diff(t[b])
@@ -149,7 +149,7 @@ def _flux_residual(pot):
 
 
 def _ratio_on(pot):
-    t, fine, k = pot.theta, pot.metric.fine, ANALYTIC_REFINE
+    t, fine, k = pot.theta, pot.metric.on_fine.t, ANALYTIC_REFINE
     n = t.size
     logr_nodes = np.log(np.clip(pot.ratio, 1e-300, None))
     inner = fine[1:-1]
@@ -209,7 +209,7 @@ class _OracleEvaluation(Evaluation):
         metric, pot = self.metric, self.pot
         refined = metric.profiles is not None
         jet = (metric.on_fine if refined else metric.on_grid).jet
-        t = metric.fine if refined else metric.theta
+        t = metric.on_fine.t if refined else metric.theta
         phi, f, dphi, df, _, _ = jet
         fos = _f_over_sin(t, f, df)
         sf = _sin_fprime_over_f(t, f, df, fos)
@@ -345,7 +345,7 @@ class TestBitwiseOracle:
 def _reader_slices(metric):
     """(nodes, index) for every slice or mask of a node set whose sines
     or cosines a reader takes from the full-set cache."""
-    t, fine, k = metric.theta, metric.fine, ANALYTIC_REFINE
+    t, fine, k = metric.theta, metric.on_fine.t, ANALYTIC_REFINE
     out = []
     # the residual band, and a wider one as a bvp solve with a larger
     # epsilon uses (2 epsilon)

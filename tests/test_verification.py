@@ -1,5 +1,7 @@
 """Check suites, discretization tolerance and sequence experiments."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,20 @@ class TestSequences:
         assert not report.entries[1].valid
         assert "ConstructionError" in report.entries[1].error
         assert report.entries[0].valid and report.entries[2].valid
+
+    def test_unresolvable_widths_reported_without_warnings(self):
+        """Widths too small to build a tendril from are invalid members
+        whose errors blame the width, not the length, and computing
+        them records no numpy RuntimeWarning."""
+        spec = SequenceSpec(family="tendril", schedule=tuple(
+            {"length": 1.0, "width": 2.0 ** -i} for i in (500, 514, 1074)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = run_sequence(spec, WIDE_PARAMS)
+        assert [str(w.message) for w in caught] == []
+        assert not any(e.valid for e in report.entries)
+        assert "width is too small" in report.entries[1].error
+        assert not any("length = 0" in e.error for e in report.entries)
 
     def test_each_member_validated_once(self, monkeypatch):
         calls = []
