@@ -320,6 +320,7 @@ def cmd_sequence(config: dict) -> int:
 def cmd_pointpick(config: dict) -> int:
     metric = _build_metric(config)
     radius = _float(config.get("suites", {}), "pointpick_radius", 0.1)
+    summarize(metric)   # before the scan: an overflowing metric is bad input
     result = point_pick(metric, radius)
     extras = {"pointpick": {"radius": radius, **vars(result)}}
     doc = rep.build_report([], config, seed=_seed(config), extras=extras)

@@ -303,6 +303,16 @@ def _tendril_layout(length, width, theta0):
     return theta0, (b0, b1, b2, b3, b4, b5), thin
 
 
+def _distinct_sorted(x: np.ndarray) -> np.ndarray:
+    """The distinct values of a finite 1-D array in ascending order.
+
+    This is `np.unique`'s own algorithm for floats (sort, then drop each
+    value equal to its predecessor), without the `numpy.ma` import that
+    the first `np.unique` call of a process makes."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def tendril_grid(breaks) -> RadialGrid:
     """Graded grid of 1601 nodes enriched to resolve the squash region of
     a tendril."""
@@ -311,7 +321,7 @@ def tendril_grid(breaks) -> RadialGrid:
     lo = 0.5 * b0
     densea = np.linspace(lo, b3 + (b3 - b2), 1201)
     denseb = np.linspace(b3, min(b5 + 0.05, PI), 801)
-    nodes = np.unique(np.concatenate([base, densea, denseb]))
+    nodes = _distinct_sorted(np.concatenate([base, densea, denseb]))
     keep = np.concatenate([[True], np.diff(nodes) > 1e-12])
     keep[-1] = True
     nodes = nodes[keep]
@@ -367,7 +377,7 @@ def _tendril_normalize(length, shape, breaks):
     # consecutive segments share an endpoint; drop each repeat
     t = np.concatenate([segs[0]] + [seg[1:] for seg in segs[1:]])
     if not np.all(np.diff(t) > 0.0):
-        t = np.unique(t)    # breakpoints closer than the node spacing
+        t = _distinct_sorted(t)  # breakpoints closer than the node spacing
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         s = shape(t, 0)
     bad = ~np.isfinite(s)

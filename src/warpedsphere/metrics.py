@@ -225,12 +225,13 @@ class ClassParams:
 
 def scalar_curvature(nodes: NodeSet) -> np.ndarray:
     """Scalar curvature R(theta) on a node set of a metric (`on_grid` or
-    `on_fine`); poles filled by one-sided parabolic fit.
+    `on_fine`); poles filled by one-sided parabolic extrapolation.
 
     With f_s = f'/phi and f_ss = (f_s)'/phi,
         R = -4 f_ss / f + 2 (1 - f_s^2) / f^2.
-    Both terms are 0/0 at the poles, so pole values are extrapolated
-    from the three nearest interior samples.
+    Both terms are 0/0 at the poles, so each pole value is the value at
+    the pole of the parabola through the three nearest interior samples,
+    in closed (3-point Lagrange) form.
     """
     t, (phi, f, dphi, df, _, d2f) = nodes.t, nodes.jet
     fs = df / phi
@@ -241,8 +242,15 @@ def scalar_curvature(nodes: NodeSet) -> np.ndarray:
     R[inner] = -4.0 * fss[inner] / f[inner] \
         + 2.0 * (1.0 - fs[inner]**2) / f[inner]**2
     for pole, sl in ((0, slice(1, 4)), (-1, slice(-4, -1))):
-        x, y = t[sl], R[sl]
-        R[pole] = np.polyval(np.polyfit(x - t[pole], y, 2), 0.0)
+        (x0, x1, x2), (y0, y1, y2) = t[sl] - t[pole], R[sl]
+        # the parabola through the three samples, at the pole, in closed
+        # form: a least-squares solve would start LAPACK for 3 points.
+        # nan if a sample is not finite, so the deficit's clip at 0
+        # cannot hide an infinity
+        R[pole] = (y0 * (x1 * x2 / ((x0 - x1) * (x0 - x2)))
+                   + y1 * (x0 * x2 / ((x1 - x0) * (x1 - x2)))
+                   + y2 * (x0 * x1 / ((x2 - x0) * (x2 - x1)))) \
+            if np.isfinite(R[sl]).all() else np.nan
     return R
 
 

@@ -9,12 +9,16 @@ the timestamp field; file writes go through a temp file and rename.
 `report_json` writes the document directly: its bytes equal those of
 `json.dumps(doc, sort_keys=True, indent=2)`, whose `indent` would send
 Python's json through its pure-Python encoder.
+
+`sha256` is the interpreter's built-in one (`_sha2` on Python 3.12+,
+`_sha256` before), as in CPython's own `random` module: `hashlib` loads
+OpenSSL's libcrypto, megabytes of memory for digests of under 1 KB.  The
+digests are the same; `hashlib` is the fallback where neither exists.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -24,6 +28,14 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Optional
 
 import numpy as np
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .verification import CheckResult, ConvergenceReport
 
@@ -67,7 +79,7 @@ def config_hash(config: dict) -> str:
     """SHA-256 of the canonical JSON encoding of the configuration."""
     canon = json.dumps(_jsonable(config), sort_keys=True,
                        separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def build_report(checks: Iterable[CheckResult], config: dict,
@@ -77,7 +89,7 @@ def build_report(checks: Iterable[CheckResult], config: dict,
                  timestamp: Optional[str] = None) -> dict:
     """Assemble the report document; checks are sorted by label."""
     chash = config_hash(config)
-    run_id = hashlib.sha256(
+    run_id = sha256(
         f"{chash}:{seed}".encode()).hexdigest()[:16]
     doc = {
         "run_id": run_id,

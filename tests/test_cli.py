@@ -144,6 +144,8 @@ class TestInputContract:
           "--param", "width=1e-300", "--param", "theta0=1"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1",
           "--param", "width=1e-300", "--param", "theta0=1"], None),
+        (["pointpick", "--family", "bump", "--param", "eta=1e300"], None),
+        (["pointpick", "--family", "bump", "--param", "eta=1e150"], None),
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
@@ -156,7 +158,8 @@ class TestInputContract:
             "ini-line-without-equals", "ini-not-utf8",
             "ini-interpolation-missing", "tendril-width-1e-300",
             "bubble-neck-theta-1e-300", "analyze-bump-width-1e-300",
-            "pointpick-bump-width-1e-300"])
+            "pointpick-bump-width-1e-300", "pointpick-bump-eta-1e300",
+            "pointpick-bump-eta-1e150"])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:
@@ -206,11 +209,12 @@ class TestInputContract:
         assert 2.0 ** -cli.MAX_SEQUENCE_COUNT > 0.0
         assert 2.0 ** -(cli.MAX_SEQUENCE_COUNT + 1) == 0.0
 
-    @pytest.mark.parametrize("command", ["analyze", "verify"])
+    @pytest.mark.parametrize("command", ["analyze", "verify", "pointpick"])
     def test_non_finite_summary_exits_2(self, command, capsys):
         # volume overflows to inf; m and the Cheeger surrogate are nan.
         # verify refuses the metric before the solve, whose residual
-        # self-check would otherwise read nan and exit 3
+        # self-check would otherwise read nan and exit 3, and pointpick
+        # before the scan, whose ball volumes would overflow
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert main([command, "--family", "bump",
@@ -415,10 +419,16 @@ class TestSubcommands:
         assert not shown["tendril", "theta0"]
 
 
-def _modules_after(*argvs):
-    """Run each argv through `main` in a fresh interpreter; return the
-    exit codes and the scipy modules loaded by then."""
-    script = (
+#: modules no command needs: OpenSSL's `_hashlib` (behind `hashlib`) and
+#: `numpy.ma` (behind the first `np.unique`)
+HEAVY_MODULES = ("_hashlib", "numpy.ma")
+
+
+def _modules_after(*argvs, prelude=""):
+    """Run `prelude`, then each argv through `main`, in a fresh
+    interpreter; return the exit codes, the scipy modules loaded by then
+    and those of HEAVY_MODULES loaded by then."""
+    script = prelude + (
         "import contextlib, io, json, sys\n"
         "from warpedsphere.cli import main\n"
         "codes = []\n"
@@ -426,7 +436,8 @@ def _modules_after(*argvs):
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        codes.append(main(argv))\n"
         "print(json.dumps([codes, sorted(m for m in sys.modules\n"
-        "    if m == 'scipy' or m.startswith('scipy.'))]))\n")
+        "    if m == 'scipy' or m.startswith('scipy.')),\n"
+        f"    [m for m in {HEAVY_MODULES!r} if m in sys.modules]]))\n")
     src = os.path.dirname(os.path.dirname(warpedsphere.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -436,19 +447,36 @@ def _modules_after(*argvs):
     return json.loads(done.stdout)
 
 
+#: one call of each command; the tendril calls reach its node merge
+FOOTPRINT_ARGVS = (
+    ["verify", "--family", "tendril", "--param", "length=1"],
+    ["sequence", "--family", "bubble", "--count", "1"],
+    ["sequence", "--family", "tendril", "--count", "2"],
+    ["pointpick"],
+    ["analyze", "--family", "bump", "--param", "eta=0.5"],
+    ["families"])
+
+
 class TestImportFootprint:
+    """A command loads numpy alone: scipy only for `--solver bvp`, and
+    neither OpenSSL, `numpy.ma` nor LAPACK."""
+
     def test_commands_load_no_scipy(self):
-        codes, scipy_modules = _modules_after(
-            ["verify", "--family", "tendril", "--param", "length=1"],
-            ["sequence", "--family", "bubble", "--count", "1"],
-            ["pointpick"],
-            ["analyze", "--family", "bump", "--param", "eta=0.5"],
-            ["families"])
-        assert codes == [0, 0, 0, 0, 0]
+        codes, scipy_modules, heavy = _modules_after(*FOOTPRINT_ARGVS)
+        assert codes == [0] * len(FOOTPRINT_ARGVS)
         assert scipy_modules == []
+        assert heavy == []
+
+    def test_commands_call_no_lapack(self):
+        prelude = ("import numpy\n"
+                   "def refuse(*args, **kwargs):\n"
+                   "    raise RuntimeError('a LAPACK solve was called')\n"
+                   "numpy.linalg.lstsq = numpy.polyfit = refuse\n")
+        codes, _, _ = _modules_after(*FOOTPRINT_ARGVS, prelude=prelude)
+        assert codes == [0] * len(FOOTPRINT_ARGVS)
 
     def test_bvp_solver_still_runs(self):
-        codes, scipy_modules = _modules_after(
+        codes, scipy_modules, _ = _modules_after(
             ["verify", "--family", "round", "--solver", "bvp"])
         assert codes == [0]
         assert "scipy.linalg" in scipy_modules

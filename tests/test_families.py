@@ -275,6 +275,45 @@ class TestTendrilNormalize:
                                              0.1, 0.05), tuple)
 
 
+def _tendril_breaks():
+    """Breakpoints of every tendril layout the sweep builds: widths
+    2**-1..2**-40, 40 random widths in (0.01, 0.4) and the subnormal
+    widths 2**-1052..2**-1074 of `sequence --count 1074`, each with
+    theta0 at 2, 2.5 and 3.1 widths; layouts that do not fit are left
+    out."""
+    widths = ([2.0**-k for k in range(1, 41)]
+              + list(np.random.default_rng(18).uniform(0.01, 0.4, 40))
+              + [2.0**-k for k in range(1052, 1075)])
+    for width in widths:
+        for k in (2.0, 2.5, 3.1):
+            try:
+                yield fam._tendril_layout(1.0, width, k * width)[1]
+            except ConstructionError:
+                pass
+
+
+def test_distinct_sorted_is_np_unique():
+    """The tendril's node merge gives `np.unique`'s nodes bit for bit, on
+    the arrays `tendril_grid` and `_tendril_normalize` merge, including
+    the layouts whose breakpoints are closer than the node spacing."""
+    base = RadialGrid.graded(1601).nodes
+    layouts = crowded = 0
+    for breaks in _tendril_breaks():
+        b0, b1, b2, b3, b4, b5 = breaks
+        grid_nodes = np.concatenate([
+            base, np.linspace(0.5 * b0, b3 + (b3 - b2), 1201),
+            np.linspace(b3, min(b5 + 0.05, PI), 801)])
+        segs = [np.linspace(a, b, 4001)
+                for a, b in zip(breaks[:-1], breaks[1:])]
+        joined = np.concatenate([segs[0]] + [seg[1:] for seg in segs[1:]])
+        crowded += not np.all(np.diff(joined) > 0.0)
+        for x in (grid_nodes, joined, np.concatenate(segs)):
+            assert (fam._distinct_sorted(x).tobytes()
+                    == np.unique(x).tobytes()), breaks
+        layouts += 1
+    assert layouts > 300 and crowded > 40
+
+
 #: (family, params): every family at its catalog defaults and at the
 #: edges of its admissible ranges
 JET_CASES = [

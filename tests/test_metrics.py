@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,6 +97,45 @@ def test_scaled_sphere_curvature_constant(c, expected):
 def test_round_deficit_negligible():
     # m = ||(6-R)^+||^(1/2): pole round-off in R enters at the 1/4 power
     assert scalar_deficit(round_sphere()) < 1e-6
+
+
+def _pole_fit_oracle(t, r):
+    """The two pole values by `np.polyfit`, the least-squares parabola
+    through the three nearest interior samples."""
+    return np.array([np.polyval(np.polyfit(t[sl] - t[pole], r[sl], 2), 0.0)
+                     for pole, sl in ((0, slice(1, 4)),
+                                      (-1, slice(-4, -1)))])
+
+
+class TestPoleValues:
+    """The closed-form pole fill of `scalar_curvature` gives the values of
+    `np.polyfit`'s fit."""
+
+    @pytest.mark.parametrize("grid", ["uniform-2001", "default"])
+    @pytest.mark.parametrize("nodes", ["on_grid", "on_fine"])
+    @pytest.mark.parametrize("name", list(REFERENCE_BUILDERS))
+    def test_match_the_least_squares_fit(self, name, nodes, grid):
+        metric = REFERENCE_BUILDERS[name](
+            RadialGrid.uniform(2001) if grid == "uniform-2001" else None)
+        ns = getattr(metric, nodes)
+        r = scalar_curvature(ns)
+        np.testing.assert_allclose(r[[0, -1]], _pole_fit_oracle(ns.t, r),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_non_finite_sample_gives_nan(self):
+        """As with the fit, a pole next to a sample that is not finite is
+        nan, never an infinity that the deficit's clip would turn to 0."""
+        t = np.linspace(0.0, PI, 11)
+        f = np.sin(t)
+        f[2] = 0.0                      # R there is 0/0 or x/0
+        jet = (np.ones_like(t), f, np.zeros_like(t), np.cos(t),
+               np.zeros_like(t), -np.sin(t))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = scalar_curvature(SimpleNamespace(t=t, jet=jet))
+            expected = _pole_fit_oracle(t, r)
+        assert not np.isfinite(r[2])
+        assert np.isnan(r[0]) and np.isnan(expected[0])
+        assert r[-1] == pytest.approx(expected[-1], rel=1e-12)
 
 
 class TestConstruction:

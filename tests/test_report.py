@@ -2,6 +2,7 @@
 writes."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import sys
@@ -37,6 +38,16 @@ class TestConfigHash:
         a = {"grid": {"n": "501"}}
         b = {"grid": {"n": "1001"}}
         assert config_hash(a) != config_hash(b)
+
+    def test_digests_are_hashlib_sha256(self):
+        """The built-in SHA-256 the report uses gives `hashlib`'s digests."""
+        config = {"grid": {"n": "501"}, "metric": {"family": "bump",
+                                                  "eta": 0.5}}
+        canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        chash = hashlib.sha256(canon.encode()).hexdigest()
+        assert config_hash(config) == chash
+        assert build_report([], config, seed=3)["run_id"] == \
+            hashlib.sha256(f"{chash}:3".encode()).hexdigest()[:16]
 
 
 class TestBuildReport:
