@@ -26,7 +26,7 @@ from .grids import MIN_NODES, RadialGrid
 from .metrics import (ClassParams, class_membership, load_profile_table,
                       summarize)
 from . import families as fam
-from .functionals import point_pick
+from .functionals import point_pick, require_pick_radius
 from .potential import SolverConfig, solve_bvp, solve_quadrature
 from .constants import constant_ledger
 from .verification import (SUITES, SequenceSpec, require_suites,
@@ -283,6 +283,7 @@ def cmd_verify(config: dict) -> int:
              if s.strip()]
     require_suites(names)            # before the solve: bad names exit 2
     tolerance = _float(suite_sec, "tolerance")
+    metric.on_fine.jet   # the solve's order-2 jet; the summary reads it too
     # before the solve: a metric whose summary overflows is bad input
     extras = _summary_extras(metric, params)
     pot = _solve(metric, config)
@@ -320,6 +321,7 @@ def cmd_sequence(config: dict) -> int:
 def cmd_pointpick(config: dict) -> int:
     metric = _build_metric(config)
     radius = _float(config.get("suites", {}), "pointpick_radius", 0.1)
+    require_pick_radius(radius)   # before the summary it would pay for
     summarize(metric)   # before the scan: an overflowing metric is bad input
     result = point_pick(metric, radius)
     extras = {"pointpick": {"radius": radius, **vars(result)}}

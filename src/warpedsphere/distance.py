@@ -29,7 +29,8 @@ def meridian_arclength(metric: WarpedMetric):
     is the exact distance between the two poles: any path joining them
     sweeps every colatitude, so its length is at least int phi dtheta.
     """
-    cum = metric.on_fine.cumulative(metric.on_fine.jet[0])
+    fine = metric.on_fine
+    cum = fine.cumulative(fine.leading[0])
     return cum[::ANALYTIC_REFINE], float(cum[-1])
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .grids import PI, RadialGrid, simpson_rule
+from .grids import PI, RadialGrid, default_grid, simpson_rule
 from .metrics import WarpedMetric
 
 #: peak of the bump modulation at eta = 1; kept small so the whole
@@ -94,7 +94,7 @@ def _sphere_profiles(c):
 
 def round_sphere(grid: RadialGrid | None = None) -> WarpedMetric:
     """The unit round sphere: phi = 1, f = sin."""
-    grid = grid or RadialGrid.uniform()
+    grid = grid or default_grid("uniform")
     return WarpedMetric.from_profiles(grid, _sphere_profiles(1.0), "round",
                                       {})
 
@@ -104,7 +104,7 @@ def scaled_sphere(c: float, grid: RadialGrid | None = None) -> WarpedMetric:
     if not (1.0 <= c < np.inf):
         raise DomainError("scale factor must be finite and >= 1 to dominate "
                           "the round metric")
-    grid = grid or RadialGrid.uniform()
+    grid = grid or default_grid("uniform")
     return WarpedMetric.from_profiles(grid, _sphere_profiles(c), "scaled",
                                       {"c": c})
 
@@ -120,7 +120,7 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
         raise DomainError("bump amplitude must be finite and nonnegative")
     if not (0.0 < width and theta0 - width >= 0.0 and theta0 + width <= PI):
         raise ConstructionError("support", "bump support must sit inside (0, pi)")
-    grid = grid or RadialGrid.uniform()
+    grid = grid or default_grid("uniform")
     amp = eta * BUMP_PEAK
 
     def profiles(t, order=2):
@@ -398,11 +398,19 @@ def _tendril_normalize(length, shape, breaks):
         return simpson(buf) - length
 
     hi = (1.0 - 1e-15) / float(np.max(s))
-    if excess(hi) < 0.0:
+    excess_hi = excess(hi)
+    if excess_hi < 0.0:
         raise ConstructionError(
             "length", "requested tendril length is not attainable")
+
+    def known_at_hi(c_max):
+        # Brent's first two evaluations are at its bracket's ends; the
+        # attainability check above has already evaluated hi
+        return excess_hi if c_max == hi else excess(c_max)
+
     try:
-        return float(_brentq(excess, 1e-15, hi, xtol=1e-15, rtol=8.9e-16))
+        return float(_brentq(known_at_hi, 1e-15, hi, xtol=1e-15,
+                             rtol=8.9e-16))
     except ValueError:
         raise ConstructionError(
             "length", "requested tendril length is too small to resolve; "
@@ -475,7 +483,7 @@ def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,
         raise DomainError("span must be in (0, 1) and band in (0, 0.5)")
     if not np.isfinite(area_radius):
         raise DomainError("fiber radius area_radius must be finite")
-    grid = grid or RadialGrid.graded()
+    grid = grid or default_grid("graded")
     lo = neck_theta * (1.0 - span)
     mid = 0.5 * (lo + neck_theta)
     halfw = 0.5 * (neck_theta - lo)

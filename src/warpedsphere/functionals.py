@@ -418,6 +418,12 @@ class PointPickResult:
     beyond_proof_range: bool
 
 
+def require_pick_radius(r: float) -> None:
+    """Refuse a point-pick radius outside (0, 0.5] with a DomainError."""
+    if not (0.0 < r <= 0.5):
+        raise DomainError("point-pick radius must lie in (0, 0.5]")
+
+
 def point_pick(metric: WarpedMetric, r: float) -> PointPickResult:
     """Antipodal pole pair minimizing the two round-ball g-volumes.
 
@@ -425,8 +431,7 @@ def point_pick(metric: WarpedMetric, r: float) -> PointPickResult:
     the best pair against 10^12 r^3 V.  Radii above 1e-4 sit outside the
     packing argument's regime and are flagged as such.
     """
-    if not (0.0 < r <= 0.5):
-        raise DomainError("point-pick radius must lie in (0, 0.5]")
+    require_pick_radius(r)
     qs = np.linspace(0.0, PI / 2, N_SCAN)
     sums = np.array([ball_volume(metric, q, r)
                      + ball_volume(metric, PI - q, r) for q in qs])

@@ -13,17 +13,24 @@ every integral on strictly increasing x, and so every report, is
 bit-identical to scipy's and no longer depends on which scipy version is
 installed.  The tests keep scipy as the oracle.
 
-Each rule is built once per node set: `simpson_rule(x)` and
+Each rule is built once per grid: `simpson_rule(x)` and
 `cumulative_rule(x)` compute the factors that depend on x alone and
-return the rule as a function of the samples y.  A metric's node sets
-(`metrics.NodeSet`) keep their rules beside their profile jets;
-`integrate` and `cumulative` build a rule for one use, for node sets
-that occur once (band slices, ball sub-grids).
+return the rule as a function of the samples y.  A `RadialGrid` keeps
+everything that depends on its nodes alone, computed on first read: its
+refined grid, its Simpson, cumulative and trapezoid rules, and its sines
+and cosines.  A metric's node sets (`metrics.NodeSet`) read them from
+their grid; `integrate` and `cumulative` build a rule for one use, for
+node sets that occur once (band slices, ball sub-grids).
+
+The families' default grids are built once per process (`default_grid`)
+and shared, read-only, by every metric built on them, so the node-only
+work of a sequence of metrics on one default grid is done once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -38,9 +45,18 @@ ANALYTIC_REFINE = 4
 MIN_NODES = 33
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, flagged read-only: a shared node-only array must not change."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class RadialGrid:
-    """Strictly increasing colatitude samples covering [0, pi]."""
+    """Strictly increasing colatitude samples covering [0, pi], and what
+    depends on them alone, each computed on first read and then kept:
+    the refined grid, the three quadrature rules, sines and cosines.
+    The kept arrays are read-only."""
 
     nodes: np.ndarray
 
@@ -67,6 +83,42 @@ class RadialGrid:
         """Cosine-graded grid, clustered quadratically toward both poles."""
         j = np.linspace(0.0, PI, n)
         return cls(0.5 * PI * (1.0 - np.cos(j)))
+
+    @cached_property
+    def refined(self) -> "RadialGrid":
+        """Every cell split into ANALYTIC_REFINE equal parts: the
+        quadrature nodes of analytic integrands."""
+        return RadialGrid(_read_only(refine_nodes(self.nodes)))
+
+    @cached_property
+    def simpson(self):
+        return simpson_rule(self.nodes)
+
+    @cached_property
+    def cumulative(self):
+        return cumulative_rule(self.nodes)
+
+    @cached_property
+    def trapezoid(self) -> np.ndarray:
+        return _read_only(node_weights(self.nodes))
+
+    @cached_property
+    def sin(self) -> np.ndarray:
+        return _read_only(np.sin(self.nodes))
+
+    @cached_property
+    def cos(self) -> np.ndarray:
+        return _read_only(np.cos(self.nodes))
+
+
+@cache
+def default_grid(kind: str) -> RadialGrid:
+    """The 2001-node `RadialGrid.uniform()` or `RadialGrid.graded()` that a
+    family builds on when given no grid, built once per process and
+    shared; its nodes are read-only and hold no profile."""
+    grid = getattr(RadialGrid, kind)()
+    _read_only(grid.nodes)
+    return grid
 
 
 def refine_nodes(nodes: np.ndarray, k: int = ANALYTIC_REFINE) -> np.ndarray:

@@ -10,14 +10,13 @@ container defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateMetricError, StructuralError
-from .grids import (PI, RadialGrid, cumulative_rule, integrate, node_weights,
-                    refine_nodes, simpson_rule)
+from .grids import PI, RadialGrid, integrate
 
 #: slop admitted in the pointwise comparison checks (phi >= 1, f >= sin)
 COMPARISON_TOL = 1e-12
@@ -40,34 +39,45 @@ JET_LABELS = ("phi", "f", "dphi", "df", "d2phi", "d2f")
 @dataclass(frozen=True, eq=False)
 class NodeSet:
     """One node set of a metric, its grid nodes or its refined nodes: the
-    nodes t, the profile jet evaluated on them, and, each computed on
-    first read and then kept, their rules, sines, cosines and pole-safe
-    fields.  It holds the evaluated jet and never its metric: a reference
-    back would make a cycle, and a dropped metric's arrays would stay
-    resident until the cyclic garbage collector ran."""
+    grid, and the metric's profile jet evaluated there when first read,
+    at the order read, with the pole-safe fields built on it.  The nodes,
+    rules, sines and cosines are the grid's own, shared by every metric
+    on that grid.  It holds the profile functions and never its metric:
+    a reference back would make a cycle, and a dropped metric's arrays
+    would stay resident until the cyclic garbage collector ran.
 
-    t: np.ndarray
-    jet: tuple
+    Both orders are evaluated with numpy's overflow and invalid-value
+    warnings silenced, as in `WarpedMetric.from_profiles`; a summary
+    quantity that is not finite is refused by name (`summarize`)."""
 
-    @cached_property
-    def simpson(self):
-        return simpson_rule(self.t)
+    grid: RadialGrid
+    profiles: ProfileFns
 
-    @cached_property
-    def cumulative(self):
-        return cumulative_rule(self.t)
-
-    @cached_property
-    def trapezoid(self) -> np.ndarray:
-        return node_weights(self.t)
+    def _evaluate(self, order: int) -> tuple:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return self.profiles(self.t, order)
 
     @cached_property
-    def sin(self) -> np.ndarray:
-        return np.sin(self.t)
+    def jet(self) -> tuple:
+        """(phi, f, dphi, df, d2phi, d2f) on the nodes."""
+        return self._evaluate(2)
 
     @cached_property
-    def cos(self) -> np.ndarray:
-        return np.cos(self.t)
+    def leading(self) -> tuple:
+        """(phi, f) on the nodes: the jet's first two entries once the jet
+        is evaluated, else one order-0 evaluation, which gives the same
+        bits."""
+        if "jet" in self.__dict__:
+            return self.jet[:2]
+        return self._evaluate(0)
+
+    # the nodes and what depends on them alone are the grid's
+    t = property(lambda self: self.grid.nodes)
+    simpson = property(lambda self: self.grid.simpson)
+    cumulative = property(lambda self: self.grid.cumulative)
+    trapezoid = property(lambda self: self.grid.trapezoid)
+    sin = property(lambda self: self.grid.sin)
+    cos = property(lambda self: self.grid.cos)
 
     @cached_property
     def fos(self) -> np.ndarray:
@@ -91,6 +101,27 @@ class NodeSet:
         return out
 
 
+def _table_profiles(theta: np.ndarray, phi: np.ndarray,
+                    f: np.ndarray) -> ProfileFns:
+    """The profile jet of samples (phi, f) on the nodes theta: the samples
+    and their finite-difference derivatives, the latter computed on the
+    first order-2 read, interpolated linearly, which is exact at the
+    nodes."""
+
+    @cache
+    def derivatives() -> tuple:
+        dphi = np.gradient(phi, theta, edge_order=2)
+        df = np.gradient(f, theta, edge_order=2)
+        return (dphi, df, np.gradient(dphi, theta, edge_order=2),
+                np.gradient(df, theta, edge_order=2))
+
+    def profiles(t, order=2):
+        samples = (phi, f) + (derivatives() if order else ())
+        return tuple(np.interp(t, theta, y) for y in samples)
+
+    return profiles
+
+
 @dataclass(frozen=True)
 class WarpedMetric:
     """A warped-product metric sampled on a radial grid.
@@ -100,9 +131,11 @@ class WarpedMetric:
     and their finite-difference derivatives.  Every reader takes phi, f
     and their derivatives from `jet`, or from one of the metric's two
     cached `NodeSet`s, `on_grid` (the grid nodes) and `on_fine` (the
-    refined nodes), and integrates there with the rules, sines, cosines
-    and pole-safe fields that node set caches.  `quadrature` is the node
-    set of analytic integrands.
+    refined nodes), and integrates there with the rules, sines and
+    cosines of the node set's grid and the pole-safe fields the node set
+    caches.  A reader of phi and f alone takes a node set's `leading`,
+    so a geometry summary never evaluates derivatives on the refined
+    nodes.  `quadrature` is the node set of analytic integrands.
     """
 
     grid: RadialGrid
@@ -152,42 +185,38 @@ class WarpedMetric:
                     f"cannot be built")
         metric = cls(grid=grid, phi=jet[0], f=jet[1], name=name,
                      profiles=profiles, params=dict(params))
-        metric.__dict__["on_grid"] = NodeSet(grid.nodes, jet)
+        on_grid = metric.__dict__["on_grid"] = NodeSet(grid, profiles)
+        on_grid.__dict__["jet"] = jet
         return metric
 
     @property
     def theta(self) -> np.ndarray:
         return self.grid.nodes
 
+    @cached_property
+    def _profile_jet(self) -> ProfileFns:
+        """profiles(t, order) of the metric: its analytic profiles, or the
+        jet of its sampled table."""
+        if self.profiles is not None:
+            return self.profiles
+        return _table_profiles(self.theta, self.phi, self.f)
+
     def jet(self, t: np.ndarray, order: int = 2) -> tuple:
         """(phi, f, dphi, df, d2phi, d2f) on the nodes t; (phi, f) for
         order 0.  A sampled table is interpolated linearly, which is
         exact at the grid nodes."""
-        if self.profiles is not None:
-            return self.profiles(np.asarray(t, dtype=float), order)
-        samples = (self.phi, self.f) + (self._sample_derivatives
-                                        if order else ())
-        return tuple(np.interp(t, self.theta, y) for y in samples)
-
-    @cached_property
-    def _sample_derivatives(self) -> tuple:
-        """(dphi, df, d2phi, d2f) of the samples by finite differences."""
-        t = self.theta
-        dphi = np.gradient(self.phi, t, edge_order=2)
-        df = np.gradient(self.f, t, edge_order=2)
-        return (dphi, df, np.gradient(dphi, t, edge_order=2),
-                np.gradient(df, t, edge_order=2))
+        return self._profile_jet(np.asarray(t, dtype=float), order)
 
     @cached_property
     def on_grid(self) -> NodeSet:
-        return NodeSet(self.theta, self.jet(self.theta))
+        return NodeSet(self.grid, self._profile_jet)
 
     @cached_property
     def on_fine(self) -> NodeSet:
-        """The grid nodes with every cell split into ANALYTIC_REFINE equal
-        parts, the quadrature nodes of analytic integrands."""
-        fine = refine_nodes(self.theta)
-        return NodeSet(fine, self.jet(fine))
+        """The node set of `grid.refined`, the grid nodes with every cell
+        split into ANALYTIC_REFINE equal parts: the quadrature nodes of
+        analytic integrands."""
+        return NodeSet(self.grid.refined, self._profile_jet)
 
     @property
     def quadrature(self) -> NodeSet:
@@ -299,7 +328,7 @@ def volume(metric: WarpedMetric) -> float:
     """Total volume, 4*pi * integral of phi f^2, on the metric's
     `quadrature` node set."""
     nodes = metric.quadrature
-    phi, f = nodes.jet[:2]
+    phi, f = nodes.leading
     return nodes.simpson(4.0 * PI * phi * f**2)
 
 

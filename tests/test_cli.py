@@ -146,6 +146,8 @@ class TestInputContract:
           "--param", "width=1e-300", "--param", "theta0=1"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1e300"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1e150"], None),
+        (["pointpick", "--family", "bump", "--param", "eta=1e300",
+          "--radius", "0.7"], None),
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
@@ -159,7 +161,7 @@ class TestInputContract:
             "ini-interpolation-missing", "tendril-width-1e-300",
             "bubble-neck-theta-1e-300", "analyze-bump-width-1e-300",
             "pointpick-bump-width-1e-300", "pointpick-bump-eta-1e300",
-            "pointpick-bump-eta-1e150"])
+            "pointpick-bump-eta-1e150", "pointpick-bump-eta-1e300-radius"])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:
@@ -173,6 +175,20 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("eta", ["0.5", "1e300"])
+    def test_pointpick_radius_refused_before_the_summary(self, eta,
+                                                        monkeypatch, capsys):
+        """An out-of-range radius is refused by name before any summary
+        is paid for, also when the metric's summary would overflow."""
+        def no_summary(metric):
+            raise AssertionError("summarized before the radius check")
+
+        monkeypatch.setattr(cli, "summarize", no_summary)
+        assert main(["pointpick", "--family", "bump", "--param",
+                     f"eta={eta}", "--radius", "0.7"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: point-pick radius must lie in (0, 0.5]\n"
 
     def test_unresolvable_tendril_width_blames_the_width(self, capsys):
         assert main(["analyze", "--family", "tendril", "--param",

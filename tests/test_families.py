@@ -260,6 +260,35 @@ class TestTendrilNormalize:
             assert (_normalize_outcome(fam._tendril_normalize, *args)
                     == _normalize_outcome(_normalize_oracle, *args)), args
 
+    @pytest.mark.parametrize("width", [0.5, 0.25, 0.1, 2.0**-6, 2.0**-24])
+    def test_excess_evaluated_once_per_brent_point(self, width,
+                                                   monkeypatch):
+        """Brent's evaluation at the bracket's upper end reuses the
+        attainability check's, so every pass over the nodes is one Brent
+        asks for, and the root is unchanged."""
+        c_max = fam.tendril_sphere(1.0, width).params["c_max"]
+        passes, asked = [], []
+        make_rule, brent = fam.simpson_rule, fam._brentq
+
+        def counting_rule(x):
+            rule = make_rule(x)
+
+            def counted(y):
+                passes.append(1)
+                return rule(y)
+            return counted
+
+        def counting_brent(f, *args, **kwargs):
+            def asking(c):
+                asked.append(c)
+                return f(c)
+            return brent(asking, *args, **kwargs)
+
+        monkeypatch.setattr(fam, "simpson_rule", counting_rule)
+        monkeypatch.setattr(fam, "_brentq", counting_brent)
+        assert fam.tendril_sphere(1.0, width).params["c_max"] == c_max
+        assert len(asked) > 2 and len(passes) == len(asked)
+
     def test_sweep_covers_every_outcome(self):
         thin = [fam._tendril_layout(1.0, w, t0)[2]
                 for w, t0 in NORMALIZE_LAYOUTS[:8]]

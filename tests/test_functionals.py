@@ -59,6 +59,18 @@ class TestGuard:
             evaluate(Evaluation(corrupted_potential))
 
 
+#: verify calls whose grids are built for the call: `--grid-size` for the
+#: families whose default grid is shared by the process, and tendril's
+#: own grid.  Their counts do not depend on the calls made before them.
+FRESH_GRID_VERIFY = [
+    ["--family", "round", "--grid-size", "2001"],
+    ["--family", "scaled", "--param", "c=1.3", "--grid-size", "2001"],
+    ["--family", "bump", "--param", "eta=0.5", "--grid-size", "2001"],
+    ["--family", "tendril", "--param", "length=1.5"],
+    ["--family", "bubble", "--param", "area_radius=2",
+     "--param", "neck_theta=0.05", "--grid-size", "2001"]]
+
+
 class TestEvaluation:
     """One Evaluation per (metric, potential): guard once, values equal to
     those of a fresh evaluation per attribute, each computed once."""
@@ -99,20 +111,16 @@ class TestEvaluation:
         assert calls == {"flux_residual": 1}
         assert ev.fields is fields
 
-    @pytest.mark.parametrize("argv", [
-        ["--family", "round"], ["--family", "scaled", "--param", "c=1.3"],
-        ["--family", "bump", "--param", "eta=0.5"],
-        ["--family", "tendril", "--param", "length=1.5"],
-        ["--family", "bubble", "--param", "area_radius=2",
-         "--param", "neck_theta=0.05"]])
+    @pytest.mark.parametrize("argv", FRESH_GRID_VERIFY)
     def test_verify_evaluates_profiles_once_per_node_set(self, argv,
                                                          monkeypatch,
                                                          capsys):
-        """One verify call evaluates the profile jet exactly once on the
-        grid nodes (the build's own samples included) and once on the
-        refined nodes, and refines the grid once.  The polar masses add
-        one order-0 evaluation on the concatenated pole sub-grids and one
-        order-2 evaluation on their pole nodes, and nothing else."""
+        """One verify call on a fresh grid evaluates the profile jet
+        exactly once on the grid nodes (the build's own samples included)
+        and once on the refined nodes, and refines the grid once.  The
+        polar masses add one order-0 evaluation on the concatenated pole
+        sub-grids and one order-2 evaluation on their pole nodes, and
+        nothing else."""
         built, node_sets, refined = [], [], []
         build = metrics.WarpedMetric.from_profiles
         refine = grids.refine_nodes
@@ -131,8 +139,7 @@ class TestEvaluation:
 
         monkeypatch.setattr(metrics.WarpedMetric, "from_profiles",
                             classmethod(counting_build))
-        for module in (grids, metrics):
-            monkeypatch.setattr(module, "refine_nodes", counting_refine)
+        monkeypatch.setattr(grids, "refine_nodes", counting_refine)
         assert cli.main(["verify", *argv]) in (0, 1)
         capsys.readouterr()
         (metric,) = built
@@ -150,16 +157,54 @@ class TestEvaluation:
         assert len(refined) == 1
 
     @pytest.mark.parametrize("argv", [
-        ["--family", "round"], ["--family", "scaled", "--param", "c=1.3"],
-        ["--family", "bump", "--param", "eta=0.5"],
-        ["--family", "tendril", "--param", "length=1.5"],
-        ["--family", "bubble", "--param", "area_radius=2",
-         "--param", "neck_theta=0.05"],
+        ["sequence", "--family", "bump", "--count", "2"],
+        ["sequence", "--family", "tendril", "--count", "2"],
+        ["sequence", "--family", "bubble", "--count", "2"],
+        ["analyze", "--family", "round"],
+        ["analyze", "--family", "tendril", "--param", "length=1.5"],
+        ["analyze", "--family", "bump", "--param", "eta=0.5",
+         "--grid-size", "1000"],
+        ["pointpick", "--family", "bubble", "--param", "area_radius=2",
+         "--param", "neck_theta=0.05"]])
+    def test_summaries_evaluate_refined_nodes_at_order_zero(self, argv,
+                                                            monkeypatch,
+                                                            capsys):
+        """A command that reads only geometry summaries evaluates phi and
+        f alone on each metric's refined nodes, once, and no derivative
+        there; the grid nodes keep the build's one order-2 jet."""
+        built = []
+        build = metrics.WarpedMetric.from_profiles
+
+        def counting_build(cls, grid, profiles, name, params):
+            calls = []
+
+            def counted(t, order=2):
+                calls.append((order, np.array(t)))
+                return profiles(t, order)
+
+            built.append((build(grid, counted, name, params), calls))
+            return built[-1][0]
+
+        monkeypatch.setattr(metrics.WarpedMetric, "from_profiles",
+                            classmethod(counting_build))
+        assert cli.main(argv) in (0, 1)
+        capsys.readouterr()
+        assert built
+        for metric, calls in built:
+            def orders(nodes):
+                return [o for o, t in calls if t.shape == nodes.shape
+                        and np.array_equal(t, nodes)]
+
+            assert orders(metric.on_fine.t) == [0]
+            assert orders(metric.theta) == [2]
+
+    @pytest.mark.parametrize("argv", FRESH_GRID_VERIFY + [
         ["--family", "bump", "--param", "eta=2", "--grid-size", "1000"]])
     def test_verify_builds_rules_once_per_node_set(self, argv, monkeypatch,
                                                     capsys):
-        """One verify call builds exactly one Simpson rule and one
-        cumulative rule on the grid nodes and on the refined nodes."""
+        """One verify call on a fresh grid builds exactly one Simpson rule
+        and one cumulative rule on the grid nodes and on the refined
+        nodes."""
         built, rules = [], []
         build = metrics.WarpedMetric.from_profiles
 
@@ -190,12 +235,12 @@ class TestEvaluation:
             assert kinds == ["cumulative_rule", "simpson_rule"]
 
     @pytest.mark.parametrize("argv", [
-        ["--family", "round"], ["--family", "bump", "--param", "eta=0.5"],
-        ["--family", "tendril", "--param", "length=1.5"]])
+        FRESH_GRID_VERIFY[0], FRESH_GRID_VERIFY[2], FRESH_GRID_VERIFY[3]])
     def test_verify_builds_trapezoid_weights_once(self, argv, monkeypatch,
                                                   capsys):
         """The set measures and the alignment constants of one verify call
-        read one set of trapezoid weights, cached on the metric."""
+        on a fresh grid read one set of trapezoid weights, cached on the
+        grid."""
         calls = []
         weights = grids.node_weights
 

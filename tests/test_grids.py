@@ -1,14 +1,18 @@
 """Grid construction, refinement and quadrature helpers."""
 
+import re
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
-from warpedsphere import RadialGrid, refine_nodes
+from warpedsphere import RadialGrid, cli, families, grids, refine_nodes
 from warpedsphere.errors import StructuralError
 from warpedsphere.families import _tendril_layout, tendril_grid
-from warpedsphere.grids import (PI, cumulative, cumulative_rule, integrate,
-                                node_weights, simpson_rule)
+from warpedsphere.grids import (PI, cumulative, cumulative_rule,
+                                default_grid, integrate, node_weights,
+                                simpson_rule)
 
 
 class TestRadialGrid:
@@ -45,6 +49,89 @@ class TestRadialGrid:
         nodes[10], nodes[11] = nodes[11], nodes[10]
         with pytest.raises(StructuralError):
             RadialGrid(nodes)
+
+
+class TestGridCaches:
+    """A grid keeps what depends on its nodes alone, read-only, and the
+    families' default grids are shared by the process."""
+
+    def test_caches_equal_fresh_computations(self):
+        g = RadialGrid.graded(333)
+        y = np.exp(np.sin(3.0 * g.nodes))
+        assert np.array_equal(g.refined.nodes, refine_nodes(g.nodes))
+        assert g.simpson(y) == integrate(y, g.nodes)
+        assert np.array_equal(g.cumulative(y), cumulative(y, g.nodes))
+        assert np.array_equal(g.trapezoid, node_weights(g.nodes))
+        assert np.array_equal(g.sin, np.sin(g.nodes))
+        assert np.array_equal(g.cos, np.cos(g.nodes))
+        for name in ("refined", "simpson", "cumulative", "trapezoid", "sin",
+                     "cos"):
+            assert getattr(g, name) is getattr(g, name)
+
+    @pytest.mark.parametrize("kind,family", [
+        ("uniform", "round"), ("uniform", "bump"), ("graded", "bubble")])
+    def test_families_share_their_default_grid(self, kind, family):
+        params = {"round": {}, "bump": {"eta": 0.5},
+                  "bubble": {"area_radius": 2.0, "neck_theta": 0.05}}[family]
+        a = families.make(family, **params)
+        b = families.make(family, **params)
+        assert a.grid is b.grid is default_grid(kind)
+        assert np.array_equal(a.grid.nodes, getattr(RadialGrid, kind)().nodes)
+        assert a.on_fine is not b.on_fine
+        assert a.on_fine.grid is b.on_fine.grid
+
+    @pytest.mark.parametrize("kind", ["uniform", "graded"])
+    def test_shared_arrays_refuse_writes(self, kind):
+        g = default_grid(kind)
+        arrays = [g.nodes, g.refined.nodes, g.trapezoid, g.sin, g.cos,
+                  g.refined.sin, g.refined.cos]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                a += 0.0
+
+    @pytest.mark.parametrize("family", ["bump", "bubble"])
+    def test_second_sequence_builds_no_node_only_work(self, family,
+                                                      monkeypatch, capsys):
+        """Once one sequence has run on a family's default grid, a second
+        refines no grid, builds no quadrature rule and takes no sine or
+        cosine outside the family's own profiles."""
+        argv = ["sequence", "--family", family, "--count", "2"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("refine_nodes", "simpson_rule", "cumulative_rule",
+                     "node_weights"):
+            monkeypatch.setattr(grids, name, counting(name,
+                                                      getattr(grids, name)))
+
+        def trig(name, fn):
+            def wrapper(x, *args, **kwargs):
+                caller = sys._getframe(1).f_globals.get("__name__")
+                if caller != families.__name__:
+                    calls.append(name)
+                return fn(x, *args, **kwargs)
+            return wrapper
+
+        for name in ("sin", "cos"):
+            monkeypatch.setattr(np, name, trig(name, getattr(np, name)))
+        assert cli.main(argv) == 0
+        assert calls == []
+        second = capsys.readouterr().out
+        assert second.count('"error": ""') == 2
+
+        def untimed(text):
+            return re.sub(r'"timestamp": "[^"]*"', "", text)
+
+        assert untimed(second) == untimed(first)
 
 
 class TestRefineNodes:

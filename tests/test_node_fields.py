@@ -184,10 +184,13 @@ def _polar_csc3(pot, r):
 
 
 def _oracle_node_set(t, jet, fos, sf):
-    """A fresh node set on t whose sin, cos, f/sin and sin f'/f are the
-    oracle values, set before any reader can compute its own."""
-    ns = NodeSet(t, jet)
-    ns.__dict__.update(sin=np.sin(t), cos=np.cos(t), fos=fos, sf=sf)
+    """A fresh node set on a fresh grid on t whose jet, sin, cos, f/sin
+    and sin f'/f are the oracle values, set before any reader can compute
+    its own."""
+    grid = RadialGrid(t)
+    grid.__dict__.update(sin=np.sin(t), cos=np.cos(t))
+    ns = NodeSet(grid, profiles=None)
+    ns.__dict__.update(jet=jet, fos=fos, sf=sf)
     return ns
 
 
