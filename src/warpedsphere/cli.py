@@ -22,7 +22,7 @@ from typing import Callable
 from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
                      DomainError, IterationError, ResidualGuardError,
                      SolverError, StructuralError, WarpedSphereError)
-from .grids import MIN_NODES, RadialGrid
+from .grids import MAX_NODES, MIN_NODES, RadialGrid
 from .metrics import (ClassParams, class_membership, load_profile_table,
                       summarize)
 from . import families as fam
@@ -159,15 +159,18 @@ def _build_grid(config: dict) -> RadialGrid | None:
         return None
     if n < MIN_NODES:
         raise ConfigError(f"grid n must be at least {MIN_NODES}, got {n}")
+    if n > MAX_NODES:
+        raise ConfigError(f"grid n must be at most {MAX_NODES}, got {n}")
     if kind == "graded":
         return RadialGrid.graded(n)
     return RadialGrid.uniform(n)
 
 
-def _required_params(family: str) -> list:
-    """Parameters the family constructor gives no default."""
+def _defaults(family: str) -> dict:
+    """The family constructor's parameter defaults, `inspect`'s `empty`
+    for a parameter it requires."""
     signature = inspect.signature(fam.FAMILIES[family]).parameters
-    return [name for name, p in signature.items() if p.default is p.empty]
+    return {name: p.default for name, p in signature.items()}
 
 
 def _build_metric(config: dict):
@@ -187,8 +190,8 @@ def _build_metric(config: dict):
             raise ConfigError(
                 f"parameter {key!r} not accepted by family {family!r}")
         params[key] = _float(sec, key)
-    missing = [name for name in _required_params(family)
-               if name not in params]
+    missing = [name for name, default in _defaults(family).items()
+               if default is inspect.Parameter.empty and name not in params]
     if missing:
         raise ConfigError(
             f"family {family!r} requires parameter(s): {', '.join(missing)}")
@@ -339,10 +342,11 @@ def cmd_families(config: dict) -> int:
         catalog = fam.FAMILY_CATALOG[name]
         if not catalog:
             lines.append("    (no parameters)")
-        required = _required_params(name)
+        defaults = _defaults(name)
         for pname in sorted(catalog):
-            default, admissible, meaning = catalog[pname]
-            if pname in required:
+            admissible, meaning = catalog[pname]
+            default = defaults[pname]
+            if default is inspect.Parameter.empty:
                 shown = "required"
             elif default is None:
                 shown = "optional"

@@ -518,30 +518,30 @@ FAMILIES = {
     "bubble": bubble_sphere,
 }
 
-#: parameter catalog: name -> {param: (default, admissible range, meaning)}
+#: parameter catalog: name -> {param: (admissible range, meaning)}; the
+#: defaults are the constructors' own
 FAMILY_CATALOG = {
     "round": {},
     "scaled": {
-        "c": (None, "c >= 1", "radius; phi = c, f = c sin"),
+        "c": ("c >= 1", "radius; phi = c, f = c sin"),
     },
     "bump": {
-        "eta": (None, "eta >= 0", "amplitude of the dyadic schedule"),
-        "theta0": (PI / 2, "width <= theta0 <= pi - width",
-                   "center colatitude"),
-        "width": (0.6, "0 < width", "support half-width"),
+        "eta": ("eta >= 0", "amplitude of the dyadic schedule"),
+        "theta0": ("width <= theta0 <= pi - width", "center colatitude"),
+        "width": ("0 < width", "support half-width"),
     },
     "tendril": {
-        "length": (None, "length >= 0", "added meridian length int(phi-1)"),
-        "width": (0.1, "0 < width", "finger duration in colatitude"),
-        "theta0": (None, "theta0 > 1.5 width (default 2.5 width)",
+        "length": ("length >= 0", "added meridian length int(phi-1)"),
+        "width": ("0 < width", "finger duration in colatitude"),
+        "theta0": ("theta0 > 1.5 width (default 2.5 width)",
                    "finger colatitude near the north pole"),
     },
     "bubble": {
-        "area_radius": (None, "area_radius > sin(mid-span colatitude)",
+        "area_radius": ("area_radius > sin(mid-span colatitude)",
                         "fiber-sphere radius of the hidden region"),
-        "neck_theta": (None, "0 < neck_theta < pi/2", "neck colatitude"),
-        "span": (0.85, "0 < span < 1", "fraction of the cap inflated"),
-        "band": (0.35, "0 < band < 0.5", "C^2 matching band width"),
+        "neck_theta": ("0 < neck_theta < pi/2", "neck colatitude"),
+        "span": ("0 < span < 1", "fraction of the cap inflated"),
+        "band": ("0 < band < 0.5", "C^2 matching band width"),
     },
 }
 

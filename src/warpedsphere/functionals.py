@@ -328,13 +328,6 @@ class Evaluation:
         return {r: (masses[2 * i], masses[2 * i + 1])
                 for i, r in enumerate(POLAR_RADII)}
 
-    def polar_csc3(self, r: float):
-        """The (north, south) polar masses at a radius r of POLAR_RADII."""
-        if r not in POLAR_RADII:
-            raise DomainError("polar radius must be one of POLAR_RADII "
-                              "(pi/32, pi/16, pi/8)")
-        return self.polar_masses[r]
-
 
 def set_measure(metric: WarpedMetric, mask: np.ndarray,
                 use_round: bool = False) -> float:

@@ -44,6 +44,12 @@ ANALYTIC_REFINE = 4
 
 MIN_NODES = 33
 
+#: largest grid the command line builds.  Peak memory grows about 1.2 kB
+#: per node: `verify` on bump took 140 MB at 100,001 nodes and 468 MB at
+#: 400,001 (Python 3.11, 2-core x86-64), so a far larger n would exhaust
+#: memory instead of running
+MAX_NODES = 1_000_001
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """`a`, flagged read-only: a shared node-only array must not change."""

@@ -6,9 +6,13 @@ plus CSV flattenings of the check table and the convergence table.
 Identical configuration and seed yield byte-identical reports except for
 the timestamp field; file writes go through a temp file and rename.
 
-`report_json` writes the document directly: its bytes equal those of
-`json.dumps(doc, sort_keys=True, indent=2)`, whose `indent` would send
-Python's json through its pure-Python encoder.
+`report_json` writes the scenario's own objects in one pass, as
+`json.dumps(tree, sort_keys=True, indent=2)` writes their plain tree
+(json's `indent` would send it through the pure-Python encoder).  In that
+tree a dataclass is the dict of its fields, an ndarray its list, and a
+numpy scalar its `.item()`.  So a numpy NaN is written `NaN`, as json
+writes a float NaN, while a non-finite *Python* float is written as its
+quoted repr (`"nan"`, `"inf"`).  Dict keys must be strings.
 
 `sha256` is the interpreter's built-in one (`_sha2` on Python 3.12+,
 `_sha256` before), as in CPython's own `random` module: `hashlib` loads
@@ -49,36 +53,9 @@ CSV_SEQUENCE_COLUMNS = ("index", "valid", "m", "volume", "volume_gap",
                         "error")
 
 
-def _jsonable(obj):
-    """Recursively convert dataclasses / numpy scalars to JSON types.
-
-    Python floats, strings, ints, bools and None are dispatched on their
-    exact type first, so numpy scalars (numpy's float64 is a float) still
-    convert through `.item()`: a numpy NaN stays a float NaN, while a
-    non-finite Python float becomes its repr string."""
-    kind = type(obj)
-    if kind is float:
-        return obj if math.isfinite(obj) else repr(obj)
-    if kind is str or kind is int or kind is bool or obj is None:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def config_hash(config: dict) -> str:
     """SHA-256 of the canonical JSON encoding of the configuration."""
-    canon = json.dumps(_jsonable(config), sort_keys=True,
-                       separators=(",", ":"))
+    canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return sha256(canon.encode()).hexdigest()
 
 
@@ -87,33 +64,33 @@ def build_report(checks: Iterable[CheckResult], config: dict,
                  sequence: Optional[ConvergenceReport] = None,
                  extras: Optional[dict] = None,
                  timestamp: Optional[str] = None) -> dict:
-    """Assemble the report document; checks are sorted by label."""
+    """Assemble the report document from the objects as they are; checks
+    are sorted by label."""
     chash = config_hash(config)
-    run_id = sha256(
-        f"{chash}:{seed}".encode()).hexdigest()[:16]
+    run_id = sha256(f"{chash}:{seed}".encode()).hexdigest()[:16]
     doc = {
         "run_id": run_id,
         "config_hash": chash,
         "seed": seed,
         "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
-        "config": _jsonable(config),
-        "checks": [_jsonable(c) for c in
-                   sorted(checks, key=lambda c: c.label)],
+        "config": config,
+        "checks": sorted(checks, key=lambda c: c.label),
     }
     if sequence is not None:
-        doc["sequence"] = _jsonable(sequence)
+        doc["sequence"] = sequence
     if extras:
-        doc.update(_jsonable(extras))
+        doc.update(extras)
     return doc
 
 
-_CONTAINERS = (dict, list, tuple)
-
-
 def _scalar(obj) -> str:
-    """A str, float, None, bool or int as `json` writes it, subclasses
-    included: floats by float.__repr__, non-finite ones as NaN, Infinity
-    and -Infinity."""
+    """The text of a leaf by the rules in the module docstring; past
+    them, as `json` writes a str, float, None, bool or int, subclasses
+    included."""
+    if type(obj) is float and obj - obj != 0.0:
+        return _quote(repr(obj))
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        obj = obj.item()
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, float):
@@ -137,57 +114,55 @@ def _scalar(obj) -> str:
 
 
 def _write(obj, pad: str, out: list) -> None:
-    """Append the text of obj, indented by `pad`, to out, as json's
-    encoder writes it with sort_keys=True and indent=2.  Dict keys must
-    be strings, as `_jsonable` makes them."""
+    """Append the text of obj, indented by `pad`, to out, by the rules in
+    the module docstring."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        head = "{\n" + inner
-        for key, value in sorted(obj.items()):
-            # finite floats and strings, most of a report, skip the call
-            kind = type(value)
-            if kind is float and value - value == 0.0:
-                out.append(f"{head}{_quote(key)}: {value!r}")
-            elif kind is str:
-                out.append(f"{head}{_quote(key)}: {_quote(value)}")
-            elif isinstance(value, _CONTAINERS):
-                out.append(f"{head}{_quote(key)}: ")
-                _write(value, inner, out)
-            else:
-                out.append(f"{head}{_quote(key)}: {_scalar(value)}")
-            head = ",\n" + inner
-        out.append("\n" + pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        head = "[\n" + inner
-        for value in obj:
-            if isinstance(value, _CONTAINERS):
-                out.append(head)
-                _write(value, inner, out)
-            else:
-                out.append(head + _scalar(value))
-            head = ",\n" + inner
-        out.append("\n" + pad + "]")
+        items = [(_quote(k) + ": ", v) for k, v in sorted(obj.items())]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        items = [("", v) for v in
+                 (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
+        brackets = "[]"
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        items = [(_quote(f.name) + ": ", getattr(obj, f.name)) for f in
+                 sorted(dataclasses.fields(obj), key=lambda f: f.name)]
+        brackets = "{}"
     else:
         out.append(_scalar(obj))
+        return
+    if not items:
+        out.append(brackets)
+        return
+    inner = pad + "  "
+    head = brackets[0] + "\n" + inner
+    for key, value in items:
+        # finite Python floats and strings, most of a report, skip the call
+        kind = type(value)
+        if kind is float and value - value == 0.0:
+            out.append(f"{head}{key}{value!r}")
+        elif kind is str:
+            out.append(f"{head}{key}{_quote(value)}")
+        else:
+            out.append(head + key)
+            _write(value, inner, out)
+        head = ",\n" + inner
+    out.append("\n" + pad + brackets[1])
 
 
 def report_json(doc: dict) -> str:
-    """The document as `json.dumps(doc, sort_keys=True, indent=2)` writes
-    it, plus a newline; its dict keys must be strings."""
+    """The document's text by the rules in the module docstring, plus a
+    newline."""
     out: list = []
     _write(doc, "", out)
     out.append("\n")
     return "".join(out)
 
 
-def _csv_num(x) -> str:
+def _csv_cell(x) -> str:
+    """Text with its commas and newlines replaced, a bool in lower case,
+    a number with CSV_DIGITS significant digits."""
+    if isinstance(x, str):
+        return x.replace(",", ";").replace("\n", " ")
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, (int, np.integer)):
@@ -197,40 +172,42 @@ def _csv_num(x) -> str:
     return str(x)
 
 
-def checks_csv(checks: Iterable[CheckResult]) -> str:
-    """Flatten checks to CSV with columns CSV_CHECK_COLUMNS."""
-    lines = [",".join(CSV_CHECK_COLUMNS)]
-    for c in sorted(checks, key=lambda c: c.label):
-        lines.append(",".join([c.label, _csv_num(c.lhs), _csv_num(c.rhs),
-                               _csv_num(c.margin), _csv_num(c.tolerance),
-                               c.verdict]))
+def _csv_table(columns: tuple, rows) -> str:
+    """One CSV line per row, the cells being the row's attributes named by
+    `columns`, under a header of those names."""
+    lines = [",".join(columns)]
+    lines += [",".join([_csv_cell(getattr(row, c)) for c in columns])
+              for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def checks_csv(checks: Iterable[CheckResult]) -> str:
+    """Flatten checks, sorted by label, to CSV with columns
+    CSV_CHECK_COLUMNS."""
+    return _csv_table(CSV_CHECK_COLUMNS,
+                      sorted(checks, key=lambda c: c.label))
 
 
 def sequence_csv(report: ConvergenceReport) -> str:
-    """Flatten a convergence experiment to a plot-ready CSV table."""
-    lines = [",".join(CSV_SEQUENCE_COLUMNS)]
-    for e in report.entries:
-        lines.append(",".join([
-            str(e.index), _csv_num(e.valid), _csv_num(e.m),
-            _csv_num(e.volume), _csv_num(e.volume_gap),
-            _csv_num(e.diameter_lower), _csv_num(e.diameter_upper),
-            _csv_num(e.admitted),
-            e.error.replace(",", ";").replace("\n", " "),
-        ]))
-    return "\n".join(lines) + "\n"
+    """Flatten a convergence experiment to a plot-ready CSV table with
+    columns CSV_SEQUENCE_COLUMNS."""
+    return _csv_table(CSV_SEQUENCE_COLUMNS, report.entries)
 
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see a
-    partial report."""
+    partial report.  An OSError names `path`, never the temp file, whose
+    name is random; the temp file is removed on any failure."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise

@@ -137,7 +137,7 @@ def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
                           sigma=sigma, shell_integral=value))
 
     for i, r in enumerate(POLAR_RADII, start=1):
-        v_p, v_mp = ev.polar_csc3(r)
+        v_p, v_mp = ev.polar_masses[r]
         out.append(_check(f"lemma_4_2_p_{i}", v_p, ledger.C6, tol, r=r))
         out.append(_check(f"lemma_4_2_mp_{i}", v_mp, ledger.C6, tol, r=r))
 
@@ -276,18 +276,20 @@ class SequenceSpec:
 
 @dataclass(frozen=True)
 class SequenceEntry:
+    """One schedule member; a member that fails to build keeps the
+    defaults and its error."""
     index: int
     params: dict
-    valid: bool
-    error: str
-    m: float
-    volume: float
-    volume_gap: float
-    diameter_lower: float
-    diameter_upper: float
-    admitted: bool
-    comparison_ok: bool
-    cheeger_fails: bool
+    valid: bool = False
+    error: str = ""
+    m: float = np.nan
+    volume: float = np.nan
+    volume_gap: float = np.nan
+    diameter_lower: float = np.nan
+    diameter_upper: float = np.nan
+    admitted: bool = False
+    comparison_ok: bool = False
+    cheeger_fails: bool = False
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,6 @@ def run_sequence(spec: SequenceSpec, params: ClassParams
             member = class_membership(s, params)
             entries.append(SequenceEntry(
                 index=i, params=dict(fam_params), valid=s.validation.ok,
-                error="",
                 m=s.mass, volume=s.volume,
                 volume_gap=abs(s.volume - ROUND_VOLUME),
                 diameter_lower=s.diameter_lower,
@@ -328,11 +329,8 @@ def run_sequence(spec: SequenceSpec, params: ClassParams
                 cheeger_fails=member.cheeger_fails))
         except Exception as exc:  # reported per index, sequence continues
             entries.append(SequenceEntry(
-                index=i, params=dict(fam_params), valid=False,
-                error=f"{type(exc).__name__}: {exc}", m=np.nan,
-                volume=np.nan, volume_gap=np.nan, diameter_lower=np.nan,
-                diameter_upper=np.nan, admitted=False,
-                comparison_ok=False, cheeger_fails=False))
+                index=i, params=dict(fam_params),
+                error=f"{type(exc).__name__}: {exc}"))
 
     ok = [e for e in entries if e.valid]
     ms = [e.m for e in ok]

@@ -132,7 +132,7 @@ def test_criterion_5_spot_values():
         assert abs(sel.shell_integral_p
                    - 4.0 * PI * np.sin(sel.sigma_p)**3) <= 1e-5
 
-        v_p, v_mp = ev.polar_csc3(PI / 8)
+        v_p, v_mp = ev.polar_masses[PI / 8]
         assert abs(v_p - PI**2 / 2.0) <= 1e-5
         assert abs(v_mp - PI**2 / 2.0) <= 1e-5
 

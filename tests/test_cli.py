@@ -117,6 +117,9 @@ class TestInputContract:
         (["verify", "--family", "round"], "[solver]\nresidual_tol = nan\n"),
         (["verify", "--family", "round"], "[solver]\nresidual_tol = inf\n"),
         (["verify", "--family", "round", "--grid-size", "-5"], None),
+        (["analyze", "--family", "round", "--grid-size", "99999999999"],
+         None),
+        (["analyze", "--family", "round"], "[grid]\nn = 1000002\n"),
         (["analyze", "--grid-size", "301", "--family", "scaled",
           "--param", "c=inf"], None),
         (["analyze", "--grid-size", "301", "--family", "bump",
@@ -152,6 +155,7 @@ class TestInputContract:
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
             "residual-tol-nan", "residual-tol-inf", "grid-size-negative",
+            "grid-size-huge", "ini-grid-n-above-cap",
             "scaled-c-inf", "bump-eta-inf", "bubble-area-radius-inf",
             "bubble-area-radius-nan", "tendril-length-nan",
             "analyze-bump-eta-1e300", "verify-bump-eta-1e300",
@@ -175,6 +179,25 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_output_error_names_the_requested_path(self, tmp_path, capsys):
+        """A report that cannot be written exits 2 with one line naming the
+        requested path, never the randomly named temp file, and leaves no
+        temp file behind."""
+        missing = tmp_path / "missing" / "x.json"
+        taken = tmp_path / "taken"          # a directory: the rename fails
+        taken.mkdir()
+        for path in (missing, taken):
+            errs = []
+            for _ in range(2):
+                assert main(["analyze", "--family", "round", "--grid-size",
+                             "301", "--output", str(path)]) == 2
+                errs.append(capsys.readouterr().err)
+            assert errs[0] == errs[1]
+            assert errs[0].startswith("error: [Errno ")
+            assert errs[0].endswith(f": {str(path)!r}\n")
+        assert os.listdir(tmp_path) == ["taken"]
+        assert os.listdir(taken) == []
 
     @pytest.mark.parametrize("eta", ["0.5", "1e300"])
     def test_pointpick_radius_refused_before_the_summary(self, eta,

@@ -40,7 +40,7 @@ class TestMake:
     def test_catalog_covers_families(self):
         assert set(FAMILY_CATALOG) == set(FAMILIES)
         for name, catalog in FAMILY_CATALOG.items():
-            for pname, (default, admissible, meaning) in catalog.items():
+            for pname, (admissible, meaning) in catalog.items():
                 assert isinstance(admissible, str) and admissible
                 assert isinstance(meaning, str) and meaning
 

@@ -51,7 +51,7 @@ class TestGuard:
     @pytest.mark.parametrize("evaluate", [
         lambda ev: ev.core, lambda ev: ev.csc_hessian_l1,
         lambda ev: ev.ratio_seminorm, lambda ev: ev.alignment,
-        lambda ev: ev.shells, lambda ev: ev.polar_csc3(PI / 16),
+        lambda ev: ev.shells, lambda ev: ev.polar_masses[PI / 16],
         lambda ev: ev])
     def test_every_evaluator_refuses(self, corrupted_potential,
                                      evaluate):
@@ -89,7 +89,7 @@ class TestEvaluation:
         assert ev.ratio_seminorm == fresh().ratio_seminorm
         assert ev.alignment == fresh().alignment
         assert ev.shells == fresh().shells
-        assert ev.polar_csc3(PI / 8) == fresh().polar_csc3(PI / 8)
+        assert ev.polar_masses[PI / 8] == fresh().polar_masses[PI / 8]
         assert ev.m == scalar_deficit(metric)
 
     def test_guard_and_fields_once(self, reference_potentials, monkeypatch):
@@ -396,14 +396,10 @@ class TestShells:
 
 class TestPolar:
     def test_round_csc3_value(self, round_potential):
-        p, mp = Evaluation(round_potential).polar_csc3(PI / 8)
+        p, mp = Evaluation(round_potential).polar_masses[PI / 8]
         # integrand collapses to 4 pi dtheta on the round sphere
         assert p == pytest.approx(PI**2 / 2.0, abs=1e-5)
         assert mp == pytest.approx(PI**2 / 2.0, abs=1e-5)
-
-    def test_csc3_radius_validated(self, round_potential):
-        with pytest.raises(DomainError):
-            Evaluation(round_potential).polar_csc3(1.0)
 
     def test_polar_average_is_u(self, round_potential):
         ledger = constant_ledger(ClassParams(40.0, 10.0, 1.0, 1.0))

@@ -314,7 +314,7 @@ class TestBitwiseOracle:
         assert ev.csc_hessian_l1 == oracle.csc_hessian_l1
         assert ev.m == oracle.m and ev.shells == oracle.shells
         for r in POLAR_RADII:
-            assert ev.polar_csc3(r) == _polar_csc3(pot, r), r
+            assert ev.polar_masses[r] == _polar_csc3(pot, r), r
 
     @pytest.mark.parametrize("case", [c for c in ORACLE_CASES
                                       if c.endswith("-bvp")])
@@ -325,7 +325,7 @@ class TestBitwiseOracle:
         ev = Evaluation.__new__(Evaluation)
         ev.metric, ev.pot = pot.metric, pot
         for r in POLAR_RADII:
-            assert ev.polar_csc3(r) == _polar_csc3(pot, r), r
+            assert ev.polar_masses[r] == _polar_csc3(pot, r), r
 
     @pytest.mark.parametrize("case", CASES)
     def test_set_measures_and_validation(self, solutions, case):

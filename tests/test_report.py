@@ -4,6 +4,7 @@ writes."""
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -13,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpedsphere import (build_report, checks_csv, config_hash,
-                          report_json, write_text_atomic)
-from warpedsphere.report import _jsonable
-from warpedsphere.verification import CheckResult
+                          report_json, sequence_csv, write_text_atomic)
+from warpedsphere.verification import (CheckResult, ConvergenceReport,
+                                       SequenceEntry, SequenceSpec)
 
 
 def _checks():
@@ -56,7 +57,7 @@ class TestBuildReport:
                             seed=7)
         doc2 = build_report(_checks(), {"metric": {"family": "round"}},
                             seed=7)
-        labels = [c["label"] for c in doc1["checks"]]
+        labels = [c.label for c in doc1["checks"]]
         assert labels == sorted(labels)
         assert doc1["run_id"] == doc2["run_id"]
 
@@ -80,6 +81,33 @@ class TestBuildReport:
         parsed = json.loads(report_json(doc))
         assert parsed["x"] == 1.5
         assert parsed["z"] is True
+
+
+def _jsonable(obj):
+    """The plain tree `report_json` writes in one pass: dataclasses and
+    numpy values converted to JSON types, recursively.
+
+    Python floats, strings, ints, bools and None are dispatched on their
+    exact type first, so numpy scalars (numpy's float64 is a float) still
+    convert through `.item()`: a numpy NaN stays a float NaN, while a
+    non-finite Python float becomes its repr string."""
+    kind = type(obj)
+    if kind is float:
+        return obj if math.isfinite(obj) else repr(obj)
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: _jsonable(getattr(obj, f.name))
+                for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    return obj
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,16 +182,30 @@ _FLOATS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16,
                      1e-7, float("nan"), float("inf"), float("-inf")]),
     st.floats(allow_nan=True, allow_infinity=True))
+_INT64 = st.integers(-2**63, 2**63 - 1)
 _LEAVES = st.one_of(
     _TEXT, _FLOATS, st.integers(), st.booleans(), st.none(),
     _FLOATS.map(np.float64), _FLOATS.map(_Float), _TEXT.map(np.str_),
-    _TEXT.map(_Str), st.integers().map(_Int))
+    _TEXT.map(_Str), st.integers().map(_Int),
+    st.floats(width=32).map(np.float32), _INT64.map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(_FLOATS, max_size=4).map(np.array),
+    st.lists(_INT64, max_size=4).map(lambda v: np.array(v, np.int64)))
+
+
+@dataclasses.dataclass(frozen=True)
+class _Pair:
+    first: object
+    second: object
+
+
 _TREES = st.recursive(
     _LEAVES,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(_TEXT, children, max_size=5)),
+        st.dictionaries(_TEXT, children, max_size=5),
+        st.builds(_Pair, children, children)),
     max_leaves=40)
 
 
@@ -175,12 +217,13 @@ def _nested(depth, leaf):
 
 
 def _json_text(tree) -> str:
-    return json.dumps(tree, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_jsonable(tree), sort_keys=True, indent=2) + "\n"
 
 
 class TestReportJson:
-    """`report_json` writes the bytes of json.dumps(sort_keys=True,
-    indent=2) plus a newline."""
+    """`report_json` writes, in one pass, the bytes json.dumps(sort_keys=
+    True, indent=2) writes for the plain tree `_jsonable` makes, plus a
+    newline."""
 
     @given(_TREES)
     @settings(max_examples=200, deadline=None)
@@ -219,14 +262,15 @@ class TestReportJson:
         assert report_json(doc) == _json_text(doc)
 
     def test_refuses_what_json_refuses(self):
-        for tree in ({"a": object()}, [np.int64(1)]):
-            with pytest.raises(TypeError):
-                json.dumps(tree)
-            with pytest.raises(TypeError):
-                report_json(tree)
+        with pytest.raises(TypeError):
+            json.dumps({"a": object()})
+        with pytest.raises(TypeError):
+            report_json({"a": object()})
+        # json refuses a numpy integer; the writer takes its `.item()`
+        assert report_json([np.int64(1)]) == "[\n  1\n]\n"
 
     def test_refuses_keys_that_are_not_strings(self):
-        # `_jsonable` makes every key a string; json would convert these
+        # json would convert these
         for key in (1, 1.5, None, True):
             with pytest.raises(TypeError):
                 report_json({key: 0})
@@ -242,6 +286,25 @@ class TestChecksCsv:
         assert row["label"] == "b_check"
         value = lines[1].split(",")[1]
         assert float(value) == 1.0 / 3.0
+
+
+class TestSequenceCsv:
+    def test_error_text_stays_in_its_cell(self):
+        spec = SequenceSpec(family="bump", schedule=({"eta": 1.0},) * 2)
+        report = ConvergenceReport(
+            spec=spec, m_decreasing=True, gap_decreasing_after_first=True,
+            fitted_k=np.nan, hypotheses_ok=False,
+            entries=(SequenceEntry(index=1, params={"eta": 1.0},
+                                   error="DomainError: a, b\nc"),
+                     SequenceEntry(index=2, params={"eta": 1.0}, valid=True,
+                                   m=0.25, volume=19.75, volume_gap=0.0,
+                                   diameter_lower=3.0, diameter_upper=3.5,
+                                   admitted=True)))
+        assert sequence_csv(report).split("\n") == [
+            "index,valid,m,volume,volume_gap,diameter_lower,"
+            "diameter_upper,admitted,error",
+            "1,false,nan,nan,nan,nan,nan,false,DomainError: a; b c",
+            "2,true,0.25,19.75,0,3,3.5,true,", ""]
 
 
 class TestAtomicWrite:
