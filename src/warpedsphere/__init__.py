@@ -8,19 +8,19 @@ estimates, good-set volume bounds, and dyadic convergence experiments.
 """
 
 from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
-                     DomainError, IterationError, ResidualGuardError,
-                     SolverError, StructuralError, WarpedSphereError)
+                     DomainError, ResidualGuardError, SolverError,
+                     StructuralError, WarpedSphereError)
 from .grids import RadialGrid, refine_nodes
 from .metrics import (ClassParams, GeometrySummary, MembershipReport,
                       ValidationReport, WarpedMetric, ball_volume,
                       cheeger_levelset, class_membership, load_profile_table,
-                      save_profile_table, scalar_curvature, scalar_deficit,
-                      summarize, validate, volume)
+                      scalar_curvature, scalar_deficit, summarize, validate,
+                      volume)
 from .distance import diameter_bounds, meridian_arclength
 from .families import (FAMILIES, FAMILY_CATALOG, bubble_sphere, bump_sphere,
                        make, round_sphere, scaled_sphere, tendril_sphere)
-from .potential import (PotentialSolution, SolverConfig, flux_residual,
-                        pde_residual, solve_bvp, solve_quadrature)
+from .potential import (PotentialSolution, flux_residual, pde_residual,
+                        solve_bvp, solve_quadrature)
 from .functionals import (AlignmentConstants, CoreIntegrals, GoodSetReport,
                           Evaluation, PointPickResult, ShellSelection,
                           good_set_volumes, point_pick, weighted_median)

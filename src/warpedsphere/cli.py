@@ -4,7 +4,7 @@ Subcommands: analyze (geometry summary), verify (check suites),
 sequence (convergence experiment), pointpick, families.
 
 Exit codes: 0 all checks pass, 1 at least one margin failure,
-2 invalid input or configuration, 3 solver non-convergence.
+2 invalid input or configuration, 3 a potential refused by its checks.
 Membership failures are findings, not check failures.
 """
 
@@ -20,14 +20,14 @@ import sys
 from typing import Callable
 
 from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
-                     DomainError, IterationError, ResidualGuardError,
-                     SolverError, StructuralError, WarpedSphereError)
+                     DomainError, ResidualGuardError, SolverError,
+                     StructuralError, WarpedSphereError)
 from .grids import MAX_NODES, MIN_NODES, RadialGrid
 from .metrics import (ClassParams, class_membership, load_profile_table,
                       summarize)
 from . import families as fam
 from .functionals import point_pick, require_pick_radius
-from .potential import SolverConfig, solve_bvp, solve_quadrature
+from .potential import solve_bvp, solve_quadrature
 from .constants import constant_ledger
 from .verification import (SUITES, SequenceSpec, require_suites,
                            run_all_checks, run_sequence)
@@ -39,11 +39,9 @@ _METRIC_KEYS = {"family", "profile"} | {
 CONFIG_KEYS = {
     "metric": _METRIC_KEYS,
     "grid": {"kind", "n"},
-    "solver": {"method", "epsilon", "max_iterations", "damping",
-               "residual_tol"},
+    "solver": {"method", "epsilon", "residual_tol"},
     "class": {"volume_max", "diameter_max", "mass_max", "cheeger_min"},
-    "suites": {"run", "pointpick_radius", "sequence_family",
-               "sequence_count", "tolerance"},
+    "suites": {"run", "pointpick_radius", "sequence_count", "tolerance"},
     "output": {"path", "format", "seed"},
 }
 
@@ -214,11 +212,7 @@ def _solve(metric, config: dict):
         tol = _float(sec, "residual_tol", 1e-4)
         return solve_quadrature(metric, residual_tol=tol)
     if method == "bvp":
-        cfg = SolverConfig(
-            epsilon=_float(sec, "epsilon", 1e-3),
-            max_iterations=_int(sec, "max_iterations", 50),
-            damping=_float(sec, "damping", 0.5))
-        return solve_bvp(metric, cfg)
+        return solve_bvp(metric, epsilon=_float(sec, "epsilon", 1e-3))
     raise ConfigError(f"solver method must be quadrature or bvp, got {method!r}")
 
 
@@ -300,8 +294,7 @@ def cmd_verify(config: dict) -> int:
 
 def cmd_sequence(config: dict) -> int:
     sec = config.get("suites", {})
-    family = config.get("metric", {}).get("family") \
-        or sec.get("sequence_family")
+    family = config.get("metric", {}).get("family")
     if not family:
         raise ConfigError("sequence requires a family name")
     if family not in fam.FAMILIES:
@@ -435,7 +428,7 @@ def main(argv=None) -> int:
             DegenerateMetricError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
-    except (SolverError, IterationError, ResidualGuardError) as exc:
+    except (SolverError, ResidualGuardError) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
     except WarpedSphereError as exc:

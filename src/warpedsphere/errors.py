@@ -36,14 +36,6 @@ class SolverError(WarpedSphereError):
     """A potential solve produced an unusable result."""
 
 
-class IterationError(SolverError):
-    """Picard iteration failed to converge; carries the residual history."""
-
-    def __init__(self, message: str, history=None):
-        self.history = list(history or [])
-        super().__init__(message)
-
-
 class ConfigError(WarpedSphereError):
     """Invalid solver or scenario configuration."""
 

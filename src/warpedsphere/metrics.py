@@ -9,6 +9,7 @@ container defined here.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Optional
@@ -469,15 +470,20 @@ def class_membership(summary: GeometrySummary,
     )
 
 
-def save_profile_table(metric: WarpedMetric, path) -> None:
-    """Write the sampled profile as a text table (theta, phi, f)."""
-    data = np.column_stack([metric.theta, metric.phi, metric.f])
-    np.savetxt(path, data, header="theta phi f", fmt="%.17e")
-
-
 def load_profile_table(path) -> WarpedMetric:
-    """Rebuild a sampled metric from a (theta, phi, f) text table."""
-    data = np.loadtxt(path)
+    """Rebuild a sampled metric from a (theta, phi, f) text table.
+
+    A table numpy cannot parse (a value that is not a number, bytes that
+    are not UTF-8, no data at all) is a StructuralError naming `path`;
+    no warning is let out.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)   # "no data"
+            data = np.loadtxt(path)
+    except (ValueError, UserWarning) as exc:
+        raise StructuralError(f"cannot read profile table {path}: "
+                              + " ".join(str(exc).split())) from None
     if data.ndim != 2 or data.shape[1] != 3:
         raise StructuralError("profile table must have columns theta phi f")
     grid = RadialGrid(nodes=np.ascontiguousarray(data[:, 0]))

@@ -21,9 +21,10 @@ whose logarithm stays moderate:
 
 with p the pole value of phi on each side and J the regular part of I.
 
-`solve_quadrature` evaluates this closed form; `solve_bvp` solves the
-flux fixed-point iteratively on a truncated interval and serves as an
-independent cross-check.  Both self-report a pointwise PDE residual.
+`solve_quadrature` evaluates this closed form.  `solve_bvp` serves as an
+independent cross-check: under the same monotone ansatz, |u'| = -u', the
+equation is linear, and it makes one banded finite-difference solve on a
+truncated interval.  Both self-report a pointwise PDE residual.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IterationError, SolverError
+from .errors import ConfigError, DomainError, SolverError
 from .grids import ANALYTIC_REFINE, PI, cumulative, integrate
 from .metrics import WarpedMetric
 
@@ -45,9 +46,6 @@ RESIDUAL_BAND = 0.1
 
 #: nodes per finite-difference stencil of the residual self-check
 STENCIL = 9
-
-#: sup-norm step between Picard iterates at which `solve_bvp` stops
-PICARD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,7 +63,6 @@ class PotentialSolution:
     residual_l2: float
     residual_band: float
     epsilon: float = 0.0
-    iterations: int = 0
 
     @property
     def theta(self) -> np.ndarray:
@@ -148,47 +145,29 @@ def solve_quadrature(metric: WarpedMetric,
     return replace(sol, residual_sup=res.sup, residual_l2=res.l2)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the truncated-interval BVP solver."""
-
-    epsilon: float = 1e-3
-    max_iterations: int = 50
-    damping: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < PI / 8):
-            raise ConfigError("epsilon must lie in (0, pi/8)")
-        if not (0.0 < self.damping <= 1.0):
-            raise ConfigError("damping must lie in (0, 1]")
-
-
 def solve_bvp(metric: WarpedMetric,
-              cfg: SolverConfig = SolverConfig()) -> PotentialSolution:
-    """Damped Picard iteration for the Dirichlet problem on [eps, pi-eps].
+              epsilon: float = 1e-3) -> PotentialSolution:
+    """Finite-difference potential on [epsilon, pi - epsilon].
 
-    Each pass solves the linear two-point problem obtained by freezing
-    the absolute value through the previous iterate's sign pattern,
+    Under the monotone ansatz u' <= 0 (the ansatz `solve_quadrature`
+    rests on too) |u'| = -u', so the equation is the linear two-point
+    problem
 
-        ((f^2/phi) u')' + 3 cot(theta) f^2 s_k(theta) u' = 0,
-        u(eps) = 1,  u(pi - eps) = -1,   s_k = sign(u_k'),
+        ((f^2/phi) u')' - 3 cot(theta) f^2 u' = 0,
+        u(epsilon) = 1,  u(pi - epsilon) = -1.
 
-    with a second-order conservative finite-difference scheme, then
-    blends the new solution with the old one by the damping factor.
-    (Freezing the full right-hand side -3 cot f^2 |u_k'| instead gives a
-    fixed-point map whose linearization has eigenvalues with real part
-    above 1 for small eps, so no damping factor converges; keeping u'
-    implicit removes that amplification while leaving the fixed point,
-    and the nonlinearity re-entered through s_k, intact.)
-
-    The solution is extended to [0, pi] by constant continuation and
-    interpolated back onto the metric's grid.
+    One banded solve of its second-order conservative finite-difference
+    scheme on a uniform grid of the metric's node count gives u.  The
+    solution is extended to [0, pi] by constant continuation and
+    interpolated back onto the metric's grid.  An `epsilon` outside
+    (0, pi/8) is a ConfigError.
     """
+    if not (0.0 < epsilon < PI / 8):
+        raise ConfigError("epsilon must lie in (0, pi/8)")
     from scipy.linalg import solve_banded
 
-    eps = cfg.epsilon
     n = metric.grid.n
-    tb = np.linspace(eps, PI - eps, n)
+    tb = np.linspace(epsilon, PI - epsilon, n)
     h = tb[1] - tb[0]
     phi, f = metric.jet(tb, 0)
     a = f**2 / phi
@@ -197,38 +176,22 @@ def solve_bvp(metric: WarpedMetric,
     a_mid = fm**2 / phm
     c_coef = 3.0 * (np.cos(tb) / np.sin(tb)) * f**2
 
-    u = np.linspace(1.0, -1.0, n)       # affine initial guess
-    history = []
-    it = 0
-    for it in range(1, cfg.max_iterations + 1):
-        du = np.gradient(u, tb, edge_order=2)
-        sgn = np.where(du > 0.0, 1.0, -1.0)
-        ab = np.zeros((3, n))
-        rhs = np.zeros(n)
-        ab[1, 0] = ab[1, -1] = 1.0
-        rhs[0], rhs[-1] = 1.0, -1.0
-        adv = c_coef[1:-1] * sgn[1:-1] * h / 2.0
-        ab[0, 2:] = a_mid[1:] + adv          # superdiagonal, rows 1..n-2
-        ab[2, :-2] = a_mid[:-1] - adv        # subdiagonal
-        ab[1, 1:-1] = -(a_mid[:-1] + a_mid[1:])
-        u_new = solve_banded((1, 1), ab, rhs)
-        delta = float(np.max(np.abs(u_new - u)))
-        history.append(delta)
-        u = cfg.damping * u_new + (1.0 - cfg.damping) * u
-        if delta <= PICARD_TOL:
-            u = u_new
-            break
-    else:
-        raise IterationError(
-            f"Picard iteration did not reach {PICARD_TOL:.1e} "
-            f"in {cfg.max_iterations} steps", history=history)
+    ab = np.zeros((3, n))
+    rhs = np.zeros(n)
+    ab[1, 0] = ab[1, -1] = 1.0
+    rhs[0], rhs[-1] = 1.0, -1.0
+    adv = -c_coef[1:-1] * h / 2.0
+    ab[0, 2:] = a_mid[1:] + adv          # superdiagonal, rows 1..n-2
+    ab[2, :-2] = a_mid[:-1] - adv        # subdiagonal
+    ab[1, 1:-1] = -(a_mid[:-1] + a_mid[1:])
+    u = solve_banded((1, 1), ab, rhs)
 
     du_b = np.gradient(u, tb, edge_order=2)
     t = metric.theta
     u_full = np.interp(t, tb, u, left=1.0, right=-1.0)
-    du_full = np.where((t >= eps) & (t <= PI - eps),
+    du_full = np.where((t >= epsilon) & (t <= PI - epsilon),
                        np.interp(t, tb, du_b), 0.0)
-    d2u_full = np.where((t >= eps) & (t <= PI - eps),
+    d2u_full = np.where((t >= epsilon) & (t <= PI - epsilon),
                         np.interp(t, tb, np.gradient(du_b, tb, edge_order=2)),
                         0.0)
     phi_t = metric.on_grid.jet[0]
@@ -241,8 +204,8 @@ def solve_bvp(metric: WarpedMetric,
                             d2u=d2u_full, ratio=ratio, method="bvp",
                             flux_constant=flux_c, residual_sup=np.nan,
                             residual_l2=np.nan,
-                            residual_band=max(RESIDUAL_BAND, 2 * eps),
-                            epsilon=eps, iterations=it)
+                            residual_band=max(RESIDUAL_BAND, 2 * epsilon),
+                            epsilon=epsilon)
     res = pde_residual(sol)
     return replace(sol, residual_sup=res.sup, residual_l2=res.l2)
 

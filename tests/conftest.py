@@ -81,5 +81,12 @@ def oracle_solutions():
     return solution
 
 
+def write_profile_table(metric, path):
+    """Write the metric's node samples as the (theta, phi, f) text table
+    that `load_profile_table` reads."""
+    np.savetxt(path, np.column_stack([metric.theta, metric.phi, metric.f]),
+               header="theta phi f", fmt="%.17e")
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)

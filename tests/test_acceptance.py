@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from warpedsphere import (ClassParams, Evaluation, RadialGrid, SequenceSpec,
-                          SolverConfig, bubble_sphere, bump_sphere,
+                          bubble_sphere, bump_sphere,
                           cheeger_levelset, class_membership,
                           constant_ledger, point_pick,
                           round_sphere, run_all_checks, run_sequence,
@@ -66,14 +66,14 @@ def test_criterion_2_solver_equivalence():
         for name, build in REFERENCES:
             metric = build(grid)
             pot_q = solve_quadrature(metric)
-            pot_b = solve_bvp(metric, SolverConfig(epsilon=1e-3))
+            pot_b = solve_bvp(metric, epsilon=1e-3)
             gap = float(np.max(np.abs(pot_b.u - pot_q.u)))
             assert gap <= 5e-4, (name, gap)
         # measured refinement order of the finite-difference solver
         gaps = []
         for n in (251, 501, 1001):
             metric = round_sphere(grid=RadialGrid.uniform(n))
-            pot = solve_bvp(metric, SolverConfig(epsilon=1e-3))
+            pot = solve_bvp(metric, epsilon=1e-3)
             gaps.append(np.max(np.abs(pot.u - np.cos(pot.theta))))
         order = float(np.log2(gaps[0] / gaps[2]) / 2.0)
         assert 1.7 <= order <= 2.3, order

@@ -151,6 +151,11 @@ class TestInputContract:
         (["pointpick", "--family", "bump", "--param", "eta=1e150"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1e300",
           "--radius", "0.7"], None),
+        (["sequence"], "[suites]\nsequence_family = bump\n"),
+        (["verify", "--family", "round", "--solver", "bvp"],
+         "[solver]\nmax_iterations = 5\n"),
+        (["verify", "--family", "round", "--solver", "bvp"],
+         "[solver]\ndamping = 0.5\n"),
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
@@ -165,7 +170,9 @@ class TestInputContract:
             "ini-interpolation-missing", "tendril-width-1e-300",
             "bubble-neck-theta-1e-300", "analyze-bump-width-1e-300",
             "pointpick-bump-width-1e-300", "pointpick-bump-eta-1e300",
-            "pointpick-bump-eta-1e150", "pointpick-bump-eta-1e300-radius"])
+            "pointpick-bump-eta-1e150", "pointpick-bump-eta-1e300-radius",
+            "ini-suites-sequence-family", "ini-solver-max-iterations",
+            "ini-solver-damping"])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:
@@ -179,6 +186,27 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "pointpick"])
+    @pytest.mark.parametrize("table", [
+        b"0,1,0\n", b"\xff\xfe0 1 0\n", b"", b"# theta phi f\n",
+        b"0 1 0\n1 1\n",
+    ], ids=["commas", "not-utf8", "empty", "comment-only", "ragged"])
+    def test_unreadable_profile_table_exits_2(self, command, table, tmp_path,
+                                             capsys):
+        """A profile table numpy cannot parse is bad input: one line that
+        names the table, and no numpy warning ahead of it."""
+        path = tmp_path / "profile.txt"
+        path.write_bytes(table)
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[metric]\nprofile = {path}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read profile table {path}: ")
+        assert err.count("\n") == 1
 
     def test_output_error_names_the_requested_path(self, tmp_path, capsys):
         """A report that cannot be written exits 2 with one line naming the

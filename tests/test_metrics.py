@@ -11,13 +11,12 @@ from warpedsphere import (ClassParams, RadialGrid, WarpedMetric,
                           ball_volume, bubble_sphere, bump_sphere,
                           cheeger_levelset, class_membership,
                           load_profile_table, round_sphere,
-                          save_profile_table, scalar_curvature,
-                          scalar_deficit, scaled_sphere, summarize,
-                          validate, volume)
+                          scalar_curvature, scalar_deficit, scaled_sphere,
+                          summarize, validate, volume)
 from warpedsphere.errors import DegenerateMetricError, StructuralError
 from warpedsphere.grids import PI, refine_nodes
 
-from conftest import REFERENCE_BUILDERS
+from conftest import REFERENCE_BUILDERS, write_profile_table
 
 ROUND_VOLUME = 2.0 * PI**2
 
@@ -229,7 +228,7 @@ class TestProfileTable:
     def test_round_trip(self, tmp_path):
         metric = bump_sphere(0.25)
         path = tmp_path / "bump.csv"
-        save_profile_table(metric, path)
+        write_profile_table(metric, path)
         loaded = load_profile_table(path)
         assert loaded.grid.n == metric.grid.n
         assert np.allclose(loaded.phi, metric.phi, atol=1e-15)
@@ -246,8 +245,8 @@ class TestJet:
     @pytest.fixture
     def table(self, tmp_path):
         path = tmp_path / "bump.txt"
-        save_profile_table(bump_sphere(0.5, grid=RadialGrid.graded(1001)),
-                           path)
+        write_profile_table(bump_sphere(0.5, grid=RadialGrid.graded(1001)),
+                            path)
         return load_profile_table(path)
 
     def test_table_order_zero_is_the_leading_pair(self, table):
@@ -311,7 +310,7 @@ def test_metric_is_freed_without_the_cyclic_gc(name):
 
 class TestAnalyticAgainstTable:
     """An analytic profile and the same profile sampled into a table
-    (save_profile_table / load_profile_table) agree to a tolerance that
+    (written as a text table and read by load_profile_table) agree to a tolerance that
     shrinks with h.  The table is integrated on its own nodes where the
     analytic profile is refined four times, so their relative drift in
     volume, diameter_lower and m is the table's discretization error.
@@ -332,7 +331,7 @@ class TestAnalyticAgainstTable:
             metric = REFERENCE_BUILDERS[family](
                 getattr(RadialGrid, spacing)(n))
             path = tmp_path / f"{family}-{n}.txt"
-            save_profile_table(metric, path)
+            write_profile_table(metric, path)
             exact, table = summarize(metric), summarize(
                 load_profile_table(path))
             assert table.cheeger_surrogate == exact.cheeger_surrogate

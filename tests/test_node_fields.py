@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from warpedsphere import (RadialGrid, flux_residual, load_profile_table,
-                          save_profile_table, solve_quadrature)
+                          solve_quadrature)
 from warpedsphere import verification
 from warpedsphere.functionals import (POLAR_RADII, Evaluation, _Fields,
                                       _polar_grids, set_measure,
@@ -25,7 +25,8 @@ from warpedsphere.metrics import NodeSet, validate
 from warpedsphere.potential import (RESIDUAL_BAND, _POLE_SNAP, _band,
                                     _derivative_high_order)
 
-from conftest import ORACLE_CASES, REFERENCE_BUILDERS, REFERENCE_NAMES
+from conftest import (ORACLE_CASES, REFERENCE_BUILDERS, REFERENCE_NAMES,
+                      write_profile_table)
 
 #: (reference, grid) cases: the five families on uniform and graded
 #: grids, tendril on its own grid, and two sampled tables
@@ -48,7 +49,7 @@ def solutions(tmp_path_factory):
                 metric = REFERENCE_BUILDERS[name]()
             if kind == "table":
                 path = tmp_path_factory.mktemp("tables") / f"{name}.txt"
-                save_profile_table(metric, path)
+                write_profile_table(metric, path)
                 metric = load_profile_table(path)
             cache[case] = solve_quadrature(metric)
         return cache[case]
