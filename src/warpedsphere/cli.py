@@ -1,7 +1,11 @@
 """Batch front end: run scenarios from config files or flags.
 
 Subcommands: analyze (geometry summary), verify (check suites),
-sequence (convergence experiment), pointpick, families.
+sequence (convergence experiment), pointpick, families.  Every command
+checks every setting it is given, so a bad value exits 2 even in a
+section it does not use.  `sequence` refuses family parameters, profiles
+and a grid: its schedule sets the members on the family's own grid.
+analyze and pointpick write CSV as key,value tables.
 
 Exit codes: 0 all checks pass, 1 at least one margin failure,
 2 invalid input or configuration, 3 a potential refused by its checks.
@@ -19,30 +23,37 @@ import os
 import sys
 from typing import Callable
 
-from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
-                     DomainError, ResidualGuardError, SolverError,
-                     StructuralError, WarpedSphereError)
+from .errors import (ConfigError, ResidualGuardError, SolverError,
+                     WarpedSphereError)
 from .grids import MAX_NODES, MIN_NODES, RadialGrid
 from .metrics import (ClassParams, class_membership, load_profile_table,
                       summarize)
 from . import families as fam
 from .functionals import point_pick, require_pick_radius
-from .potential import solve_bvp, solve_quadrature
+from .potential import (require_epsilon, require_residual_tol, solve_bvp,
+                        solve_quadrature)
 from .constants import constant_ledger
-from .verification import (SUITES, SequenceSpec, require_suites,
-                           run_all_checks, run_sequence)
+from .verification import (SUITES, SequenceSpec, require_schedule_length,
+                           require_suites, require_tolerance, run_all_checks,
+                           run_sequence)
 from . import report as rep
 
-#: recognized configuration keys per section; unknown keys are errors
-_METRIC_KEYS = {"family", "profile"} | {
-    k for cat in fam.FAMILY_CATALOG.values() for k in cat}
-CONFIG_KEYS = {
-    "metric": _METRIC_KEYS,
-    "grid": {"kind", "n"},
-    "solver": {"method", "epsilon", "residual_tol"},
-    "class": {"volume_max", "diameter_max", "mass_max", "cheeger_min"},
-    "suites": {"run", "pointpick_radius", "sequence_count", "tolerance"},
-    "output": {"path", "format", "seed"},
+#: every scenario setting, section -> key -> (type, default); a type is
+#: str, int, float or a tuple of the admissible strings
+SETTINGS = {
+    "metric": {"family": (str, "round"), "profile": (str, None),
+               **{key: (float, None) for catalog in fam.FAMILY_CATALOG.values()
+                  for key in catalog}},
+    "grid": {"kind": (("uniform", "graded"), "uniform"), "n": (int, None)},
+    "solver": {"method": (("quadrature", "bvp"), "quadrature"),
+               "epsilon": (float, 1e-3), "residual_tol": (float, 1e-4)},
+    "class": {"volume_max": (float, 40.0), "diameter_max": (float, 10.0),
+              "mass_max": (float, 1.0), "cheeger_min": (float, 1.0)},
+    "suites": {"run": (str, ",".join(SUITES)),
+               "pointpick_radius": (float, 0.1),
+               "sequence_count": (int, 10), "tolerance": (float, None)},
+    "output": {"path": (str, None), "format": (("csv", "json"), "json"),
+               "seed": (int, None)},
 }
 
 EXIT_PASS, EXIT_FAIL, EXIT_CONFIG, EXIT_SOLVER = 0, 1, 2, 3
@@ -82,86 +93,90 @@ def _read_config(path: str) -> dict:
     try:
         if not parser.read(path):
             raise ConfigError(f"config file not found: {path}")
-        sections = {name: parser.items(name) for name in parser.sections()}
+        return {name: dict(parser.items(name)) for name in parser.sections()}
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: "
                           + " ".join(str(exc).split())) from None
-    config: dict = {}
-    for section, items in sections.items():
-        if section not in CONFIG_KEYS:
-            raise ConfigError(f"unknown config section [{section}]")
-        allowed = CONFIG_KEYS[section]
-        sec = {}
-        for key, value in items:
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown key {key!r} in section [{section}]; "
-                    f"allowed: {sorted(allowed)}")
-            sec[key] = value
-        config[section] = sec
-    return config
 
 
 def _merge_cli(config: dict, args) -> dict:
-    """Apply command-line flags on top of the config file."""
-    def put(section, key, value):
-        if value is not None:
+    """Apply command-line flags on top of the config file: each flag's
+    value under its dest, "section.key", and each --param in [metric]."""
+    for dest, value in vars(args).items():
+        if "." in dest and value is not None:
+            section, key = dest.split(".")
             config.setdefault(section, {})[key] = value
-
-    put("metric", "family", getattr(args, "family", None))
     for spec in getattr(args, "param", None) or []:
         if "=" not in spec:
             raise ConfigError(f"--param expects key=value, got {spec!r}")
         key, value = spec.split("=", 1)
-        if key not in _METRIC_KEYS:
-            raise ConfigError(f"unknown metric parameter {key!r}")
         config.setdefault("metric", {})[key] = value
-    put("grid", "n", getattr(args, "grid_size", None))
-    put("solver", "method", getattr(args, "solver", None))
-    put("solver", "epsilon", getattr(args, "epsilon", None))
-    put("suites", "tolerance", getattr(args, "tolerance", None))
-    put("suites", "run", getattr(args, "suites", None))
-    put("suites", "pointpick_radius", getattr(args, "radius", None))
-    put("suites", "sequence_count", getattr(args, "count", None))
-    put("output", "path", getattr(args, "output", None))
-    put("output", "format", getattr(args, "format", None))
-    put("output", "seed", getattr(args, "seed", None))
     return config
 
 
-def _float(section: dict, key: str, default=None):
-    if key not in section:
-        return default
+def _typed(section: str, key: str, value: str):
+    """A given value of a setting as the setting's type."""
+    kind = SETTINGS[section][key][0]
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(f"{section} {key} must be {' or '.join(kind)}, "
+                          f"got {value!r}")
+    if kind not in (int, float):
+        return value
     try:
-        return float(section[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {section[key]!r}")
+        return kind(value)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(f"{key} must be {noun}, got {value!r}") from None
 
 
-def _int(section: dict, key: str, default=None):
-    if key not in section:
-        return default
-    try:
-        return int(str(section[key]))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be an integer, got {section[key]!r}")
-
-
-def _build_grid(config: dict) -> RadialGrid | None:
-    sec = config.get("grid", {})
-    n = _int(sec, "n")
-    kind = sec.get("kind", "uniform")
-    if kind not in ("uniform", "graded"):
-        raise ConfigError(f"grid kind must be uniform or graded, got {kind!r}")
-    if n is None:
-        return None
-    if n < MIN_NODES:
+def _settings(config: dict) -> dict:
+    """Every value of SETTINGS, typed and range-checked for any command;
+    the grid built (None: the family's own), the class bounds as
+    ClassParams and the suites as a list of names."""
+    for section, given in config.items():
+        allowed = SETTINGS.get(section)
+        if allowed is None:
+            raise ConfigError(f"unknown config section [{section}]")
+        for key in given:
+            if key not in allowed:
+                raise ConfigError(f"unknown key {key!r} in section "
+                                  f"[{section}]; allowed: {sorted(allowed)}")
+    s = {section: {key: _typed(section, key, config[section][key])
+                   if key in config.get(section, {}) else default
+                   for key, (_, default) in keys.items()}
+         for section, keys in SETTINGS.items()}
+    if s["metric"]["profile"] is not None and (
+            len(config["metric"]) > 1 or "grid" in config):
+        raise ConfigError("profile tables take no family, parameters or grid")
+    family = s["metric"]["family"]
+    if family not in fam.FAMILIES:
+        raise ConfigError(
+            f"unknown family {family!r}; choose from {sorted(fam.FAMILIES)}")
+    for key in config.get("metric", {}):
+        if key not in ("family", "profile", *fam.FAMILY_CATALOG[family]):
+            raise ConfigError(
+                f"parameter {key!r} not accepted by family {family!r}")
+    kind, n = s["grid"]["kind"], s["grid"]["n"]
+    if n is not None and n < MIN_NODES:
         raise ConfigError(f"grid n must be at least {MIN_NODES}, got {n}")
-    if n > MAX_NODES:
+    if n is not None and n > MAX_NODES:
         raise ConfigError(f"grid n must be at most {MAX_NODES}, got {n}")
-    if kind == "graded":
-        return RadialGrid.graded(n)
-    return RadialGrid.uniform(n)
+    require_epsilon(s["solver"]["epsilon"])
+    require_residual_tol(s["solver"]["residual_tol"])
+    s["class"] = ClassParams(**s["class"])
+    suites = s["suites"]
+    suites["run"] = [name.strip() for name in suites["run"].split(",")
+                     if name.strip()]
+    require_suites(suites["run"])
+    require_pick_radius(suites["pointpick_radius"])
+    count = suites["sequence_count"]
+    require_schedule_length(count)
+    if count > MAX_SEQUENCE_COUNT:
+        raise ConfigError(f"sequence count must be at most "
+                          f"{MAX_SEQUENCE_COUNT}, got {count}")
+    require_tolerance(suites["tolerance"])
+    s["grid"] = None if n is None else getattr(RadialGrid, kind)(n)
+    return s
 
 
 def _defaults(family: str) -> dict:
@@ -171,164 +186,104 @@ def _defaults(family: str) -> dict:
     return {name: p.default for name, p in signature.items()}
 
 
-def _build_metric(config: dict):
-    sec = config.get("metric", {})
-    grid = _build_grid(config)
-    if "profile" in sec:
+def _build_metric(s: dict):
+    """The scenario's metric: its profile table, or its family member."""
+    sec = s["metric"]
+    if sec["profile"] is not None:
         return load_profile_table(sec["profile"])
-    family = sec.get("family", "round")
-    if family not in fam.FAMILIES:
-        raise ConfigError(
-            f"unknown family {family!r}; choose from {sorted(fam.FAMILIES)}")
-    params = {}
-    for key, value in sec.items():
-        if key == "family":
-            continue
-        if key not in fam.FAMILY_CATALOG[family]:
-            raise ConfigError(
-                f"parameter {key!r} not accepted by family {family!r}")
-        params[key] = _float(sec, key)
+    family = sec["family"]
+    params = {key: sec[key] for key in fam.FAMILY_CATALOG[family]
+              if sec[key] is not None}
     missing = [name for name, default in _defaults(family).items()
                if default is inspect.Parameter.empty and name not in params]
     if missing:
         raise ConfigError(
             f"family {family!r} requires parameter(s): {', '.join(missing)}")
-    return fam.make(family, grid=grid, **params)
+    return fam.make(family, grid=s["grid"], **params)
 
 
-def _class_params(config: dict) -> ClassParams:
-    sec = config.get("class", {})
-    return ClassParams(
-        volume_max=_float(sec, "volume_max", 40.0),
-        diameter_max=_float(sec, "diameter_max", 10.0),
-        mass_max=_float(sec, "mass_max", 1.0),
-        cheeger_min=_float(sec, "cheeger_min", 1.0))
-
-
-def _solve(metric, config: dict):
-    sec = config.get("solver", {})
-    method = sec.get("method", "quadrature")
-    if method == "quadrature":
-        tol = _float(sec, "residual_tol", 1e-4)
-        return solve_quadrature(metric, residual_tol=tol)
-    if method == "bvp":
-        return solve_bvp(metric, epsilon=_float(sec, "epsilon", 1e-3))
-    raise ConfigError(f"solver method must be quadrature or bvp, got {method!r}")
-
-
-def _seed(config: dict):
-    sec = config.get("output", {})
-    return _int(sec, "seed")
-
-
-def _emit(config: dict, doc: dict, csv_text: Callable[[], str]) -> None:
-    """Write the report as JSON, or as the CSV text that `csv_text()`
-    builds, which is called only when the format is csv."""
-    sec = config.get("output", {})
-    fmt = sec.get("format", "json")
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be csv or json, got {fmt!r}")
-    text = rep.report_json(doc) if fmt == "json" else csv_text()
-    path = sec.get("path")
-    if path:
-        rep.write_text_atomic(path, text)
+def _emit(config: dict, s: dict, csv_text: Callable[[], str],
+          checks=(), **blocks) -> None:
+    """Write the report of `checks` and `blocks` as JSON, or the CSV text
+    `csv_text()` builds, called only when the format is csv."""
+    out = s["output"]
+    text = csv_text() if out["format"] == "csv" else rep.report_json(
+        rep.build_report(config, out["seed"], checks, **blocks))
+    if out["path"]:
+        rep.write_text_atomic(out["path"], text)
     else:
         sys.stdout.write(text)
 
 
-def _key_value_csv(pairs) -> str:
-    """A two-column key,value CSV table of the (key, value) pairs."""
-    return "\n".join(["key,value"] + [f"{k},{v}" for k, v in pairs]) + "\n"
-
-
-def _summary_extras(metric, params: ClassParams) -> dict:
+def _summary_blocks(metric, params: ClassParams) -> dict:
     """The metric, summary and membership blocks of a report."""
-    s = summarize(metric)
-    member = class_membership(s, params)
+    summary = summarize(metric)
+    member = class_membership(summary, params)
     return {
         "metric": {"name": metric.name, "params": metric.params,
                    "grid_n": metric.grid.n},
-        "summary": {
-            "volume": s.volume,
-            "diameter_lower": s.diameter_lower,
-            "diameter_upper": s.diameter_upper,
-            "mass": s.mass,
-            "cheeger_surrogate": s.cheeger_surrogate,
-            "validation_ok": s.validation.ok,
-        },
+        "summary": {key: getattr(summary, key) for key in (
+            "volume", "diameter_lower", "diameter_upper", "mass",
+            "cheeger_surrogate")} | {"validation_ok": summary.validation.ok},
         "membership": {"admitted": member.admitted, **vars(member)},
     }
 
 
-def cmd_analyze(config: dict) -> int:
-    metric = _build_metric(config)
-    params = _class_params(config)
-    extras = _summary_extras(metric, params)
-    doc = rep.build_report([], config, seed=_seed(config), extras=extras)
-    _emit(config, doc, lambda: _key_value_csv(
+def cmd_analyze(config: dict, s: dict) -> int:
+    blocks = _summary_blocks(_build_metric(s), s["class"])
+    _emit(config, s, lambda: rep.key_value_csv(
         (f"{group}.{key}", value) for group in ("summary", "membership")
-        for key, value in extras[group].items()))
+        for key, value in blocks[group].items()), **blocks)
     return EXIT_PASS
 
 
-def cmd_verify(config: dict) -> int:
-    metric = _build_metric(config)
-    params = _class_params(config)
-    ledger = constant_ledger(params)
-    suite_sec = config.get("suites", {})
-    names = [s.strip() for s in suite_sec.get("run", ",".join(SUITES)).split(",")
-             if s.strip()]
-    require_suites(names)            # before the solve: bad names exit 2
-    tolerance = _float(suite_sec, "tolerance")
+def cmd_verify(config: dict, s: dict) -> int:
+    metric = _build_metric(s)
     metric.on_fine.jet   # the solve's order-2 jet; the summary reads it too
     # before the solve: a metric whose summary overflows is bad input
-    extras = _summary_extras(metric, params)
-    pot = _solve(metric, config)
-    checks = run_all_checks(pot, ledger, tolerance, suites=names)
-    extras["ledger"] = ledger.as_dict()
-    doc = rep.build_report(checks, config, seed=_seed(config), extras=extras)
-    _emit(config, doc, lambda: rep.checks_csv(checks))
-    failed = any(c.verdict == "fail" for c in checks)
-    return EXIT_FAIL if failed else EXIT_PASS
+    blocks = _summary_blocks(metric, s["class"])
+    solver = s["solver"]
+    if solver["method"] == "bvp":
+        pot = solve_bvp(metric, epsilon=solver["epsilon"])
+    else:
+        pot = solve_quadrature(metric, residual_tol=solver["residual_tol"])
+    ledger = constant_ledger(s["class"])
+    checks = run_all_checks(pot, ledger, s["suites"]["tolerance"],
+                            suites=s["suites"]["run"])
+    _emit(config, s, lambda: rep.checks_csv(checks), checks,
+          ledger=ledger.as_dict(), **blocks)
+    return EXIT_FAIL if any(c.verdict == "fail" for c in checks) \
+        else EXIT_PASS
 
 
-def cmd_sequence(config: dict) -> int:
-    sec = config.get("suites", {})
-    family = config.get("metric", {}).get("family")
-    if not family:
+def cmd_sequence(config: dict, s: dict) -> int:
+    given = config.get("metric", {})
+    if "family" not in given:
         raise ConfigError("sequence requires a family name")
-    if family not in fam.FAMILIES:
-        raise ConfigError(
-            f"unknown family {family!r}; choose from {sorted(fam.FAMILIES)}")
-    count = _int(sec, "sequence_count", 10)
-    if count > MAX_SEQUENCE_COUNT:
-        raise ConfigError(f"sequence count must be at most "
-                          f"{MAX_SEQUENCE_COUNT}, got {count}")
-    spec = SequenceSpec(family=family, schedule=_schedule(family, count),
-                        name=f"{family}-dyadic")
-    params = _class_params(config)
-    convergence = run_sequence(spec, params)
-    doc = rep.build_report([], config, seed=_seed(config),
-                           sequence=convergence)
-    _emit(config, doc, lambda: rep.sequence_csv(convergence))
+    if len(given) > 1 or "grid" in config:
+        raise ConfigError("sequence takes no family parameters, profile or "
+                          "grid: its schedule sets its members")
+    family = s["metric"]["family"]
+    spec = SequenceSpec(
+        family=family, name=f"{family}-dyadic",
+        schedule=_schedule(family, s["suites"]["sequence_count"]))
+    convergence = run_sequence(spec, s["class"])
+    _emit(config, s, lambda: rep.sequence_csv(convergence),
+          sequence=convergence)
     return EXIT_PASS
 
 
-def cmd_pointpick(config: dict) -> int:
-    metric = _build_metric(config)
-    radius = _float(config.get("suites", {}), "pointpick_radius", 0.1)
-    require_pick_radius(radius)   # before the summary it would pay for
+def cmd_pointpick(config: dict, s: dict) -> int:
+    metric, radius = _build_metric(s), s["suites"]["pointpick_radius"]
     summarize(metric)   # before the scan: an overflowing metric is bad input
     result = point_pick(metric, radius)
-    extras = {"pointpick": {"radius": radius, **vars(result)}}
-    doc = rep.build_report([], config, seed=_seed(config), extras=extras)
-    _emit(config, doc, lambda: _key_value_csv(extras["pointpick"].items()))
-    if not result.certificate_ok:
-        return EXIT_FAIL
-    return EXIT_PASS
+    block = {"radius": radius, **vars(result)}
+    _emit(config, s, lambda: rep.key_value_csv(block.items()),
+          pointpick=block)
+    return EXIT_PASS if result.certificate_ok else EXIT_FAIL
 
 
-def cmd_families(config: dict) -> int:
+def cmd_families(config: dict, s: dict) -> int:
     lines = []
     for name in sorted(fam.FAMILY_CATALOG):
         lines.append(name)
@@ -377,32 +332,43 @@ def _parser() -> argparse.ArgumentParser:
         description="Warped 3-sphere verification laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def option(p, flag, dest, help=None):
+        """Add `flag` for the setting `dest` = "section.key"."""
+        kind = SETTINGS[dest.split(".")[0]][dest.split(".")[1]][0]
+        choices = kind if isinstance(kind, tuple) else None
+        metavar = None if choices else flag[2:].upper().replace("-", "_")
+        p.add_argument(flag, dest=dest, help=help, choices=choices,
+                       metavar=metavar)
+
     def common(p, solver=False):
         p.add_argument("config", nargs="?", help="INI scenario config")
-        p.add_argument("--family", help="metric family name")
+        option(p, "--family", "metric.family", "metric family name")
         p.add_argument("--param", action="append",
                        help="family parameter key=value (repeatable)")
-        p.add_argument("--grid-size", dest="grid_size", help="grid nodes")
-        p.add_argument("--output", help="report file path")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--seed", help="seed recorded in the report")
+        option(p, "--grid-size", "grid.n", "grid nodes")
+        option(p, "--output", "output.path", "report file path")
+        option(p, "--format", "output.format")
+        option(p, "--seed", "output.seed", "seed recorded in the report")
         if solver:
-            p.add_argument("--solver", choices=("quadrature", "bvp"),
-                           help="potential solver (bvp needs scipy)")
-            p.add_argument("--epsilon", help="BVP truncation epsilon")
-            p.add_argument("--tolerance", help="check tolerance override")
+            option(p, "--solver", "solver.method",
+                   "potential solver (bvp needs scipy)")
+            option(p, "--epsilon", "solver.epsilon", "BVP truncation epsilon")
+            option(p, "--tolerance", "suites.tolerance",
+                   "check tolerance override")
 
     common(sub.add_parser("analyze", help="geometry summary only"))
     verify = sub.add_parser("verify", help="run inequality check suites")
     common(verify, solver=True)
-    verify.add_argument("--suites", help="comma list among "
-                        + ",".join(SUITES))
+    option(verify, "--suites", "suites.run",
+           "comma list among " + ",".join(SUITES))
     seq = sub.add_parser("sequence", help="dyadic convergence experiment")
     common(seq)
-    seq.add_argument("--count", help="number of schedule indices")
+    option(seq, "--count", "suites.sequence_count",
+           "number of schedule indices")
     pick = sub.add_parser("pointpick", help="antipodal ball-pair scan")
     common(pick)
-    pick.add_argument("--radius", help="ball radius in (0, 0.5]")
+    option(pick, "--radius", "suites.pointpick_radius",
+           "ball radius in (0, 0.5]")
     sub.add_parser("families", help="list families and admissible ranges")
     return parser
 
@@ -420,18 +386,13 @@ def main(argv=None) -> int:
     _keep_freed_heap()
     args = _parser().parse_args(argv)
     try:
-        config = _read_config(args.config) if getattr(args, "config", None) \
-            else {}
-        config = _merge_cli(config, args)
-        return COMMANDS[args.command](config)
-    except (ConfigError, DomainError, StructuralError, ConstructionError,
-            DegenerateMetricError, OSError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CONFIG
+        config = _merge_cli(_read_config(args.config)
+                            if getattr(args, "config", None) else {}, args)
+        return COMMANDS[args.command](config, _settings(config))
     except (SolverError, ResidualGuardError) as exc:
         sys.stderr.write(f"solver error: {exc}\n")
         return EXIT_SOLVER
-    except WarpedSphereError as exc:
+    except (WarpedSphereError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG
 

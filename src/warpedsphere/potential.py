@@ -105,6 +105,18 @@ def log_ratio_parts(metric: WarpedMetric):
     return 3.0 * J + sin_term - 2.0 * np.log(fine.fos), phi
 
 
+def require_residual_tol(residual_tol: float) -> None:
+    """Refuse a `residual_tol` not finite and > 0 with a DomainError."""
+    if not (0.0 < residual_tol < np.inf):
+        raise DomainError(f"residual_tol {residual_tol} must be finite > 0")
+
+
+def require_epsilon(epsilon: float) -> None:
+    """Refuse an `epsilon` outside (0, pi/8) with a ConfigError."""
+    if not (0.0 < epsilon < PI / 8):
+        raise ConfigError("epsilon must lie in (0, pi/8)")
+
+
 def solve_quadrature(metric: WarpedMetric,
                      residual_tol: float = 1e-4) -> PotentialSolution:
     """Closed-form potential via log-space quadrature.
@@ -113,8 +125,7 @@ def solve_quadrature(metric: WarpedMetric,
     the poles must stay below `residual_tol` or a SolverError is raised.
     A `residual_tol` that is not finite and positive is refused.
     """
-    if not (0.0 < residual_tol < np.inf):
-        raise DomainError(f"residual_tol {residual_tol} must be finite > 0")
+    require_residual_tol(residual_tol)
     lr, phi_fine = log_ratio_parts(metric)
     fine, grid = metric.on_fine, metric.on_grid
     lr_max = float(np.max(lr))
@@ -162,8 +173,7 @@ def solve_bvp(metric: WarpedMetric,
     interpolated back onto the metric's grid.  An `epsilon` outside
     (0, pi/8) is a ConfigError.
     """
-    if not (0.0 < epsilon < PI / 8):
-        raise ConfigError("epsilon must lie in (0, pi/8)")
+    require_epsilon(epsilon)
     from scipy.linalg import solve_banded
 
     n = metric.grid.n

@@ -1,8 +1,10 @@
 """Machine-readable run reports.
 
 One JSON document per run with schema
-{run_id, config_hash, seed, timestamp, checks: [...], sequence?: {...}},
-plus CSV flattenings of the check table and the convergence table.
+{run_id, config_hash, seed, timestamp, config, checks: [...]} plus the
+command's blocks (summary, sequence, pointpick, ...), and CSV
+flattenings: the check table, the convergence table and key,value
+tables.
 Identical configuration and seed yield byte-identical reports except for
 the timestamp field; file writes go through a temp file and rename.
 
@@ -29,6 +31,7 @@ import os
 import tempfile
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 from typing import Iterable, Optional
 
 import numpy as np
@@ -59,28 +62,22 @@ def config_hash(config: dict) -> str:
     return sha256(canon.encode()).hexdigest()
 
 
-def build_report(checks: Iterable[CheckResult], config: dict,
-                 seed: Optional[int] = None,
-                 sequence: Optional[ConvergenceReport] = None,
-                 extras: Optional[dict] = None,
-                 timestamp: Optional[str] = None) -> dict:
-    """Assemble the report document from the objects as they are; checks
-    are sorted by label."""
+def build_report(config: dict, seed: Optional[int],
+                 checks: Iterable[CheckResult] = (),
+                 timestamp: Optional[str] = None, **blocks) -> dict:
+    """Assemble the report document from the objects as they are: the
+    checks, sorted by label, and each keyword block under its name."""
     chash = config_hash(config)
     run_id = sha256(f"{chash}:{seed}".encode()).hexdigest()[:16]
-    doc = {
+    return {
         "run_id": run_id,
         "config_hash": chash,
         "seed": seed,
         "timestamp": timestamp or datetime.now(timezone.utc).isoformat(),
         "config": config,
         "checks": sorted(checks, key=lambda c: c.label),
+        **blocks,
     }
-    if sequence is not None:
-        doc["sequence"] = sequence
-    if extras:
-        doc.update(extras)
-    return doc
 
 
 def _scalar(obj) -> str:
@@ -173,25 +170,29 @@ def _csv_cell(x) -> str:
 
 
 def _csv_table(columns: tuple, rows) -> str:
-    """One CSV line per row, the cells being the row's attributes named by
-    `columns`, under a header of those names."""
+    """One CSV line per row of cells, under a header of `columns`."""
     lines = [",".join(columns)]
-    lines += [",".join([_csv_cell(getattr(row, c)) for c in columns])
-              for row in rows]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def key_value_csv(pairs) -> str:
+    """A CSV table of the (key, value) pairs with columns key, value."""
+    return _csv_table(("key", "value"), pairs)
 
 
 def checks_csv(checks: Iterable[CheckResult]) -> str:
     """Flatten checks, sorted by label, to CSV with columns
     CSV_CHECK_COLUMNS."""
-    return _csv_table(CSV_CHECK_COLUMNS,
-                      sorted(checks, key=lambda c: c.label))
+    return _csv_table(CSV_CHECK_COLUMNS, map(
+        attrgetter(*CSV_CHECK_COLUMNS), sorted(checks, key=lambda c: c.label)))
 
 
 def sequence_csv(report: ConvergenceReport) -> str:
     """Flatten a convergence experiment to a plot-ready CSV table with
     columns CSV_SEQUENCE_COLUMNS."""
-    return _csv_table(CSV_SEQUENCE_COLUMNS, report.entries)
+    return _csv_table(CSV_SEQUENCE_COLUMNS,
+                      map(attrgetter(*CSV_SEQUENCE_COLUMNS), report.entries))
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -238,6 +238,18 @@ def require_suites(names) -> None:
             raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
 
 
+def require_schedule_length(length: int) -> None:
+    """Refuse a sequence schedule of no members."""
+    if length < 1:
+        raise DomainError("schedule must be nonempty")
+
+
+def require_tolerance(tolerance: Optional[float]) -> None:
+    """Refuse a tolerance not finite and >= 0 (None: tol_disc)."""
+    if tolerance is not None and not (0.0 <= tolerance < np.inf):
+        raise DomainError(f"check tolerance {tolerance} must be finite >= 0")
+
+
 def run_all_checks(pot: PotentialSolution, ledger: ConstantLedger,
                    tolerance: Optional[float] = None,
                    suites=SUITES) -> list[CheckResult]:
@@ -249,8 +261,7 @@ def run_all_checks(pot: PotentialSolution, ledger: ConstantLedger,
     A `tolerance` that is not finite and >= 0 is refused.
     """
     require_suites(suites)
-    if tolerance is not None and not (0.0 <= tolerance < np.inf):
-        raise DomainError(f"check tolerance {tolerance} must be finite >= 0")
+    require_tolerance(tolerance)
     names = [name for name in SUITES if name in suites]
     if not names:
         return []
@@ -270,8 +281,7 @@ class SequenceSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not self.schedule:
-            raise DomainError("schedule must be nonempty")
+        require_schedule_length(len(self.schedule))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, configs, determinism."""
 
+import argparse
 import ctypes
 import inspect
 import json
@@ -16,6 +17,7 @@ import warpedsphere
 from warpedsphere import ClassParams, SequenceSpec, cli, run_sequence
 from warpedsphere import families as fam
 from warpedsphere.cli import main
+from conftest import write_profile_table
 
 
 def _strip_timestamp(text):
@@ -156,6 +158,23 @@ class TestInputContract:
          "[solver]\nmax_iterations = 5\n"),
         (["verify", "--family", "round", "--solver", "bvp"],
          "[solver]\ndamping = 0.5\n"),
+        (["verify", "--family", "round", "--epsilon", "abc"], None),
+        (["verify", "--family", "round"],
+         "[solver]\nmethod = bvp\nresidual_tol = nan\n"),
+        (["analyze", "--family", "round"], "[solver]\nmethod = nonsense\n"),
+        (["analyze", "--family", "round"],
+         "[suites]\npointpick_radius = abc\n"),
+        (["pointpick", "--family", "round"], "[class]\nvolume_max = abc\n"),
+        (["sequence", "--family", "bump", "--count", "1",
+          "--grid-size", "3"], None),
+        (["sequence", "--family", "bump", "--count", "1",
+          "--param", "eta=0.3"], None),
+        (["sequence", "--family", "bump", "--count", "1"],
+         "[metric]\nprofile = profile.txt\n"),
+        (["sequence", "--family", "bump", "--count", "1",
+          "--grid-size", "501"], None),
+        (["sequence", "--family", "bump", "--count", "1"],
+         "[grid]\nkind = graded\n"),
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
@@ -172,7 +191,12 @@ class TestInputContract:
             "pointpick-bump-width-1e-300", "pointpick-bump-eta-1e300",
             "pointpick-bump-eta-1e150", "pointpick-bump-eta-1e300-radius",
             "ini-suites-sequence-family", "ini-solver-max-iterations",
-            "ini-solver-damping"])
+            "ini-solver-damping", "quadrature-epsilon-abc",
+            "bvp-residual-tol-nan", "analyze-solver-method-nonsense",
+            "analyze-pointpick-radius-abc", "pointpick-volume-max-abc",
+            "sequence-grid-size-3", "sequence-param-eta",
+            "sequence-profile", "sequence-grid-size-501",
+            "sequence-ini-grid-kind"])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:
@@ -207,6 +231,25 @@ class TestInputContract:
         assert out == ""
         assert err.startswith(f"error: cannot read profile table {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--family", "bump"],
+        ["verify", "--param", "c=1.5"],
+        ["pointpick", "--grid-size", "501"],
+    ], ids=["family", "param", "grid"])
+    def test_profile_takes_no_family(self, argv, tmp_path, capsys):
+        """A profile table is the whole metric, on its own nodes: a
+        family, a family parameter or a grid beside it is refused, not
+        ignored."""
+        path = tmp_path / "profile.txt"
+        write_profile_table(fam.round_sphere(), path)
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[metric]\nprofile = {path}\n")
+        assert main([argv[0], str(cfg)]) == 0
+        capsys.readouterr()
+        assert main([argv[0], str(cfg), *argv[1:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: profile tables take no family, parameters or grid\n")
 
     def test_output_error_names_the_requested_path(self, tmp_path, capsys):
         """A report that cannot be written exits 2 with one line naming the
@@ -437,7 +480,7 @@ class TestSubcommands:
         doc = json.loads(out.read_text())
         assert doc["pointpick"]["certificate_ok"] is True
 
-    @pytest.mark.parametrize("argv,keys", [
+    @pytest.mark.parametrize("argv,keys,cells", [
         (["analyze", "--family", "bubble", "--param", "area_radius=2",
           "--param", "neck_theta=0.05"],
          ["summary.volume", "summary.diameter_lower",
@@ -446,16 +489,26 @@ class TestSubcommands:
           "membership.admitted", "membership.comparison_ok",
           "membership.volume_ok", "membership.diameter_ok",
           "membership.mass_ok", "membership.cheeger_fails",
-          "membership.cheeger_provisional"]),
+          "membership.cheeger_provisional"],
+         {"summary.validation_ok": "true", "membership.admitted": "false",
+          "membership.cheeger_fails": "true"}),
         (["pointpick", "--family", "round", "--grid-size", "501"],
          ["radius", "q_colat", "sum_ball_volumes", "certificate_rhs",
-          "certificate_ok", "beyond_proof_range"]),
+          "certificate_ok", "beyond_proof_range"],
+         {"radius": "0.10000000000000001", "certificate_ok": "true"}),
     ], ids=["analyze", "pointpick"])
-    def test_csv_key_column(self, argv, keys, capsys):
+    def test_csv_key_column(self, argv, keys, cells, capsys):
+        """Keys in report order; values as every CSV writes them: bools
+        in lower case, floats with CSV_DIGITS = 17 significant digits."""
         assert main(argv + ["--format", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "key,value"
-        assert [line.split(",")[0] for line in lines[1:]] == keys
+        table = dict(line.split(",") for line in lines[1:])
+        assert list(table) == keys
+        assert {key: table[key] for key in cells} == cells
+        for value in table.values():
+            assert value in ("true", "false") or \
+                value == format(float(value), ".17g")
 
     def test_families_lists_all(self, capsys):
         assert main(["families"]) == 0
@@ -621,6 +674,24 @@ class TestDeterminism:
                          "--tolerance", "0.001"]) == 0
             texts.append(_strip_timestamp(out.read_text()))
         assert texts[0] == texts[1]
+
+    def test_every_flag_names_a_setting(self):
+        """Each flag stores its value under a `section.key` of SETTINGS,
+        so flags and scenario files share one table and one parse."""
+        subparsers = next(a for a in cli._parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {action.dest for sub in subparsers.choices.values()
+                 for action in sub._actions
+                 if not isinstance(action, argparse._HelpAction)}
+        dests -= {"config", "command", "param"}
+        assert len(dests) == 11
+        for dest in dests:
+            section, key = dest.split(".")
+            assert key in cli.SETTINGS[section], dest
+        assert {section: len(keys) for section, keys in
+                cli.SETTINGS.items()} == {"metric": 11, "grid": 2,
+                                          "solver": 3, "class": 4,
+                                          "suites": 4, "output": 3}
 
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()

@@ -47,37 +47,33 @@ class TestConfigHash:
         canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
         chash = hashlib.sha256(canon.encode()).hexdigest()
         assert config_hash(config) == chash
-        assert build_report([], config, seed=3)["run_id"] == \
+        assert build_report(config, 3)["run_id"] == \
             hashlib.sha256(f"{chash}:3".encode()).hexdigest()[:16]
 
 
 class TestBuildReport:
     def test_checks_sorted_and_run_id_deterministic(self):
-        doc1 = build_report(_checks(), {"metric": {"family": "round"}},
-                            seed=7)
-        doc2 = build_report(_checks(), {"metric": {"family": "round"}},
-                            seed=7)
+        doc1 = build_report({"metric": {"family": "round"}}, 7, _checks())
+        doc2 = build_report({"metric": {"family": "round"}}, 7, _checks())
         labels = [c.label for c in doc1["checks"]]
         assert labels == sorted(labels)
         assert doc1["run_id"] == doc2["run_id"]
 
     def test_seed_changes_run_id(self):
-        doc1 = build_report(_checks(), {}, seed=1)
-        doc2 = build_report(_checks(), {}, seed=2)
+        doc1 = build_report({}, 1, _checks())
+        doc2 = build_report({}, 2, _checks())
         assert doc1["run_id"] != doc2["run_id"]
 
     def test_json_round_trip(self):
-        doc = build_report(_checks(), {"grid": {"n": "501"}}, seed=None)
+        doc = build_report({"grid": {"n": "501"}}, None, _checks())
         text = report_json(doc)
         parsed = json.loads(text)
         assert parsed["checks"][0]["label"] == "a_check"
         assert text.endswith("\n")
 
     def test_numpy_values_serializable(self):
-        doc = build_report([], {}, seed=None,
-                           extras={"x": np.float64(1.5),
-                                   "y": np.arange(3),
-                                   "z": np.bool_(True)})
+        doc = build_report({}, None, x=np.float64(1.5), y=np.arange(3),
+                           z=np.bool_(True))
         parsed = json.loads(report_json(doc))
         assert parsed["x"] == 1.5
         assert parsed["z"] is True
@@ -255,10 +251,9 @@ class TestReportJson:
         assert count > 0
 
     def test_built_report(self):
-        doc = build_report(_checks(), {"grid": {"n": "501"}}, seed=3,
-                           extras={"x": np.float64(np.nan),
-                                   "y": np.arange(3)},
-                           timestamp="t")
+        doc = build_report({"grid": {"n": "501"}}, 3, _checks(),
+                           timestamp="t", x=np.float64(np.nan),
+                           y=np.arange(3))
         assert report_json(doc) == _json_text(doc)
 
     def test_refuses_what_json_refuses(self):

@@ -113,7 +113,7 @@ def _one_by_one(pot, ledger, names):
 
 
 def _report(checks):
-    return report_json(build_report(checks, {}, timestamp="t"))
+    return report_json(build_report({}, None, checks, timestamp="t"))
 
 
 class TestSharedEvaluation:
