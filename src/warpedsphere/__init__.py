@@ -24,7 +24,7 @@ from .potential import (PotentialSolution, flux_residual, pde_residual,
 from .functionals import (AlignmentConstants, CoreIntegrals, GoodSetReport,
                           Evaluation, PointPickResult, ShellSelection,
                           good_set_volumes, point_pick, weighted_median)
-from .constants import ConstantLedger, constant_ledger
+from .constants import constant_ledger
 from .verification import (SUITES, CheckResult, ConvergenceReport,
                            SequenceEntry, SequenceSpec, run_all_checks,
                            run_sequence, tol_disc)

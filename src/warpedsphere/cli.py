@@ -3,8 +3,10 @@
 Subcommands: analyze (geometry summary), verify (check suites),
 sequence (convergence experiment), pointpick, families.  Every command
 checks every setting it is given, so a bad value exits 2 even in a
-section it does not use.  `sequence` refuses family parameters, profiles
-and a grid: its schedule sets the members on the family's own grid.
+section it does not use, and builds the constant ledger of the class
+bounds, so bounds whose ledger is not finite exit 2.  `sequence`
+refuses family parameters, profiles and a grid: its schedule sets the
+members on the family's own grid.
 analyze and pointpick write CSV as key,value tables.
 
 Exit codes: 0 all checks pass, 1 at least one margin failure,
@@ -132,7 +134,8 @@ def _typed(section: str, key: str, value: str):
 def _settings(config: dict) -> dict:
     """Every value of SETTINGS, typed and range-checked for any command;
     the grid built (None: the family's own), the class bounds as
-    ClassParams and the suites as a list of names."""
+    ClassParams, their constant ledger under "ledger" and the suites as
+    a list of names."""
     for section, given in config.items():
         allowed = SETTINGS.get(section)
         if allowed is None:
@@ -164,6 +167,7 @@ def _settings(config: dict) -> dict:
     require_epsilon(s["solver"]["epsilon"])
     require_residual_tol(s["solver"]["residual_tol"])
     s["class"] = ClassParams(**s["class"])
+    s["ledger"] = constant_ledger(s["class"])
     suites = s["suites"]
     suites["run"] = [name.strip() for name in suites["run"].split(",")
                      if name.strip()]
@@ -247,11 +251,10 @@ def cmd_verify(config: dict, s: dict) -> int:
         pot = solve_bvp(metric, epsilon=solver["epsilon"])
     else:
         pot = solve_quadrature(metric, residual_tol=solver["residual_tol"])
-    ledger = constant_ledger(s["class"])
-    checks = run_all_checks(pot, ledger, s["suites"]["tolerance"],
+    checks = run_all_checks(pot, s["ledger"], s["suites"]["tolerance"],
                             suites=s["suites"]["run"])
     _emit(config, s, lambda: rep.checks_csv(checks), checks,
-          ledger=ledger.as_dict(), **blocks)
+          ledger=s["ledger"], **blocks)
     return EXIT_FAIL if any(c.verdict == "fail" for c in checks) \
         else EXIT_PASS
 

@@ -14,116 +14,80 @@ were stated with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from math import sqrt
 
-import numpy as np
-
+from .errors import DomainError
 from .metrics import ClassParams
 
-PI = np.pi
+PI = math.pi
+
+#: the ledger, one (name, formula, derivation) row per constant in
+#: derivation order; a formula reads the caps m_bar, Lambda and V and the
+#: earlier rows from the mapping it is given
+CHAIN = (
+    ("C2", lambda k: 24.0 * PI + 1.5 * k["m_bar"],
+     "24*pi + (3/2)*m_bar; energy identity plus the small/large-deficit "
+     "dichotomy for the L2 gradient"),
+    ("C3", lambda k: 8.0 * PI + 0.5 * k["m_bar"]**2 * k["C2"],
+     "8*pi + (1/2)*m_bar^2*C2; csc^2 flux identity, then Cauchy-Schwarz "
+     "against the L2 gradient bound"),
+    ("c_align", lambda k: (sqrt(8.0 * PI + 0.5 * k["m_bar"] * k["C2"])
+                           * sqrt(0.5 * k["C2"])),
+     "sqrt(8*pi + (1/2)*m_bar*C2) * sqrt(C2/2); split csc^2|du + |du| "
+     "dtheta| by Cauchy-Schwarz, close with the alignment identity"),
+    ("c_hess", lambda k: (sqrt(8.0 * PI + 0.5 * k["m_bar"]**2 * k["C2"])
+                          * sqrt(k["C2"])),
+     "sqrt(8*pi + (1/2)*m_bar^2*C2) * sqrt(C2); csc|Hess| <= "
+     "sqrt(csc^2|du|) * sqrt(|Hess|^2/|du|), close with the mass identity"),
+    ("C5", lambda k: k["c_align"] + k["c_hess"],
+     "c_align + c_hess; pointwise |grad ratio| <= csc|Hess| + "
+     "csc^2|du + |du| dtheta|"),
+    ("C4", lambda k: k["C5"] / k["Lambda"],
+     "C5 / Lambda; 1-Poincare step with the isoperimetric floor standing "
+     "in for the Sobolev constant"),
+    ("c_cor36", lambda k: (k["c_align"] + k["C4"]) / k["Lambda"],
+     "(c_align + C4) / Lambda; gradient of u - a*cos(theta) split into "
+     "the two prior bounds, then the same Poincare step"),
+    ("c_shell", lambda k: (8.0 / PI) * (8.0 * PI + 0.5 * k["m_bar"] * k["C2"]),
+     "(8/pi)*(8*pi + (1/2)*m_bar*C2); mean-value shell selection over "
+     "colatitudes [pi/8, pi/4]"),
+    ("C6", lambda k: sqrt(2.0) * k["c_shell"],
+     "sqrt(2)*c_shell; divergence identity weighted by csc^(1+eps), "
+     "monotone limit eps -> 1, cos >= 1/sqrt(2) on the selection window"),
+    ("C7", lambda k: k["C6"],
+     "C6; polar flow average controlled by the csc^3 mass"),
+    ("C8", lambda k: k["C7"],
+     "C7; layer-cake rearrangement of the polar average"),
+    ("C9", lambda k: 0.75 * PI**2 * k["C8"],
+     "(3*pi^2/4)*C8; amplitude witness with gamma = 1 - (3*pi^2/4)*C8*r "
+     "and r = deficit_norm^(1/12)"),
+    ("C10", lambda k: 0.75 * PI * k["c_cor36"],
+     "(3*pi/4)*c_cor36; amplitude witness with tau = "
+     "(3*pi/4)*c_cor36*deficit_norm^(1/4)"),
+    ("C12", lambda k: (0.5 * k["C2"]
+                       + 2.0 * PI * sqrt(k["C4"] + 8.0 * PI / 3.0)
+                       + 0.5 * PI * k["V"] * (1.0 + k["C9"] + k["C10"])),
+     "C2/2 + 2*pi*sqrt(C4 + 8*pi/3) + (pi/2)*V*(1 + C9 + C10); good-set "
+     "volume sandwich with csc L2 norm 2*pi on the round sphere and every "
+     "deficit power <= 1 bounded by its smallest exponent"),
+)
 
 
-@dataclass(frozen=True)
-class ConstantLedger:
-    """All derived constants plus their derivation traces.
+def constant_ledger(params: ClassParams) -> dict[str, float]:
+    """Every CHAIN constant of the class caps, by name, in CHAIN order.
 
-    C2  L^2 gradient bound          C7  polar-average bound (= C6)
-    C3  L^1 gradient bound          C8  sublevel-volume bound (= C7)
-    C4  ratio Poincare bound        C9  amplitude penalty, 1/12 power
-    C5  ratio seminorm bound        C10 amplitude penalty, 1/4 power
-    C6  polar csc^3 bound           C12 good-set volume sandwich bound
-    plus the intermediates c_align (csc^2 alignment), c_hess
-    (csc-weighted Hessian), c_shell (shell flux) and c_cor36
-    (cosine-alignment Poincare).
-    """
-
-    m_bar: float
-    lam: float
-    volume_max: float
-    C2: float
-    C3: float
-    c_align: float
-    c_hess: float
-    C5: float
-    C4: float
-    c_cor36: float
-    c_shell: float
-    C6: float
-    C7: float
-    C8: float
-    C9: float
-    C10: float
-    C12: float
-    trace: tuple[tuple[str, str], ...]
-
-    def as_dict(self) -> dict:
-        return {k: getattr(self, k)
-                for k in ("C2", "C3", "C4", "C5", "C6", "C7", "C8",
-                          "C9", "C10", "C12", "c_align", "c_hess",
-                          "c_shell", "c_cor36")}
-
-
-def constant_ledger(params: ClassParams) -> ConstantLedger:
-    """Assemble every ledger constant from the class parameters."""
-    m = float(params.mass_max)
-    lam = float(params.cheeger_min)
-    vol = float(params.volume_max)
-
-    c2 = 24.0 * PI + 1.5 * m
-    c3 = 8.0 * PI + 0.5 * m**2 * c2
-    c_align = np.sqrt(8.0 * PI + 0.5 * m * c2) * np.sqrt(0.5 * c2)
-    c_hess = np.sqrt(8.0 * PI + 0.5 * m**2 * c2) * np.sqrt(c2)
-    c5 = c_align + c_hess
-    c4 = c5 / lam
-    c_cor36 = (c_align + c4) / lam
-    c_shell = (8.0 / PI) * (8.0 * PI + 0.5 * m * c2)
-    c6 = np.sqrt(2.0) * c_shell
-    c7 = c6
-    c8 = c7
-    c9 = 0.75 * PI**2 * c8
-    c10 = 0.75 * PI * c_cor36
-    c12 = (0.5 * c2 + 2.0 * PI * np.sqrt(c4 + 8.0 * PI / 3.0)
-           + 0.5 * PI * vol * (1.0 + c9 + c10))
-
-    trace = (
-        ("C2", "24*pi + (3/2)*m_bar; energy identity plus the "
-               "small/large-deficit dichotomy for the L2 gradient"),
-        ("C3", "8*pi + (1/2)*m_bar^2*C2; csc^2 flux identity, then "
-               "Cauchy-Schwarz against the L2 gradient bound"),
-        ("c_align", "sqrt(8*pi + (1/2)*m_bar*C2) * sqrt(C2/2); "
-                    "split csc^2|du + |du| dtheta| by Cauchy-Schwarz, "
-                    "close with the alignment identity"),
-        ("c_hess", "sqrt(8*pi + (1/2)*m_bar^2*C2) * sqrt(C2); "
-                   "csc|Hess| <= sqrt(csc^2|du|) * sqrt(|Hess|^2/|du|), "
-                   "close with the mass identity"),
-        ("C5", "c_align + c_hess; pointwise |grad ratio| <= "
-               "csc|Hess| + csc^2|du + |du| dtheta|"),
-        ("C4", "C5 / Lambda; 1-Poincare step with the isoperimetric "
-               "floor standing in for the Sobolev constant"),
-        ("c_cor36", "(c_align + C4) / Lambda; gradient of "
-                    "u - a*cos(theta) split into the two prior bounds, "
-                    "then the same Poincare step"),
-        ("c_shell", "(8/pi)*(8*pi + (1/2)*m_bar*C2); mean-value shell "
-                    "selection over colatitudes [pi/8, pi/4]"),
-        ("C6", "sqrt(2)*c_shell; divergence identity weighted by "
-               "csc^(1+eps), monotone limit eps -> 1, cos >= 1/sqrt(2) "
-               "on the selection window"),
-        ("C7", "C6; polar flow average controlled by the csc^3 mass"),
-        ("C8", "C7; layer-cake rearrangement of the polar average"),
-        ("C9", "(3*pi^2/4)*C8; amplitude witness with gamma = "
-               "1 - (3*pi^2/4)*C8*r and r = deficit_norm^(1/12)"),
-        ("C10", "(3*pi/4)*c_cor36; amplitude witness with tau = "
-                "(3*pi/4)*c_cor36*deficit_norm^(1/4)"),
-        ("C12", "C2/2 + 2*pi*sqrt(C4 + 8*pi/3) + (pi/2)*V*(1 + C9 + C10); "
-                "good-set volume sandwich with csc L2 norm 2*pi on the "
-                "round sphere and every deficit power <= 1 bounded by "
-                "its smallest exponent"),
-    )
-    return ConstantLedger(m_bar=m, lam=lam, volume_max=vol,
-                          C2=float(c2), C3=float(c3),
-                          c_align=float(c_align), c_hess=float(c_hess),
-                          C5=float(c5), C4=float(c4),
-                          c_cor36=float(c_cor36), c_shell=float(c_shell),
-                          C6=float(c6), C7=float(c7), C8=float(c8),
-                          C9=float(c9), C10=float(c10), C12=float(c12),
-                          trace=trace)
+    Caps whose ledger has a constant that is not finite are refused with
+    a DomainError naming the first such constant: a check against an
+    infinite right-hand side would pass whatever it measured."""
+    k = {"m_bar": float(params.mass_max), "Lambda": float(params.cheeger_min),
+         "V": float(params.volume_max)}
+    for name, formula, _ in CHAIN:
+        try:
+            k[name] = formula(k)
+        except OverflowError:          # a float ** past the largest double
+            k[name] = math.inf
+        if not math.isfinite(k[name]):
+            raise DomainError(f"class bounds give ledger constant {name} = "
+                              f"{k[name]}, not a finite number")
+    return {name: k[name] for name, _, _ in CHAIN}

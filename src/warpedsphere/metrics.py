@@ -161,7 +161,9 @@ class WarpedMetric:
         interior = f[1:-1]
         if np.any(interior <= 0.0):
             raise DegenerateMetricError("f must be positive away from the poles")
-        if abs(f[0]) > 1e-13 or abs(f[-1]) > 1e-13:
+        # relative to f's scale: c*sin(pi) is c*1.2e-16 on a sphere of radius c
+        pole_tol = 1e-13 * max(1.0, float(f.max()))
+        if abs(f[0]) > pole_tol or abs(f[-1]) > pole_tol:
             raise DegenerateMetricError("f must vanish at both poles")
 
     @classmethod

@@ -18,7 +18,6 @@ from typing import Optional
 
 import numpy as np
 
-from .constants import ConstantLedger
 from .errors import ConfigError, DomainError
 from .families import make
 from .functionals import (POLAR_RADII, Evaluation, good_set_volumes,
@@ -84,7 +83,7 @@ def _identity_suite(ev: Evaluation, ledger, tol: float) -> list[CheckResult]:
     ]
 
 
-def _global_suite(ev: Evaluation, ledger: ConstantLedger,
+def _global_suite(ev: Evaluation, ledger: dict[str, float],
                   tol: float) -> list[CheckResult]:
     """Global L^1/L^2 estimates with ledger right-hand sides.
 
@@ -97,25 +96,25 @@ def _global_suite(ev: Evaluation, ledger: ConstantLedger,
     tau_cheb = 0.1
 
     out = [
-        _check("lemma_3_1", ci.grad_l2, ledger.C2, tol, m=m),
-        _check("cor_3_2", ci.grad_l1, ledger.C3, tol, m=m),
-        _check("eq_3_2", ci.i_align, ledger.c_align * m, tol, m=m),
-        _check("eq_3_3", ev.csc_hessian_l1, ledger.c_hess * m, tol, m=m),
-        _check("lemma_3_4", ev.ratio_seminorm, ledger.C5 * m, tol, m=m),
+        _check("lemma_3_1", ci.grad_l2, ledger["C2"], tol, m=m),
+        _check("cor_3_2", ci.grad_l1, ledger["C3"], tol, m=m),
+        _check("eq_3_2", ci.i_align, ledger["c_align"] * m, tol, m=m),
+        _check("eq_3_3", ev.csc_hessian_l1, ledger["c_hess"] * m, tol, m=m),
+        _check("lemma_3_4", ev.ratio_seminorm, ledger["C5"] * m, tol, m=m),
         _check("cor_3_5_l1", ac.attained_l1_gap_ratio,
-               ledger.C4 * m, tol, m=m, a=ac.a),
+               ledger["C4"] * m, tol, m=m, a=ac.a),
         _check("cor_3_6_l1", ac.attained_l1_gap_u,
-               ledger.c_cor36 * m, tol, m=m, a=ac.a, sigma=ac.sigma),
+               ledger["c_cor36"] * m, tol, m=m, a=ac.a, sigma=ac.sigma),
     ]
     bad_ratio = np.abs(pot.ratio - ac.a) > tau_cheb
     out.append(_check("cor_3_5_chebyshev",
                       set_measure(metric, bad_ratio),
-                      ledger.C4 * m / tau_cheb, tol,
+                      ledger["C4"] * m / tau_cheb, tol,
                       m=m, tau=tau_cheb, a=ac.a))
     bad_u = np.abs(pot.u - ac.a * metric.on_grid.cos - ac.sigma) > tau_cheb
     out.append(_check("cor_3_6_chebyshev",
                       set_measure(metric, bad_u),
-                      ledger.c_cor36 * m / tau_cheb, tol,
+                      ledger["c_cor36"] * m / tau_cheb, tol,
                       m=m, tau=tau_cheb, a=ac.a, sigma=ac.sigma))
     return out
 
@@ -123,7 +122,7 @@ def _global_suite(ev: Evaluation, ledger: ConstantLedger,
 _SUBLEVEL_GAMMAS = (0.0, 0.5, 0.9)
 
 
-def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
+def _polar_suite(ev: Evaluation, ledger: dict[str, float],
                  tol: float) -> list[CheckResult]:
     """Shell, polar-mass, polar-average and sublevel-volume estimates."""
     pot = ev.pot
@@ -133,18 +132,18 @@ def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
     for tag, sigma, value in (("p", sel.sigma_p, sel.shell_integral_p),
                               ("mp", sel.sigma_mp, sel.shell_integral_mp)):
         out.append(_check(f"lemma_4_1_{tag}",
-                          value / np.sin(sigma)**2, ledger.c_shell, tol,
+                          value / np.sin(sigma)**2, ledger["c_shell"], tol,
                           sigma=sigma, shell_integral=value))
 
     for i, r in enumerate(POLAR_RADII, start=1):
         v_p, v_mp = ev.polar_masses[r]
-        out.append(_check(f"lemma_4_2_p_{i}", v_p, ledger.C6, tol, r=r))
-        out.append(_check(f"lemma_4_2_mp_{i}", v_mp, ledger.C6, tol, r=r))
+        out.append(_check(f"lemma_4_2_p_{i}", v_p, ledger["C6"], tol, r=r))
+        out.append(_check(f"lemma_4_2_mp_{i}", v_mp, ledger["C6"], tol, r=r))
 
     for i, t in enumerate(POLAR_RADII, start=1):
         avg_p = float(np.interp(t, pot.theta, pot.u))
         avg_mp = float(np.interp(PI - t, pot.theta, pot.u))
-        rhs = ledger.C7 * np.sin(t)
+        rhs = ledger["C7"] * np.sin(t)
         out.append(_check(f"lemma_4_3_p_{i}", 1.0 - avg_p, rhs, tol,
                           t=t, average=avg_p))
         out.append(_check(f"lemma_4_3_mp_{i}", 1.0 + avg_mp, rhs, tol,
@@ -153,7 +152,7 @@ def _polar_suite(ev: Evaluation, ledger: ConstantLedger,
     for i, r in enumerate(POLAR_RADII, start=1):
         sin3 = 2.0 / 3.0 - np.cos(r) + np.cos(r)**3 / 3.0
         for j, gamma in enumerate(_SUBLEVEL_GAMMAS, start=1):
-            rhs = 4.0 * PI * ledger.C8 / (1.0 - gamma) * sin3
+            rhs = 4.0 * PI * ledger["C8"] / (1.0 - gamma) * sin3
             for tag, pole in (("p", +1), ("mp", -1)):
                 lhs = sublevel_round_volume(pot, pole, r, gamma)
                 out.append(_check(f"cor_4_4_{tag}_{i}_{j}", lhs, rhs,
@@ -173,7 +172,7 @@ def _witness_measure(pot: PotentialSolution, a: float, sigma: float,
     return set_measure(pot.metric, mask, use_round=True)
 
 
-def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
+def _goodset_suite(ev: Evaluation, ledger: dict[str, float],
                    tol: float) -> list[CheckResult]:
     """Amplitude lower bound, witness regions and the volume sandwich."""
     pot = ev.pot
@@ -182,7 +181,7 @@ def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
     out: list[CheckResult] = []
 
     # amplitude lower bound: a >= 1 - C9 nrm^(1/12) - C10 nrm^(1/4)
-    bound = 1.0 - ledger.C9 * nrm**(1.0 / 12.0) - ledger.C10 * nrm**0.25
+    bound = 1.0 - ledger["C9"] * nrm**(1.0 / 12.0) - ledger["C10"] * nrm**0.25
     out.append(_check("lemma_5_1", bound, ac.a, tol, m=m, a=ac.a))
 
     # witness regions at the proof's parameter choices
@@ -191,11 +190,11 @@ def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
         out.append(_skipped("lemma_5_1_witness_mp", "zero deficit"))
     else:
         r_w = nrm**(1.0 / 12.0)
-        tau_w = 0.75 * PI * ledger.c_cor36 * nrm**0.25
-        gamma_w = 1.0 - 0.75 * PI**2 * ledger.C8 * r_w
+        tau_w = 0.75 * PI * ledger["c_cor36"] * nrm**0.25
+        gamma_w = 1.0 - 0.75 * PI**2 * ledger["C8"] * r_w
         lower = (16.0 / (3.0 * PI) * r_w**3
-                 - PI * ledger.C8 / (1.0 - gamma_w) * r_w**4
-                 - ledger.c_cor36 / tau_w * m)
+                 - PI * ledger["C8"] / (1.0 - gamma_w) * r_w**4
+                 - ledger["c_cor36"] / tau_w * m)
         h = float(np.max(np.diff(pot.theta)))
         boundary = 8.0 * PI * np.sin(min(r_w, PI / 2))**2 * h
         for tag, pole in (("p", +1), ("mp", -1)):
@@ -219,7 +218,7 @@ def _goodset_suite(ev: Evaluation, ledger: ConstantLedger,
         out.append(_check("lemma_5_2_lower", 0.0, diff, tol,
                           tau=tau, t=t))
         out.append(_check("lemma_5_2_upper", diff,
-                          ledger.C12 * nrm**(1.0 / 48.0), tol,
+                          ledger["C12"] * nrm**(1.0 / 48.0), tol,
                           tau=tau, t=t, m=m))
     return out
 
@@ -250,7 +249,7 @@ def require_tolerance(tolerance: Optional[float]) -> None:
         raise DomainError(f"check tolerance {tolerance} must be finite >= 0")
 
 
-def run_all_checks(pot: PotentialSolution, ledger: ConstantLedger,
+def run_all_checks(pot: PotentialSolution, ledger: dict[str, float],
                    tolerance: Optional[float] = None,
                    suites=SUITES) -> list[CheckResult]:
     """The named suites, all by default, in stable (suite, label) order.

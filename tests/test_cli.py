@@ -175,6 +175,12 @@ class TestInputContract:
           "--grid-size", "501"], None),
         (["sequence", "--family", "bump", "--count", "1"],
          "[grid]\nkind = graded\n"),
+        *[([command, "--family", "bump", "--param", "eta=0.5"],
+           f"[class]\n{bound}\n")
+          for bound in ("mass_max = 1e150", "mass_max = 1e200",
+                        "volume_max = 1e306", "volume_max = 1e308",
+                        "cheeger_min = 1e-300")
+          for command in ("verify", "analyze")],
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
@@ -196,7 +202,12 @@ class TestInputContract:
             "analyze-pointpick-radius-abc", "pointpick-volume-max-abc",
             "sequence-grid-size-3", "sequence-param-eta",
             "sequence-profile", "sequence-grid-size-501",
-            "sequence-ini-grid-kind"])
+            "sequence-ini-grid-kind",
+            *[f"{command}-ledger-{bound}"
+              for bound in ("mass-max-1e150", "mass-max-1e200",
+                            "volume-max-1e306", "volume-max-1e308",
+                            "cheeger-min-1e-300")
+              for command in ("verify", "analyze")]])
     def test_bad_input_exits_2_in_one_line(self, argv, ini, tmp_path,
                                            capsys):
         if ini is not None:
@@ -250,6 +261,23 @@ class TestInputContract:
         assert main([argv[0], str(cfg), *argv[1:]]) == 2
         assert capsys.readouterr().err == (
             "error: profile tables take no family, parameters or grid\n")
+
+    def test_pole_check_scales_with_f(self, tmp_path, capsys):
+        """f must vanish at the poles relative to its own scale: a round
+        sphere of radius 1000 (f(pi) = 1000 sin(pi)) is admitted, and a
+        table on the unit scale with f(pi) = 1e-6 is refused."""
+        assert main(["analyze", "--family", "scaled",
+                     "--param", "c=1000"]) == 0
+        capsys.readouterr()
+        metric = fam.round_sphere()
+        path = tmp_path / "profile.txt"
+        np.savetxt(path, np.column_stack([
+            metric.theta, metric.phi, np.append(metric.f[:-1], 1e-6)]))
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[metric]\nprofile = {path}\n")
+        assert main(["analyze", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: f must vanish at both poles\n")
 
     def test_output_error_names_the_requested_path(self, tmp_path, capsys):
         """A report that cannot be written exits 2 with one line naming the
