@@ -20,7 +20,7 @@ from .distance import diameter_bounds, meridian_arclength
 from .families import (FAMILIES, FAMILY_CATALOG, bubble_sphere, bump_sphere,
                        make, round_sphere, scaled_sphere, tendril_sphere)
 from .potential import (PotentialSolution, flux_residual, pde_residual,
-                        solve_bvp, solve_quadrature)
+                        solve_quadrature)
 from .functionals import (AlignmentConstants, CoreIntegrals, GoodSetReport,
                           Evaluation, PointPickResult, ShellSelection,
                           good_set_volumes, point_pick, weighted_median)

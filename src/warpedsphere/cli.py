@@ -6,7 +6,9 @@ checks every setting it is given, so a bad value exits 2 even in a
 section it does not use, and builds the constant ledger of the class
 bounds, so bounds whose ledger is not finite exit 2.  `sequence`
 refuses family parameters, profiles and a grid: its schedule sets the
-members on the family's own grid.
+members on the family's own grid.  `verify` solves the potential by
+`solve_quadrature`, the one solver, with its fixed self-check: no
+setting chooses or tunes the solve.
 analyze and pointpick write CSV as key,value tables.
 
 Exit codes: 0 all checks pass, 1 at least one margin failure,
@@ -32,8 +34,7 @@ from .metrics import (ClassParams, class_membership, load_profile_table,
                       summarize)
 from . import families as fam
 from .functionals import point_pick, require_pick_radius
-from .potential import (require_epsilon, require_residual_tol, solve_bvp,
-                        solve_quadrature)
+from .potential import solve_quadrature
 from .constants import constant_ledger
 from .verification import (SUITES, SequenceSpec, require_schedule_length,
                            require_suites, require_tolerance, run_all_checks,
@@ -47,8 +48,6 @@ SETTINGS = {
                **{key: (float, None) for catalog in fam.FAMILY_CATALOG.values()
                   for key in catalog}},
     "grid": {"kind": (("uniform", "graded"), "uniform"), "n": (int, None)},
-    "solver": {"method": (("quadrature", "bvp"), "quadrature"),
-               "epsilon": (float, 1e-3), "residual_tol": (float, 1e-4)},
     "class": {"volume_max": (float, 40.0), "diameter_max": (float, 10.0),
               "mass_max": (float, 1.0), "cheeger_min": (float, 1.0)},
     "suites": {"run": (str, ",".join(SUITES)),
@@ -164,8 +163,6 @@ def _settings(config: dict) -> dict:
         raise ConfigError(f"grid n must be at least {MIN_NODES}, got {n}")
     if n is not None and n > MAX_NODES:
         raise ConfigError(f"grid n must be at most {MAX_NODES}, got {n}")
-    require_epsilon(s["solver"]["epsilon"])
-    require_residual_tol(s["solver"]["residual_tol"])
     s["class"] = ClassParams(**s["class"])
     s["ledger"] = constant_ledger(s["class"])
     suites = s["suites"]
@@ -246,12 +243,8 @@ def cmd_verify(config: dict, s: dict) -> int:
     metric.on_fine.jet   # the solve's order-2 jet; the summary reads it too
     # before the solve: a metric whose summary overflows is bad input
     blocks = _summary_blocks(metric, s["class"])
-    solver = s["solver"]
-    if solver["method"] == "bvp":
-        pot = solve_bvp(metric, epsilon=solver["epsilon"])
-    else:
-        pot = solve_quadrature(metric, residual_tol=solver["residual_tol"])
-    checks = run_all_checks(pot, s["ledger"], s["suites"]["tolerance"],
+    checks = run_all_checks(solve_quadrature(metric), s["ledger"],
+                            s["suites"]["tolerance"],
                             suites=s["suites"]["run"])
     _emit(config, s, lambda: rep.checks_csv(checks), checks,
           ledger=s["ledger"], **blocks)
@@ -343,7 +336,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument(flag, dest=dest, help=help, choices=choices,
                        metavar=metavar)
 
-    def common(p, solver=False):
+    def common(p):
         p.add_argument("config", nargs="?", help="INI scenario config")
         option(p, "--family", "metric.family", "metric family name")
         p.add_argument("--param", action="append",
@@ -352,16 +345,12 @@ def _parser() -> argparse.ArgumentParser:
         option(p, "--output", "output.path", "report file path")
         option(p, "--format", "output.format")
         option(p, "--seed", "output.seed", "seed recorded in the report")
-        if solver:
-            option(p, "--solver", "solver.method",
-                   "potential solver (bvp needs scipy)")
-            option(p, "--epsilon", "solver.epsilon", "BVP truncation epsilon")
-            option(p, "--tolerance", "suites.tolerance",
-                   "check tolerance override")
 
     common(sub.add_parser("analyze", help="geometry summary only"))
     verify = sub.add_parser("verify", help="run inequality check suites")
-    common(verify, solver=True)
+    common(verify)
+    option(verify, "--tolerance", "suites.tolerance",
+           "check tolerance override")
     option(verify, "--suites", "suites.run",
            "comma list among " + ",".join(SUITES))
     seq = sub.add_parser("sequence", help="dyadic convergence experiment")

@@ -37,7 +37,7 @@ class SolverError(WarpedSphereError):
 
 
 class ConfigError(WarpedSphereError):
-    """Invalid solver or scenario configuration."""
+    """Invalid scenario configuration."""
 
 
 class ResidualGuardError(WarpedSphereError):

@@ -21,20 +21,17 @@ whose logarithm stays moderate:
 
 with p the pole value of phi on each side and J the regular part of I.
 
-`solve_quadrature` evaluates this closed form.  `solve_bvp` serves as an
-independent cross-check: under the same monotone ansatz, |u'| = -u', the
-equation is linear, and it makes one banded finite-difference solve on a
-truncated interval.  Both self-report a pointwise PDE residual.
+`solve_quadrature` evaluates this closed form and self-reports a
+pointwise PDE residual, computed from the solution samples alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SolverError
+from .errors import SolverError
 from .grids import ANALYTIC_REFINE, PI, cumulative, integrate
 from .metrics import WarpedMetric
 
@@ -43,6 +40,9 @@ _POLE_SNAP = 1e-13
 
 #: pole band (radians) left out of the residual checks of a solution
 RESIDUAL_BAND = 0.1
+
+#: largest PDE residual sup a solved potential may self-report
+RESIDUAL_TOL = 1e-4
 
 #: nodes per finite-difference stencil of the residual self-check
 STENCIL = 9
@@ -55,14 +55,11 @@ class PotentialSolution:
     metric: WarpedMetric
     u: np.ndarray
     du: np.ndarray
-    d2u: Optional[np.ndarray]
+    d2u: np.ndarray
     ratio: np.ndarray           # |grad u| / sin(theta), poles included
-    method: str                 # "quadrature" | "bvp"
     flux_constant: float        # C in (f^2/phi) u' = C exp(3 int phi cot)
     residual_sup: float
     residual_l2: float
-    residual_band: float
-    epsilon: float = 0.0
 
     @property
     def theta(self) -> np.ndarray:
@@ -105,27 +102,12 @@ def log_ratio_parts(metric: WarpedMetric):
     return 3.0 * J + sin_term - 2.0 * np.log(fine.fos), phi
 
 
-def require_residual_tol(residual_tol: float) -> None:
-    """Refuse a `residual_tol` not finite and > 0 with a DomainError."""
-    if not (0.0 < residual_tol < np.inf):
-        raise DomainError(f"residual_tol {residual_tol} must be finite > 0")
-
-
-def require_epsilon(epsilon: float) -> None:
-    """Refuse an `epsilon` outside (0, pi/8) with a ConfigError."""
-    if not (0.0 < epsilon < PI / 8):
-        raise ConfigError("epsilon must lie in (0, pi/8)")
-
-
-def solve_quadrature(metric: WarpedMetric,
-                     residual_tol: float = 1e-4) -> PotentialSolution:
+def solve_quadrature(metric: WarpedMetric) -> PotentialSolution:
     """Closed-form potential via log-space quadrature.
 
     The result is self-verified: the pointwise PDE residual away from
-    the poles must stay below `residual_tol` or a SolverError is raised.
-    A `residual_tol` that is not finite and positive is refused.
+    the poles must stay below RESIDUAL_TOL or a SolverError is raised.
     """
-    require_residual_tol(residual_tol)
     lr, phi_fine = log_ratio_parts(metric)
     fine, grid = metric.on_fine, metric.on_grid
     lr_max = float(np.max(lr))
@@ -145,78 +127,13 @@ def solve_quadrature(metric: WarpedMetric,
                                            - 3.0 * phi * grid.cos)
 
     sol = PotentialSolution(metric=metric, u=u, du=du, d2u=d2u,
-                            ratio=ratio, method="quadrature",
-                            flux_constant=-K, residual_sup=np.nan,
-                            residual_l2=np.nan, residual_band=RESIDUAL_BAND)
+                            ratio=ratio, flux_constant=-K,
+                            residual_sup=np.nan, residual_l2=np.nan)
     res = pde_residual(sol)
-    if not np.isfinite(res.sup) or res.sup > residual_tol:
+    if not np.isfinite(res.sup) or res.sup > RESIDUAL_TOL:
         raise SolverError(
             f"quadrature potential failed self-check: residual sup "
-            f"{res.sup:.3e} exceeds {residual_tol:.1e}")
-    return replace(sol, residual_sup=res.sup, residual_l2=res.l2)
-
-
-def solve_bvp(metric: WarpedMetric,
-              epsilon: float = 1e-3) -> PotentialSolution:
-    """Finite-difference potential on [epsilon, pi - epsilon].
-
-    Under the monotone ansatz u' <= 0 (the ansatz `solve_quadrature`
-    rests on too) |u'| = -u', so the equation is the linear two-point
-    problem
-
-        ((f^2/phi) u')' - 3 cot(theta) f^2 u' = 0,
-        u(epsilon) = 1,  u(pi - epsilon) = -1.
-
-    One banded solve of its second-order conservative finite-difference
-    scheme on a uniform grid of the metric's node count gives u.  The
-    solution is extended to [0, pi] by constant continuation and
-    interpolated back onto the metric's grid.  An `epsilon` outside
-    (0, pi/8) is a ConfigError.
-    """
-    require_epsilon(epsilon)
-    from scipy.linalg import solve_banded
-
-    n = metric.grid.n
-    tb = np.linspace(epsilon, PI - epsilon, n)
-    h = tb[1] - tb[0]
-    phi, f = metric.jet(tb, 0)
-    a = f**2 / phi
-    t_mid = 0.5 * (tb[:-1] + tb[1:])
-    phm, fm = metric.jet(t_mid, 0)
-    a_mid = fm**2 / phm
-    c_coef = 3.0 * (np.cos(tb) / np.sin(tb)) * f**2
-
-    ab = np.zeros((3, n))
-    rhs = np.zeros(n)
-    ab[1, 0] = ab[1, -1] = 1.0
-    rhs[0], rhs[-1] = 1.0, -1.0
-    adv = -c_coef[1:-1] * h / 2.0
-    ab[0, 2:] = a_mid[1:] + adv          # superdiagonal, rows 1..n-2
-    ab[2, :-2] = a_mid[:-1] - adv        # subdiagonal
-    ab[1, 1:-1] = -(a_mid[:-1] + a_mid[1:])
-    u = solve_banded((1, 1), ab, rhs)
-
-    du_b = np.gradient(u, tb, edge_order=2)
-    t = metric.theta
-    u_full = np.interp(t, tb, u, left=1.0, right=-1.0)
-    du_full = np.where((t >= epsilon) & (t <= PI - epsilon),
-                       np.interp(t, tb, du_b), 0.0)
-    d2u_full = np.where((t >= epsilon) & (t <= PI - epsilon),
-                        np.interp(t, tb, np.gradient(du_b, tb, edge_order=2)),
-                        0.0)
-    phi_t = metric.on_grid.jet[0]
-    s = np.clip(metric.on_grid.sin, 1e-300, None)
-    ratio = np.abs(du_full) / (phi_t * s)
-    i_mid = n // 2
-    flux_c = float(a[i_mid] * du_b[i_mid])   # I(pi/2) = 0 in the flux law
-
-    sol = PotentialSolution(metric=metric, u=u_full, du=du_full,
-                            d2u=d2u_full, ratio=ratio, method="bvp",
-                            flux_constant=flux_c, residual_sup=np.nan,
-                            residual_l2=np.nan,
-                            residual_band=max(RESIDUAL_BAND, 2 * epsilon),
-                            epsilon=epsilon)
-    res = pde_residual(sol)
+            f"{res.sup:.3e} exceeds {RESIDUAL_TOL:.1e}")
     return replace(sol, residual_sup=res.sup, residual_l2=res.l2)
 
 
@@ -260,7 +177,6 @@ class ResidualReport:
     residual: np.ndarray
     sup: float
     l2: float
-    band: float
 
 
 def _band(t: np.ndarray, band: float) -> slice:
@@ -270,15 +186,15 @@ def _band(t: np.ndarray, band: float) -> slice:
 
 
 def pde_residual(sol: PotentialSolution) -> ResidualReport:
-    """Pointwise residual of Delta u + 3 cot |grad u| on the solution's
-    band [residual_band, pi - residual_band].
+    """Pointwise residual of Delta u + 3 cot |grad u| on the band
+    [RESIDUAL_BAND, pi - RESIDUAL_BAND].
 
     Reconstructs the flux w = (f^2/phi) u' from the solution samples and
     differentiates it with 9-point finite differences, so the check is
     independent of how the solution was produced.
     """
-    t, band, grid = sol.theta, sol.residual_band, sol.metric.on_grid
-    b = _band(t, band)
+    t, grid = sol.theta, sol.metric.on_grid
+    b = _band(t, RESIDUAL_BAND)
     phi, f = grid.jet[:2]
     w = f**2 * sol.du / phi
     sl = slice(max(b.start - 6, 0), min(b.stop + 6, t.size))
@@ -289,7 +205,7 @@ def pde_residual(sol: PotentialSolution) -> ResidualReport:
     resid = (dw - 3.0 * phi * cot * w[b]) / (phi * f**2)
     l2 = float(np.sqrt(max(integrate(resid**2, tb), 0.0)))
     return ResidualReport(theta=tb, residual=resid,
-                          sup=float(np.max(np.abs(resid))), l2=l2, band=band)
+                          sup=float(np.max(np.abs(resid))), l2=l2)
 
 
 def flux_residual(sol: PotentialSolution) -> float:

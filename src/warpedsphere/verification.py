@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, WarpedSphereError
 from .families import make
 from .functionals import (POLAR_RADII, Evaluation, good_set_volumes,
                           set_measure, sublevel_round_volume)
@@ -336,7 +336,7 @@ def run_sequence(spec: SequenceSpec, params: ClassParams
                 admitted=member.admitted,
                 comparison_ok=member.comparison_ok,
                 cheeger_fails=member.cheeger_fails))
-        except Exception as exc:  # reported per index, sequence continues
+        except WarpedSphereError as exc:  # reported; the sequence goes on
             entries.append(SequenceEntry(
                 index=i, params=dict(fam_params),
                 error=f"{type(exc).__name__}: {exc}"))

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from warpedsphere import (RadialGrid, bubble_sphere, bump_sphere,
-                          round_sphere, scaled_sphere, solve_bvp,
-                          solve_quadrature, tendril_sphere)
+                          round_sphere, scaled_sphere, solve_quadrature,
+                          tendril_sphere)
+
+from bvp_oracle import solve_bvp
 
 REFERENCE_BUILDERS = {
     "round": lambda grid=None: round_sphere(grid=grid),
@@ -55,7 +57,8 @@ def corrupted_potential(round_potential):
 
 
 #: (reference, grid, solver) cases on which the readers that slice the
-#: metric's cached jets are compared with their evaluate-again oracles
+#: metric's cached jets are compared with their evaluate-again oracles;
+#: the bvp cases are solved by the test oracle `bvp_oracle.solve_bvp`
 ORACLE_CASES = tuple(
     f"{name}-{kind}-{n}-{solver}"
     for name in REFERENCE_NAMES for kind in ("uniform", "graded")

@@ -18,11 +18,13 @@ from warpedsphere import (ClassParams, Evaluation, RadialGrid, SequenceSpec,
                           cheeger_levelset, class_membership,
                           constant_ledger, point_pick,
                           round_sphere, run_all_checks, run_sequence,
-                          scalar_deficit, scaled_sphere, solve_bvp,
+                          scalar_deficit, scaled_sphere,
                           solve_quadrature, summarize, tendril_sphere,
                           tol_disc)
 from warpedsphere.cli import main as cli_main
 from warpedsphere.grids import PI
+
+from bvp_oracle import solve_bvp
 
 ROUND_VOLUME = 2.0 * PI**2
 

@@ -17,6 +17,7 @@ import warpedsphere
 from warpedsphere import ClassParams, SequenceSpec, cli, run_sequence
 from warpedsphere import families as fam
 from warpedsphere.cli import main
+from warpedsphere.errors import SolverError
 from conftest import write_profile_table
 
 
@@ -116,8 +117,6 @@ class TestInputContract:
         (["verify", "--family", "bubble", "--param", "area_radius=2",
           "--param", "neck_theta=0.05"], "[suites]\ntolerance = inf\n"),
         (["verify", "--family", "round"], "[suites]\ntolerance = -1\n"),
-        (["verify", "--family", "round"], "[solver]\nresidual_tol = nan\n"),
-        (["verify", "--family", "round"], "[solver]\nresidual_tol = inf\n"),
         (["verify", "--family", "round", "--grid-size", "-5"], None),
         (["analyze", "--family", "round", "--grid-size", "99999999999"],
          None),
@@ -154,14 +153,6 @@ class TestInputContract:
         (["pointpick", "--family", "bump", "--param", "eta=1e300",
           "--radius", "0.7"], None),
         (["sequence"], "[suites]\nsequence_family = bump\n"),
-        (["verify", "--family", "round", "--solver", "bvp"],
-         "[solver]\nmax_iterations = 5\n"),
-        (["verify", "--family", "round", "--solver", "bvp"],
-         "[solver]\ndamping = 0.5\n"),
-        (["verify", "--family", "round", "--epsilon", "abc"], None),
-        (["verify", "--family", "round"],
-         "[solver]\nmethod = bvp\nresidual_tol = nan\n"),
-        (["analyze", "--family", "round"], "[solver]\nmethod = nonsense\n"),
         (["analyze", "--family", "round"],
          "[suites]\npointpick_radius = abc\n"),
         (["pointpick", "--family", "round"], "[class]\nvolume_max = abc\n"),
@@ -184,7 +175,7 @@ class TestInputContract:
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
             "sequence-count-0", "sequence-count-neg", "tolerance-inf",
             "bubble-ini-tolerance-inf", "tolerance-negative",
-            "residual-tol-nan", "residual-tol-inf", "grid-size-negative",
+            "grid-size-negative",
             "grid-size-huge", "ini-grid-n-above-cap",
             "scaled-c-inf", "bump-eta-inf", "bubble-area-radius-inf",
             "bubble-area-radius-nan", "tendril-length-nan",
@@ -196,10 +187,8 @@ class TestInputContract:
             "bubble-neck-theta-1e-300", "analyze-bump-width-1e-300",
             "pointpick-bump-width-1e-300", "pointpick-bump-eta-1e300",
             "pointpick-bump-eta-1e150", "pointpick-bump-eta-1e300-radius",
-            "ini-suites-sequence-family", "ini-solver-max-iterations",
-            "ini-solver-damping", "quadrature-epsilon-abc",
-            "bvp-residual-tol-nan", "analyze-solver-method-nonsense",
-            "analyze-pointpick-radius-abc", "pointpick-volume-max-abc",
+            "ini-suites-sequence-family", "analyze-pointpick-radius-abc",
+            "pointpick-volume-max-abc",
             "sequence-grid-size-3", "sequence-param-eta",
             "sequence-profile", "sequence-grid-size-501",
             "sequence-ini-grid-kind",
@@ -221,6 +210,36 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["analyze", "verify", "sequence",
+                                         "pointpick"])
+    @pytest.mark.parametrize("ini", [
+        "[solver]\n", "[solver]\nmethod = quadrature\n",
+        "[solver]\nmethod = bvp\nepsilon = 1e-3\n",
+        "[solver]\nresidual_tol = 1e-4\n"],
+        ids=["empty", "quadrature", "bvp", "residual-tol"])
+    def test_solver_section_is_unknown(self, command, ini, tmp_path, capsys):
+        """The potential has one solver and no settings: a `[solver]`
+        section is an unknown section in every command."""
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[metric]\nfamily = bump\n" + ini)
+        assert main([command, str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: unknown config section [solver]\n")
+
+    @pytest.mark.parametrize("flags", [["--solver", "bvp"],
+                                       ["--epsilon", "1e-3"]],
+                             ids=["solver", "epsilon"])
+    def test_solver_flags_are_unknown(self, flags, capsys):
+        """`--solver` and `--epsilon` are unknown flags: argparse's usage
+        error, exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "round", *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"warpedsphere: error: unrecognized arguments: {flags[0]}")
 
     @pytest.mark.parametrize("command", ["analyze", "verify", "pointpick"])
     @pytest.mark.parametrize("table", [
@@ -425,26 +444,33 @@ class TestEachQuantityOnce:
         assert ms and all(m == doc["summary"]["mass"] for m in ms)
 
 
-class TestBvpCoarseGrid:
-    """The truncated-interval solver is second order, so on coarse grids
-    or at tiny epsilon its potential fails the flux guard: that is solver
-    trouble (exit 3), reported in one line, never a traceback."""
+class TestSolverTrouble:
+    """A potential refused by its checks is solver trouble (exit 3),
+    reported in one `solver error:` line, never a traceback: whether the
+    solve refuses its own result or the functionals' guard refuses it."""
 
-    @pytest.mark.parametrize("argv", [
-        ["--grid-size", "501"],
-        ["--grid-size", "1001", "--epsilon", "1e-5"],
-    ], ids=["n501", "n1001-eps1e-5"])
-    def test_guard_refusal_is_solver_error(self, argv, capsys):
-        code = main(["verify", "--family", "round", "--solver", "bvp"]
-                    + argv)
-        err = capsys.readouterr().err
-        assert code == 3
+    @pytest.mark.parametrize("refusal", ["guard", "self-check"])
+    def test_refused_potential_exits_3(self, refusal, corrupted_potential,
+                                       monkeypatch, capsys):
+        def solve(metric):
+            if refusal == "guard":
+                return corrupted_potential
+            raise SolverError("quadrature potential failed self-check: "
+                              "residual sup 1.000e+00 exceeds 1.0e-04")
+
+        monkeypatch.setattr(cli, "solve_quadrature", solve)
+        code = main(["verify", "--family", "round", "--grid-size", "501"])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
         assert err.startswith("solver error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
-    def test_no_suites_needs_no_guard(self, capsys):
+    def test_no_suites_needs_no_guard(self, corrupted_potential, monkeypatch,
+                                      capsys):
+        monkeypatch.setattr(cli, "solve_quadrature",
+                            lambda metric: corrupted_potential)
         assert main(["verify", "--family", "round", "--grid-size", "501",
-                     "--solver", "bvp", "--suites", ""]) == 0
+                     "--suites", ""]) == 0
         assert capsys.readouterr().err == ""
 
 
@@ -455,7 +481,6 @@ class TestConfigDriven:
         cfg.write_text(
             "[metric]\nfamily = bump\neta = 0.1\n"
             "[grid]\nkind = uniform\nn = 501\n"
-            "[solver]\nmethod = quadrature\n"
             "[class]\nvolume_max = 40\ndiameter_max = 10\n"
             "mass_max = 3\ncheeger_min = 0.1\n"
             "[suites]\nrun = identity,global\n"
@@ -606,8 +631,8 @@ FOOTPRINT_ARGVS = (
 
 
 class TestImportFootprint:
-    """A command loads numpy alone: scipy only for `--solver bvp`, and
-    neither OpenSSL, `numpy.ma` nor LAPACK."""
+    """A command loads numpy alone: neither scipy, OpenSSL, `numpy.ma`
+    nor LAPACK."""
 
     def test_commands_load_no_scipy(self):
         codes, scipy_modules, heavy = _modules_after(*FOOTPRINT_ARGVS)
@@ -623,11 +648,20 @@ class TestImportFootprint:
         codes, _, _ = _modules_after(*FOOTPRINT_ARGVS, prelude=prelude)
         assert codes == [0] * len(FOOTPRINT_ARGVS)
 
-    def test_bvp_solver_still_runs(self):
-        codes, scipy_modules, _ = _modules_after(
-            ["verify", "--family", "round", "--solver", "bvp"])
-        assert codes == [0]
-        assert "scipy.linalg" in scipy_modules
+    def test_commands_run_without_scipy(self):
+        prelude = ("import sys\n"
+                   "class NoScipy:\n"
+                   "    def find_spec(self, name, path=None, target=None):\n"
+                   "        if name.split('.')[0] == 'scipy':\n"
+                   "            raise ImportError('scipy is unimportable')\n"
+                   "sys.meta_path.insert(0, NoScipy())\n")
+        verify = [["verify", "--family", family, *params]
+                  for family, (params, _) in VERIFY_PER_FAMILY.items()]
+        codes, scipy_modules, _ = _modules_after(*FOOTPRINT_ARGVS, *verify,
+                                                 prelude=prelude)
+        assert codes == [0] * len(FOOTPRINT_ARGVS) + [
+            code for _, code in VERIFY_PER_FAMILY.values()]
+        assert set(codes) <= {0, 1} and scipy_modules == []
 
 
 def _raising(exc):
@@ -712,14 +746,14 @@ class TestDeterminism:
                  for action in sub._actions
                  if not isinstance(action, argparse._HelpAction)}
         dests -= {"config", "command", "param"}
-        assert len(dests) == 11
+        assert len(dests) == 9
         for dest in dests:
             section, key = dest.split(".")
             assert key in cli.SETTINGS[section], dest
         assert {section: len(keys) for section, keys in
                 cli.SETTINGS.items()} == {"metric": 11, "grid": 2,
-                                          "solver": 3, "class": 4,
-                                          "suites": 4, "output": 3}
+                                          "class": 4, "suites": 4,
+                                          "output": 3}
 
     def test_parser_built_once(self):
         assert cli._parser() is cli._parser()

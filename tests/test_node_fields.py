@@ -351,12 +351,9 @@ def _reader_slices(metric):
     or cosines a reader takes from the full-set cache."""
     t, fine, k = metric.theta, metric.on_fine.t, ANALYTIC_REFINE
     out = []
-    # the residual band, and a wider one as a bvp solve with a larger
-    # epsilon uses (2 epsilon)
-    for band in (RESIDUAL_BAND, 0.2):
-        b = _band(t, band)
-        out.append((t, b))                                 # pde_residual
-        out.append((fine, slice(k * b.start, k * (b.stop - 1) + 1)))  # flux
+    b = _band(t, RESIDUAL_BAND)
+    out.append((t, b))                                     # pde_residual
+    out.append((fine, slice(k * b.start, k * (b.stop - 1) + 1)))  # flux
     out.append((fine, slice(1, -1)))                       # _ratio_on
     out.append((fine, np.sin(fine) > 1e-9))                # cot term
     return out

@@ -7,15 +7,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from warpedsphere import (PotentialSolution, RadialGrid, flux_residual,
-                          pde_residual, round_sphere, solve_bvp,
-                          solve_quadrature, tendril_sphere)
+from warpedsphere import (RadialGrid, flux_residual, pde_residual,
+                          round_sphere, solve_quadrature, tendril_sphere)
 from warpedsphere import potential
-from warpedsphere.errors import ConfigError, ResidualGuardError
+from warpedsphere.errors import ResidualGuardError
 from warpedsphere.functionals import require_valid
 from warpedsphere.grids import ANALYTIC_REFINE, PI, cumulative, integrate, \
     refine_nodes
 
+from bvp_oracle import picard_bvp, solve_bvp
 from conftest import ORACLE_CASES, REFERENCE_BUILDERS, REFERENCE_NAMES
 
 
@@ -85,7 +85,7 @@ def _flux_residual_oracle(pot, band=0.1):
 
 def _pde_residual_oracle(pot):
     """The residual on the whole grid, masked to the band afterwards."""
-    t, band = pot.theta, pot.residual_band
+    t, band = pot.theta, potential.RESIDUAL_BAND
     mask = (t >= band) & (t <= PI - band)
     phi, f = pot.metric.on_grid.jet[:2]
     w = f**2 * pot.du / phi
@@ -118,7 +118,6 @@ class TestSlicedReaders:
         assert np.array_equal(rep.residual, resid)
         assert (rep.sup, rep.l2) == (sup, l2) == (pot.residual_sup,
                                                   pot.residual_l2)
-        assert rep.band == pot.residual_band
 
     def test_theta_is_the_metric_grid(self, round_potential):
         assert round_potential.theta is round_potential.metric.theta
@@ -152,75 +151,6 @@ class TestSolverEquivalence:
         assert 1.7 <= order <= 2.3
 
 
-class TestBvpEpsilon:
-    @pytest.mark.parametrize("epsilon", [0.0, 1.0, np.nan])
-    def test_bad_epsilon_rejected(self, round_metric, epsilon):
-        with pytest.raises(ConfigError):
-            solve_bvp(round_metric, epsilon=epsilon)
-
-
-def _picard_oracle(metric, epsilon=1e-3, max_iterations=50, damping=0.5,
-                   tol=1e-10):
-    """The reference bvp solver: a damped Picard loop.
-
-    Each pass freezes |u'| through the sign pattern s_k = sign(u_k') of
-    the previous iterate, solves the linear problem
-    ((f^2/phi) u')' + 3 cot f^2 s_k u' = 0 with u(eps) = 1 and
-    u(pi - eps) = -1, and blends the new solution with the old by
-    `damping`, until two iterates differ by at most `tol` in the sup
-    norm.  Returns the solution built exactly as `solve_bvp` builds it,
-    or None where `max_iterations` passes do not reach `tol`.
-    """
-    eps = epsilon
-    n = metric.grid.n
-    tb = np.linspace(eps, PI - eps, n)
-    h = tb[1] - tb[0]
-    phi, f = metric.jet(tb, 0)
-    a = f**2 / phi
-    t_mid = 0.5 * (tb[:-1] + tb[1:])
-    phm, fm = metric.jet(t_mid, 0)
-    a_mid = fm**2 / phm
-    c_coef = 3.0 * (np.cos(tb) / np.sin(tb)) * f**2
-
-    u = np.linspace(1.0, -1.0, n)       # affine initial guess
-    for _ in range(max_iterations):
-        du = np.gradient(u, tb, edge_order=2)
-        sgn = np.where(du > 0.0, 1.0, -1.0)
-        ab = np.zeros((3, n))
-        rhs = np.zeros(n)
-        ab[1, 0] = ab[1, -1] = 1.0
-        rhs[0], rhs[-1] = 1.0, -1.0
-        adv = c_coef[1:-1] * sgn[1:-1] * h / 2.0
-        ab[0, 2:] = a_mid[1:] + adv
-        ab[2, :-2] = a_mid[:-1] - adv
-        ab[1, 1:-1] = -(a_mid[:-1] + a_mid[1:])
-        u_new = scipy.linalg.solve_banded((1, 1), ab, rhs)
-        delta = float(np.max(np.abs(u_new - u)))
-        u = damping * u_new + (1.0 - damping) * u
-        if delta <= tol:
-            u = u_new
-            break
-    else:
-        return None
-
-    du_b = np.gradient(u, tb, edge_order=2)
-    t = metric.theta
-    inside = (t >= eps) & (t <= PI - eps)
-    du_full = np.where(inside, np.interp(t, tb, du_b), 0.0)
-    d2u_full = np.where(
-        inside, np.interp(t, tb, np.gradient(du_b, tb, edge_order=2)), 0.0)
-    s = np.clip(metric.on_grid.sin, 1e-300, None)
-    sol = PotentialSolution(
-        metric=metric, u=np.interp(t, tb, u, left=1.0, right=-1.0),
-        du=du_full, d2u=d2u_full,
-        ratio=np.abs(du_full) / (metric.on_grid.jet[0] * s), method="bvp",
-        flux_constant=float(a[n // 2] * du_b[n // 2]), residual_sup=np.nan,
-        residual_l2=np.nan,
-        residual_band=max(potential.RESIDUAL_BAND, 2 * eps), epsilon=eps)
-    res = pde_residual(sol)
-    return dataclasses.replace(sol, residual_sup=res.sup, residual_l2=res.l2)
-
-
 def _guard_accepts(pot):
     try:
         require_valid(pot)
@@ -230,12 +160,12 @@ def _guard_accepts(pot):
 
 
 class TestOneBandedSolve:
-    """The bvp solver makes one banded solve with u' <= 0 assumed.  On
-    monotone solutions the damped Picard loop it replaced solved that
-    same system on every pass and returned the first solve's result, so
-    every field agrees bit for bit.  Where the loop visited another sign
-    pattern or did not converge, the guard's verdict is still the same:
-    the single solve is refused wherever the loop failed."""
+    """The bvp oracle makes one banded solve with u' <= 0 assumed.  On
+    monotone solutions the damped Picard loop solves that same system on
+    every pass and returns the first solve's result, so every field
+    agrees bit for bit.  Where the loop visits another sign pattern or
+    does not converge, the guard's verdict is still the same: the
+    single solve is refused wherever the loop fails."""
 
     FIELDS = ("u", "du", "d2u", "ratio", "residual_sup", "residual_l2",
               "flux_constant")
@@ -244,7 +174,7 @@ class TestOneBandedSolve:
                                       if c.endswith("-bvp")])
     def test_equals_picard_oracle(self, oracle_solutions, case):
         pot = oracle_solutions(case)
-        ref = _picard_oracle(pot.metric)
+        ref = picard_bvp(pot.metric)
         for field in self.FIELDS:
             assert np.array_equal(getattr(pot, field), getattr(ref, field))
 
@@ -255,7 +185,7 @@ class TestOneBandedSolve:
     def test_same_guard_verdict(self, name, n):
         metric = REFERENCE_BUILDERS[name](RadialGrid.uniform(n))
         for eps in (1e-5, 1e-3, 0.1):
-            ref = _picard_oracle(metric, eps)
+            ref = picard_bvp(metric, eps)
             expected = ref is not None and _guard_accepts(ref)
             assert _guard_accepts(solve_bvp(metric, eps)) == expected
 
@@ -375,4 +305,4 @@ class TestHighOrderDerivative:
                             _derivative_by_recursion)
         slow = pde_residual(pot).sup
         assert abs(pot.residual_sup - slow) < 1e-8
-        assert pot.residual_sup < 1e-2 * 1e-4   # residual_tol is 1e-4
+        assert pot.residual_sup < 1e-2 * potential.RESIDUAL_TOL

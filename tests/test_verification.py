@@ -9,7 +9,7 @@ from warpedsphere import (ClassParams, RadialGrid, SequenceSpec, bump_sphere,
                           build_report, constant_ledger, report_json,
                           round_sphere, run_all_checks, run_sequence,
                           solve_quadrature, tol_disc)
-from warpedsphere import functionals, metrics, potential
+from warpedsphere import functionals, metrics, potential, verification
 from warpedsphere.errors import ConfigError, ResidualGuardError
 from warpedsphere.grids import PI
 from warpedsphere.verification import SUITES
@@ -226,6 +226,17 @@ class TestSequences:
         assert not any(e.valid for e in report.entries)
         assert "width is too small" in report.entries[1].error
         assert not any("length = 0" in e.error for e in report.entries)
+
+    def test_programming_error_propagates(self, monkeypatch):
+        """Only the package's own errors become `error` rows: a fault of
+        the program, such as a TypeError, ends the sequence."""
+        def broken(metric):
+            raise TypeError("summarize got a bad argument")
+
+        monkeypatch.setattr(verification, "summarize", broken)
+        spec = SequenceSpec(family="bump", schedule=({"eta": 0.5},))
+        with pytest.raises(TypeError, match="bad argument"):
+            run_sequence(spec, WIDE_PARAMS)
 
     def test_each_member_validated_once(self, monkeypatch):
         calls = []
