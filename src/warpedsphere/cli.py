@@ -4,12 +4,14 @@ Subcommands: analyze (geometry summary), verify (check suites),
 sequence (convergence experiment), pointpick, families.  Every command
 checks every setting it is given, so a bad value exits 2 even in a
 section it does not use, and builds the constant ledger of the class
-bounds, so bounds whose ledger is not finite exit 2.  `sequence`
-refuses family parameters, profiles and a grid: its schedule sets the
-members on the family's own grid.  `verify` solves the potential by
-`solve_quadrature`, the one solver, with its fixed self-check: no
-setting chooses or tunes the solve.
-analyze and pointpick write CSV as key,value tables.
+bounds, so bounds whose ledger is not finite exit 2.  `families` owns
+the family parameters, their ranges, the schedules and the listing.
+`sequence` refuses family parameters, profiles and a grid: its schedule
+sets the members on the family's own grid.  `verify` solves the
+potential by `solve_quadrature`, the one solver, with its fixed
+self-check, and judges each check within its grid's `tol_disc`: no
+setting tunes either.  analyze and pointpick write CSV as key,value
+tables.
 
 Exit codes: 0 all checks pass, 1 at least one margin failure,
 2 invalid input or configuration, 3 a potential refused by its checks.
@@ -22,7 +24,6 @@ import argparse
 import configparser
 import ctypes
 import functools
-import inspect
 import os
 import sys
 from typing import Callable
@@ -36,9 +37,8 @@ from . import families as fam
 from .functionals import point_pick, require_pick_radius
 from .potential import solve_quadrature
 from .constants import constant_ledger
-from .verification import (SUITES, SequenceSpec, require_schedule_length,
-                           require_suites, require_tolerance, run_all_checks,
-                           run_sequence)
+from .verification import (SUITES, SequenceSpec, require_suites,
+                           run_all_checks, run_sequence)
 from . import report as rep
 
 #: every scenario setting, section -> key -> (type, default); a type is
@@ -52,7 +52,7 @@ SETTINGS = {
               "mass_max": (float, 1.0), "cheeger_min": (float, 1.0)},
     "suites": {"run": (str, ",".join(SUITES)),
                "pointpick_radius": (float, 0.1),
-               "sequence_count": (int, 10), "tolerance": (float, None)},
+               "sequence_count": (int, 10)},
     "output": {"path": (str, None), "format": (("csv", "json"), "json"),
                "seed": (int, None)},
 }
@@ -68,23 +68,6 @@ HEAP_KEEP_BYTES = 64 << 20
 
 #: mallopt's parameter number for the trim threshold (glibc malloc.h)
 _M_TRIM_THRESHOLD = -1
-
-#: largest `sequence` count: 2.0**-1075 == 0.0, so past this index the
-#: bump schedule's eta and the tendril schedule's width are exactly 0
-MAX_SEQUENCE_COUNT = 1074
-
-
-def _schedule(family: str, count: int) -> tuple:
-    """The canonical dyadic schedule of a convergence experiment."""
-    if family == "bump":
-        return tuple({"eta": 2.0 ** -i} for i in range(1, count + 1))
-    if family == "tendril":
-        return tuple({"length": 1.0, "width": 2.0 ** -i}
-                     for i in range(1, count + 1))
-    if family == "bubble":
-        return tuple({"area_radius": float(i), "neck_theta": 0.05}
-                     for i in range(1, count + 1))
-    raise ConfigError(f"no canonical schedule for family {family!r}")
 
 
 def _read_config(path: str) -> dict:
@@ -132,9 +115,9 @@ def _typed(section: str, key: str, value: str):
 
 def _settings(config: dict) -> dict:
     """Every value of SETTINGS, typed and range-checked for any command;
-    the grid built (None: the family's own), the class bounds as
-    ClassParams, their constant ledger under "ledger" and the suites as
-    a list of names."""
+    the given family parameters under "params", the grid built (None:
+    the family's own), the class bounds as ClassParams, their constant
+    ledger under "ledger" and the suites as a list of names."""
     for section, given in config.items():
         allowed = SETTINGS.get(section)
         if allowed is None:
@@ -150,14 +133,9 @@ def _settings(config: dict) -> dict:
     if s["metric"]["profile"] is not None and (
             len(config["metric"]) > 1 or "grid" in config):
         raise ConfigError("profile tables take no family, parameters or grid")
-    family = s["metric"]["family"]
-    if family not in fam.FAMILIES:
-        raise ConfigError(
-            f"unknown family {family!r}; choose from {sorted(fam.FAMILIES)}")
-    for key in config.get("metric", {}):
-        if key not in ("family", "profile", *fam.FAMILY_CATALOG[family]):
-            raise ConfigError(
-                f"parameter {key!r} not accepted by family {family!r}")
+    s["params"] = {key: s["metric"][key] for key in config.get("metric", {})
+                   if key not in ("family", "profile")}
+    fam.require_params(s["metric"]["family"], s["params"], complete=False)
     kind, n = s["grid"]["kind"], s["grid"]["n"]
     if n is not None and n < MIN_NODES:
         raise ConfigError(f"grid n must be at least {MIN_NODES}, got {n}")
@@ -170,37 +148,16 @@ def _settings(config: dict) -> dict:
                      if name.strip()]
     require_suites(suites["run"])
     require_pick_radius(suites["pointpick_radius"])
-    count = suites["sequence_count"]
-    require_schedule_length(count)
-    if count > MAX_SEQUENCE_COUNT:
-        raise ConfigError(f"sequence count must be at most "
-                          f"{MAX_SEQUENCE_COUNT}, got {count}")
-    require_tolerance(suites["tolerance"])
+    fam.require_count(suites["sequence_count"])
     s["grid"] = None if n is None else getattr(RadialGrid, kind)(n)
     return s
 
 
-def _defaults(family: str) -> dict:
-    """The family constructor's parameter defaults, `inspect`'s `empty`
-    for a parameter it requires."""
-    signature = inspect.signature(fam.FAMILIES[family]).parameters
-    return {name: p.default for name, p in signature.items()}
-
-
 def _build_metric(s: dict):
     """The scenario's metric: its profile table, or its family member."""
-    sec = s["metric"]
-    if sec["profile"] is not None:
-        return load_profile_table(sec["profile"])
-    family = sec["family"]
-    params = {key: sec[key] for key in fam.FAMILY_CATALOG[family]
-              if sec[key] is not None}
-    missing = [name for name, default in _defaults(family).items()
-               if default is inspect.Parameter.empty and name not in params]
-    if missing:
-        raise ConfigError(
-            f"family {family!r} requires parameter(s): {', '.join(missing)}")
-    return fam.make(family, grid=s["grid"], **params)
+    if s["metric"]["profile"] is not None:
+        return load_profile_table(s["metric"]["profile"])
+    return fam.make(s["metric"]["family"], grid=s["grid"], **s["params"])
 
 
 def _emit(config: dict, s: dict, csv_text: Callable[[], str],
@@ -244,7 +201,6 @@ def cmd_verify(config: dict, s: dict) -> int:
     # before the solve: a metric whose summary overflows is bad input
     blocks = _summary_blocks(metric, s["class"])
     checks = run_all_checks(solve_quadrature(metric), s["ledger"],
-                            s["suites"]["tolerance"],
                             suites=s["suites"]["run"])
     _emit(config, s, lambda: rep.checks_csv(checks), checks,
           ledger=s["ledger"], **blocks)
@@ -262,7 +218,7 @@ def cmd_sequence(config: dict, s: dict) -> int:
     family = s["metric"]["family"]
     spec = SequenceSpec(
         family=family, name=f"{family}-dyadic",
-        schedule=_schedule(family, s["suites"]["sequence_count"]))
+        schedule=fam.schedule(family, s["suites"]["sequence_count"]))
     convergence = run_sequence(spec, s["class"])
     _emit(config, s, lambda: rep.sequence_csv(convergence),
           sequence=convergence)
@@ -281,22 +237,15 @@ def cmd_pointpick(config: dict, s: dict) -> int:
 
 def cmd_families(config: dict, s: dict) -> int:
     lines = []
-    for name in sorted(fam.FAMILY_CATALOG):
-        lines.append(name)
-        catalog = fam.FAMILY_CATALOG[name]
-        if not catalog:
-            lines.append("    (no parameters)")
-        defaults = _defaults(name)
-        for pname in sorted(catalog):
-            admissible, meaning = catalog[pname]
-            default = defaults[pname]
-            if default is inspect.Parameter.empty:
-                shown = "required"
-            elif default is None:
-                shown = "optional"
-            else:
-                shown = f"default {default}"
-            lines.append(f"    {pname}: {meaning} [{admissible}; {shown}]")
+    for family, rows in sorted(fam.FAMILY_CATALOG.items()):
+        lines += [family] if rows else [family, "    (no parameters)"]
+        for name, row in sorted(rows.items()):
+            default = fam.DEFAULTS[family][name]
+            limits = "; ".join(filter(None, (f"{name} in {row.interval}",
+                                             row.relation)))
+            shown = ("required" if default is fam.REQUIRED else "optional"
+                     if default is None else f"default {default}")
+            lines.append(f"    {name}: {row.meaning} [{limits}; {shown}]")
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_PASS
 
@@ -349,8 +298,6 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("analyze", help="geometry summary only"))
     verify = sub.add_parser("verify", help="run inequality check suites")
     common(verify)
-    option(verify, "--tolerance", "suites.tolerance",
-           "check tolerance override")
     option(verify, "--suites", "suites.run",
            "comma list among " + ",".join(SUITES))
     seq = sub.add_parser("sequence", help="dyadic convergence experiment")

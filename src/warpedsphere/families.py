@@ -6,10 +6,15 @@ which gives phi, f and their analytic first and second derivatives
 (phi, f) for order 0; terms the profiles share are computed once.  So
 curvature and the quadrature potential solver never need finite
 differences.  All constructions keep phi >= 1 and f >= sin, i.e. they
-dominate the round metric pointwise.
+dominate the round metric pointwise.  `FAMILY_CATALOG` has one row per
+parameter; its guard `require_params`, called first by every
+constructor, and the `families` listing both read the rows.
 """
 
 from __future__ import annotations
+
+import inspect
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,9 +106,7 @@ def round_sphere(grid: RadialGrid | None = None) -> WarpedMetric:
 
 def scaled_sphere(c: float, grid: RadialGrid | None = None) -> WarpedMetric:
     """Round sphere of radius c >= 1 (scalar curvature 6 / c^2)."""
-    if not (1.0 <= c < np.inf):
-        raise DomainError("scale factor must be finite and >= 1 to dominate "
-                          "the round metric")
+    require_params("scaled", {"c": c})
     grid = grid or default_grid("uniform")
     return WarpedMetric.from_profiles(grid, _sphere_profiles(c), "scaled",
                                       {"c": c})
@@ -116,9 +119,9 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
     The peak amplitude is eta * BUMP_PEAK, so sup |f - sin| <= eta * BUMP_PEAK
     and the curvature deficit norm scales linearly with eta.
     """
-    if not (0.0 <= eta < np.inf):
-        raise DomainError("bump amplitude must be finite and nonnegative")
-    if not (0.0 < width and theta0 - width >= 0.0 and theta0 + width <= PI):
+    params = {"eta": eta, "theta0": theta0, "width": width}
+    require_params("bump", params)
+    if not (theta0 - width >= 0.0 and theta0 + width <= PI):
         raise ConstructionError("support", "bump support must sit inside (0, pi)")
     grid = grid or default_grid("uniform")
     amp = eta * BUMP_PEAK
@@ -133,8 +136,7 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
         f, df, d2f = _modulated_sine(t, g, dg, d2g)
         return 1.0 + g, f, dg, df, d2g, d2f
 
-    return WarpedMetric.from_profiles(
-        grid, profiles, "bump", {"eta": eta, "theta0": theta0, "width": width})
+    return WarpedMetric.from_profiles(grid, profiles, "bump", params)
 
 
 def _gcorr(t):
@@ -292,14 +294,10 @@ def _tendril_layout(length, width, theta0):
             raise ConstructionError(
                 "support", "tendril release does not fit below the far "
                 "pole; reduce theta0 or width")
-    if not (b0 > 0.0):
+    if theta0 <= 1.5 * width:
         raise ConstructionError(
             "support", "tendril support must sit inside (0, pi): "
             "theta0 must exceed 1.5 * width")
-    if b5 >= PI - 0.2:
-        raise ConstructionError(
-            "support", "tendril support reaches the far pole; reduce "
-            "theta0 or width")
     return theta0, (b0, b1, b2, b3, b4, b5), thin
 
 
@@ -344,10 +342,8 @@ def tendril_sphere(length: float, width: float = 0.1,
     below CORRIDOR_STAR the curvature deficit comes only from the taper
     and shrinks with the width.
     """
-    if not (0.0 <= length < np.inf):
-        raise DomainError("tendril length must be finite and nonnegative")
-    if not (width > 0.0):
-        raise DomainError("tendril width must be positive")
+    require_params("tendril",
+                   {"length": length, "width": width, "theta0": theta0})
     theta0, breaks, thin = _tendril_layout(length, width, theta0)
     grid = grid or tendril_grid(breaks)
     shape = _tendril_shape(breaks, thin)
@@ -477,17 +473,19 @@ def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,
     sphere at the neck keeps its small round area while a volume of
     order area_radius^2 hides inside the cap.
     """
-    if not (0.0 < neck_theta < PI / 2):
-        raise DomainError("neck colatitude must lie in (0, pi/2)")
-    if not (0.0 < span < 1.0 and 0.0 < band < 0.5):
-        raise DomainError("span must be in (0, 1) and band in (0, 0.5)")
-    if not np.isfinite(area_radius):
-        raise DomainError("fiber radius area_radius must be finite")
+    params = {"area_radius": area_radius, "neck_theta": neck_theta,
+              "span": span, "band": band}
+    require_params("bubble", params)
     grid = grid or default_grid("graded")
     lo = neck_theta * (1.0 - span)
     mid = 0.5 * (lo + neck_theta)
     halfw = 0.5 * (neck_theta - lo)
-    gmax = area_radius / np.sin(mid) - 1.0
+    with np.errstate(over="ignore", divide="ignore"):
+        gmax = area_radius / np.sin(mid) - 1.0
+    if not np.isfinite(gmax):
+        raise ConstructionError(
+            "area_radius", f"fiber radius over sin at the plateau center is "
+            f"{gmax}, not a finite number; the neck is too narrow")
     if gmax <= 0.0:
         raise ConstructionError(
             "area_radius", "requested fiber radius does not exceed the "
@@ -504,10 +502,7 @@ def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,
         zero = np.zeros_like(t)
         return one, f, zero, df, zero, d2f
 
-    return WarpedMetric.from_profiles(
-        grid, profiles, "bubble",
-        {"area_radius": area_radius, "neck_theta": neck_theta, "span": span,
-         "band": band})
+    return WarpedMetric.from_profiles(grid, profiles, "bubble", params)
 
 
 FAMILIES = {
@@ -518,40 +513,109 @@ FAMILIES = {
     "bubble": bubble_sphere,
 }
 
-#: parameter catalog: name -> {param: (admissible range, meaning)}; the
-#: defaults are the constructors' own
+
+class Param(NamedTuple):
+    """One family parameter: its meaning, its admissible range from `low`
+    (included if `closed`) to `high` (excluded), and the limits it shares
+    with other parameters, which its constructor checks."""
+    meaning: str
+    low: float
+    high: float = np.inf
+    closed: bool = False
+    relation: str = ""
+
+    @property
+    def interval(self) -> str:
+        low, high = ({PI: "pi", PI / 2: "pi/2"}.get(x, f"{x:g}")
+                     for x in (self.low, self.high))
+        return f"{'[' if self.closed else '('}{low}, {high})"
+
+
+#: one row per family parameter: family -> {parameter: Param}
 FAMILY_CATALOG = {
     "round": {},
-    "scaled": {
-        "c": ("c >= 1", "radius; phi = c, f = c sin"),
-    },
+    "scaled": {"c": Param("radius; phi = c, f = c sin", 1.0, closed=True)},
     "bump": {
-        "eta": ("eta >= 0", "amplitude of the dyadic schedule"),
-        "theta0": ("width <= theta0 <= pi - width", "center colatitude"),
-        "width": ("0 < width", "support half-width"),
+        "eta": Param("amplitude of the dyadic schedule", 0.0, closed=True),
+        "theta0": Param("center colatitude", 0.0, PI,
+                        relation="width <= theta0 <= pi - width"),
+        "width": Param("support half-width", 0.0, PI),
     },
     "tendril": {
-        "length": ("length >= 0", "added meridian length int(phi-1)"),
-        "width": ("0 < width", "finger duration in colatitude"),
-        "theta0": ("theta0 > 1.5 width (default 2.5 width)",
-                   "finger colatitude near the north pole"),
+        "length": Param("added meridian length int(phi-1)", 0.0, closed=True),
+        "width": Param("finger duration in colatitude", 0.0),
+        "theta0": Param("finger colatitude (default 2.5 width)", 0.0, PI,
+                        relation="1.5 width < theta0 < pi - 0.25 - 3 width"),
     },
     "bubble": {
-        "area_radius": ("area_radius > sin(mid-span colatitude)",
-                        "fiber-sphere radius of the hidden region"),
-        "neck_theta": ("0 < neck_theta < pi/2", "neck colatitude"),
-        "span": ("0 < span < 1", "fraction of the cap inflated"),
-        "band": ("0 < band < 0.5", "C^2 matching band width"),
+        "area_radius": Param("fiber-sphere radius of the hidden region", 0.0,
+                             relation="area_radius > sin(neck_theta (1 - "
+                             "span/2))"),
+        "neck_theta": Param("neck colatitude", 0.0, PI / 2),
+        "span": Param("fraction of the cap inflated", 0.0, 1.0),
+        "band": Param("C^2 matching band width", 0.0, 0.5),
     },
 }
+
+#: the constructors' own parameter defaults; REQUIRED marks none
+REQUIRED = inspect.Parameter.empty
+DEFAULTS = {family: {name: p.default for name, p in
+                     inspect.signature(build).parameters.items()}
+            for family, build in FAMILIES.items()}
+
+
+def require_params(family: str, params: dict, complete: bool = True) -> None:
+    """Refuse an unknown family, a parameter it does not take, a value
+    outside its row's range and, if `complete`, a required parameter not
+    given; a value of None is a parameter not given."""
+    rows = FAMILY_CATALOG.get(family)
+    if rows is None:
+        raise DomainError(
+            f"unknown family {family!r}; choose from {sorted(FAMILIES)}")
+    for name, value in params.items():
+        row = rows.get(name)
+        if row is None:
+            raise DomainError(
+                f"parameter {name!r} not accepted by family {family!r}")
+        if value is not None and not (row.low < value < row.high or
+                                      row.closed and value == row.low):
+            raise DomainError(f"{family} {name} must lie in {row.interval}, "
+                              f"got {value}")
+    missing = [name for name, default in DEFAULTS[family].items()
+               if default is REQUIRED and params.get(name) is None]
+    if complete and missing:
+        raise DomainError(f"family {family!r} requires parameter(s): "
+                          f"{', '.join(missing)}")
+
+
+#: largest `sequence` count: 2.0**-1075 == 0.0, so past this index the
+#: bump schedule's eta and the tendril schedule's width are exactly 0
+MAX_SEQUENCE_COUNT = 1074
+
+
+def require_count(count: int) -> None:
+    """Refuse a schedule count below 1 or above MAX_SEQUENCE_COUNT."""
+    if count < 1:
+        raise DomainError("schedule must be nonempty")
+    if count > MAX_SEQUENCE_COUNT:
+        raise DomainError(f"sequence count must be at most "
+                          f"{MAX_SEQUENCE_COUNT}, got {count}")
+
+
+def schedule(family: str, count: int) -> tuple:
+    """The canonical dyadic schedule of a convergence experiment."""
+    if family == "bump":
+        return tuple({"eta": 2.0 ** -i} for i in range(1, count + 1))
+    if family == "tendril":
+        return tuple({"length": 1.0, "width": 2.0 ** -i}
+                     for i in range(1, count + 1))
+    if family == "bubble":
+        return tuple({"area_radius": float(i), "neck_theta": 0.05}
+                     for i in range(1, count + 1))
+    raise DomainError(f"no canonical schedule for family {family!r}")
 
 
 def make(name: str, grid: RadialGrid | None = None, **params) -> WarpedMetric:
     """Construct a family member by name (CLI / config entry point)."""
-    try:
-        factory = FAMILIES[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown family {name!r}; choose from {sorted(FAMILIES)}"
-        ) from None
-    return factory(grid=grid, **params)
+    require_params(name, params)
+    return FAMILIES[name](grid=grid, **params)

@@ -14,7 +14,6 @@ with C_Q calibrated once on the round sphere and frozen.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -237,35 +236,21 @@ def require_suites(names) -> None:
             raise ConfigError(f"unknown suite {name!r}; choose from {SUITES}")
 
 
-def require_schedule_length(length: int) -> None:
-    """Refuse a sequence schedule of no members."""
-    if length < 1:
-        raise DomainError("schedule must be nonempty")
-
-
-def require_tolerance(tolerance: Optional[float]) -> None:
-    """Refuse a tolerance not finite and >= 0 (None: tol_disc)."""
-    if tolerance is not None and not (0.0 <= tolerance < np.inf):
-        raise DomainError(f"check tolerance {tolerance} must be finite >= 0")
-
-
 def run_all_checks(pot: PotentialSolution, ledger: dict[str, float],
-                   tolerance: Optional[float] = None,
                    suites=SUITES) -> list[CheckResult]:
-    """The named suites, all by default, in stable (suite, label) order.
+    """The named suites, all by default, in stable (suite, label) order,
+    each check with the grid's tolerance `tol_disc`.
 
     All of them read one Evaluation, so the residual guard runs once and
     each shared field or integral is computed once; the evaluation is
     dropped on return.  No suite named means no evaluation and no checks.
-    A `tolerance` that is not finite and >= 0 is refused.
     """
     require_suites(suites)
-    require_tolerance(tolerance)
     names = [name for name in SUITES if name in suites]
     if not names:
         return []
     ev = Evaluation(pot)
-    tol = tol_disc(pot.metric) if tolerance is None else tolerance
+    tol = tol_disc(pot.metric)
     return [c for name in names for c in _SUITE_BODIES[name](ev, ledger, tol)]
 
 
@@ -280,7 +265,8 @@ class SequenceSpec:
     name: str = ""
 
     def __post_init__(self):
-        require_schedule_length(len(self.schedule))
+        if not self.schedule:
+            raise DomainError("schedule must be nonempty")
 
 
 @dataclass(frozen=True)

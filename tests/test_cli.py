@@ -1,8 +1,10 @@
 """Command-line front end: exit codes, configs, determinism."""
 
 import argparse
+import contextlib
 import ctypes
 import inspect
+import io
 import json
 import os
 import re
@@ -12,12 +14,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import warpedsphere
 from warpedsphere import ClassParams, SequenceSpec, cli, run_sequence
 from warpedsphere import families as fam
 from warpedsphere.cli import main
-from warpedsphere.errors import SolverError
+from warpedsphere.errors import DomainError, SolverError
 from conftest import write_profile_table
 
 
@@ -95,13 +99,12 @@ class TestExitCodes:
     def test_non_finite_tendril_length_named(self, capsys):
         assert main(["analyze", "--family", "tendril",
                      "--param", "length=nan", "--grid-size", "301"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "finite" in err
+        assert capsys.readouterr().err == (
+            "error: tendril length must lie in [0, inf), got nan\n")
 
 
 class TestInputContract:
-    """Bad input exits 2 with one `error:` line and no traceback, and a
-    tolerance that would switch a certificate off counts as bad input."""
+    """Bad input exits 2 with one `error:` line and no traceback."""
 
     @pytest.mark.parametrize("argv,ini", [
         (["analyze", "--family", "tendril", "--param", "length=1",
@@ -112,11 +115,6 @@ class TestInputContract:
          "[class]\ncheeger_min = inf\n"),
         (["sequence", "--family", "bump", "--count", "0"], None),
         (["sequence", "--family", "bump", "--count", "-3"], None),
-        (["verify", "--family", "scaled", "--param", "c=2.65",
-          "--tolerance", "inf"], None),
-        (["verify", "--family", "bubble", "--param", "area_radius=2",
-          "--param", "neck_theta=0.05"], "[suites]\ntolerance = inf\n"),
-        (["verify", "--family", "round"], "[suites]\ntolerance = -1\n"),
         (["verify", "--family", "round", "--grid-size", "-5"], None),
         (["analyze", "--family", "round", "--grid-size", "99999999999"],
          None),
@@ -144,6 +142,12 @@ class TestInputContract:
           "--param", "width=1e-300"], None),
         (["verify", "--family", "bubble", "--param", "area_radius=0.3",
           "--param", "neck_theta=1e-300"], None),
+        (["analyze", "--family", "bubble", "--param", "area_radius=1e308",
+          "--param", "neck_theta=0.05"], None),
+        (["verify", "--family", "bubble", "--param", "area_radius=2",
+          "--param", "neck_theta=1e-310"], None),
+        (["pointpick", "--family", "bubble", "--param", "area_radius=2",
+          "--param", "neck_theta=5e-324"], None),
         (["analyze", "--family", "bump", "--param", "eta=1",
           "--param", "width=1e-300", "--param", "theta0=1"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1",
@@ -173,9 +177,7 @@ class TestInputContract:
                         "cheeger_min = 1e-300")
           for command in ("verify", "analyze")],
     ], ids=["tendril-width-nan", "tendril-theta0-nan", "cheeger-min-inf",
-            "sequence-count-0", "sequence-count-neg", "tolerance-inf",
-            "bubble-ini-tolerance-inf", "tolerance-negative",
-            "grid-size-negative",
+            "sequence-count-0", "sequence-count-neg", "grid-size-negative",
             "grid-size-huge", "ini-grid-n-above-cap",
             "scaled-c-inf", "bump-eta-inf", "bubble-area-radius-inf",
             "bubble-area-radius-nan", "tendril-length-nan",
@@ -184,7 +186,9 @@ class TestInputContract:
             "ini-duplicate-section", "ini-no-section-header",
             "ini-line-without-equals", "ini-not-utf8",
             "ini-interpolation-missing", "tendril-width-1e-300",
-            "bubble-neck-theta-1e-300", "analyze-bump-width-1e-300",
+            "bubble-neck-theta-1e-300", "analyze-bubble-area-radius-1e308",
+            "verify-bubble-neck-theta-1e-310",
+            "pointpick-bubble-neck-theta-5e-324", "analyze-bump-width-1e-300",
             "pointpick-bump-width-1e-300", "pointpick-bump-eta-1e300",
             "pointpick-bump-eta-1e150", "pointpick-bump-eta-1e300-radius",
             "ini-suites-sequence-family", "analyze-pointpick-radius-abc",
@@ -240,6 +244,25 @@ class TestInputContract:
         assert out == "" and "Traceback" not in err
         assert err.splitlines()[-1].startswith(
             f"warpedsphere: error: unrecognized arguments: {flags[0]}")
+
+    def test_tolerance_is_unknown(self, tmp_path, capsys):
+        """Each check's tolerance comes from its grid: `[suites] tolerance`
+        is an unknown key and `--tolerance` an unknown flag, so no input
+        widens a check until a failing margin passes."""
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text("[suites]\ntolerance = 10\n")
+        assert main(["verify", str(cfg), "--family", "bubble", "--param",
+                     "area_radius=2", "--param", "neck_theta=0.05"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: unknown key 'tolerance' in section [suites]; allowed: "
+            "['pointpick_radius', 'run', 'sequence_count']\n"))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "round", "--tolerance", "10"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            "warpedsphere: error: unrecognized arguments: --tolerance")
 
     @pytest.mark.parametrize("command", ["analyze", "verify", "pointpick"])
     @pytest.mark.parametrize("table", [
@@ -357,14 +380,14 @@ class TestInputContract:
         def no_schedule(*args):
             raise AssertionError("a schedule was built")
 
-        monkeypatch.setattr(cli, "_schedule", no_schedule)
+        monkeypatch.setattr(fam, "schedule", no_schedule)
         assert main(["sequence", "--family", "tendril",
                      "--count", "1075"]) == 2
         assert capsys.readouterr().err == (
             "error: sequence count must be at most 1074, got 1075\n")
-        assert cli.MAX_SEQUENCE_COUNT == 1074
-        assert 2.0 ** -cli.MAX_SEQUENCE_COUNT > 0.0
-        assert 2.0 ** -(cli.MAX_SEQUENCE_COUNT + 1) == 0.0
+        assert fam.MAX_SEQUENCE_COUNT == 1074
+        assert 2.0 ** -fam.MAX_SEQUENCE_COUNT > 0.0
+        assert 2.0 ** -(fam.MAX_SEQUENCE_COUNT + 1) == 0.0
 
     @pytest.mark.parametrize("command", ["analyze", "verify", "pointpick"])
     def test_non_finite_summary_exits_2(self, command, capsys):
@@ -732,8 +755,7 @@ class TestDeterminism:
         for _ in range(2):  # identical scenario, identical output target
             assert main(["verify", "--family", "bump",
                          "--param", "eta=0.25", "--grid-size", "501",
-                         "--seed", "42", "--output", str(out),
-                         "--tolerance", "0.001"]) == 0
+                         "--seed", "42", "--output", str(out)]) == 0
             texts.append(_strip_timestamp(out.read_text()))
         assert texts[0] == texts[1]
 
@@ -746,13 +768,13 @@ class TestDeterminism:
                  for action in sub._actions
                  if not isinstance(action, argparse._HelpAction)}
         dests -= {"config", "command", "param"}
-        assert len(dests) == 9
+        assert len(dests) == 8
         for dest in dests:
             section, key = dest.split(".")
             assert key in cli.SETTINGS[section], dest
         assert {section: len(keys) for section, keys in
                 cli.SETTINGS.items()} == {"metric": 11, "grid": 2,
-                                          "class": 4, "suites": 4,
+                                          "class": 4, "suites": 3,
                                           "output": 3}
 
     def test_parser_built_once(self):
@@ -788,3 +810,105 @@ class TestDeterminism:
                          "--output", str(out)]) == 0
             ids.append(json.loads(out.read_text())["run_id"])
         assert ids[0] != ids[1]
+
+
+def _edges(row):
+    """A row's edge values: its bounds and their neighbours, the
+    extremes of the doubles and the values that are no number."""
+    ends = [x for x in (row.low, row.high) if np.isfinite(x)]
+    return sorted({*ends, *(float(np.nextafter(x, to)) for x in ends
+                            for to in (-np.inf, np.inf)),
+                   1e-300, -1e-300, 1e300, -1e300, np.inf, -np.inf}) + [np.nan]
+
+
+def _param_values(row):
+    """Values for one parameter: an edge one time in four, else a draw
+    inside its range."""
+    inside = st.floats(row.low, min(row.high, 1e3), allow_nan=False,
+                       exclude_min=not row.closed, exclude_max=True)
+    return st.one_of(st.sampled_from(_edges(row)), inside, inside, inside)
+
+
+def _outside(row, value):
+    return (np.isnan(value) or value < row.low or value >= row.high
+            or (value == row.low and not row.closed))
+
+
+def _all_finite(tree):
+    """True if no float in the report tree is NaN or infinite (written
+    as a JSON NaN or as a quoted repr)."""
+    if isinstance(tree, dict):
+        return all(_all_finite(v) for v in tree.values())
+    if isinstance(tree, list):
+        return all(_all_finite(v) for v in tree)
+    if isinstance(tree, float):
+        return bool(np.isfinite(tree))
+    return tree not in ("nan", "inf", "-inf")
+
+
+class TestParameterTable:
+    """The family catalog's rows drive the guard, the listing and the
+    input contract: `analyze` on any draw from the rows, edges included,
+    exits 0 with every reported float finite or 2 with one error line,
+    and a value outside its row is refused with the row's range text."""
+
+    @pytest.mark.parametrize("family", sorted(fam.FAMILY_CATALOG))
+    def test_analyze_on_draws_from_the_rows(self, family):
+        rows = fam.FAMILY_CATALOG[family]
+        required = {name for name, default in fam.DEFAULTS[family].items()
+                    if default is fam.REQUIRED}
+        draws = st.fixed_dictionaries(
+            {name: _param_values(row) for name, row in rows.items()
+             if name in required},
+            optional={name: _param_values(row) for name, row in rows.items()
+                      if name not in required})
+
+        @given(draws)
+        @settings(max_examples=100, derandomize=True, deadline=None,
+                  database=None)
+        def check(params):
+            argv = ["analyze", "--family", family]
+            for name, value in params.items():
+                argv += ["--param", f"{name}={value!r}"]
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(argv)
+            outside = [name for name, value in params.items()
+                       if _outside(rows[name], value)]
+            if outside:
+                name = outside[0]
+                assert code == 2 and err.getvalue() == (
+                    f"error: {family} {name} must lie in "
+                    f"{rows[name].interval}, got {params[name]}\n")
+            elif code in (0, 1):
+                doc = json.loads(out.getvalue())
+                assert all(_all_finite(doc[block]) for block in
+                           ("metric", "summary", "membership")), argv
+                assert err.getvalue() == ""
+            else:
+                assert code == 2, argv
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ")
+                assert err.getvalue().count("\n") == 1
+
+        check()
+
+    def test_listing_quotes_the_guards_range(self, capsys):
+        """For every row, the `families` listing shows the range text the
+        guard quotes when it refuses a value."""
+        assert main(["families"]) == 0
+        listing = capsys.readouterr().out.splitlines()
+        for family, rows in fam.FAMILY_CATALOG.items():
+            lines = listing[listing.index(family) + 1:]
+            for name, row in rows.items():
+                with pytest.raises(DomainError) as info:
+                    fam.require_params(family, {name: np.nan},
+                                       complete=False)
+                quoted = str(info.value).split(" must lie in ")[1]
+                quoted = quoted.split(", got ")[0]
+                line = next(l for l in lines
+                            if l.startswith(f"    {name}: "))
+                assert f"[{name} in {quoted}" in line

@@ -7,7 +7,7 @@ from warpedsphere import (RadialGrid, WarpedMetric, bubble_sphere,
                           bump_sphere, diameter_bounds, make,
                           meridian_arclength, round_sphere, scaled_sphere,
                           tendril_sphere)
-from warpedsphere.cli import _schedule
+from warpedsphere.families import schedule
 from warpedsphere.grids import PI
 
 from conftest import REFERENCE_NAMES
@@ -96,7 +96,7 @@ class TestBracketMatchesRouteScan:
 
     @pytest.mark.parametrize("family", ["bump", "tendril", "bubble"])
     def test_dyadic_schedules(self, family):
-        for params in _schedule(family, 6):
+        for params in schedule(family, 6):
             _assert_matches_scan(make(family, **params), 256, 256)
 
     @pytest.mark.parametrize("n, spacing, build", [

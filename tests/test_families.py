@@ -1,5 +1,7 @@
 """Reference metric families: admissibility, limits, normalization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,14 +22,14 @@ from warpedsphere.potential import _derivative_high_order
 from conftest import REFERENCE_BUILDERS
 
 
+#: one valid parameter set per family
+VALID_PARAMS = {"round": {}, "scaled": {"c": 1.2}, "bump": {"eta": 0.5},
+                "tendril": {"length": 1.0, "width": 0.1},
+                "bubble": {"area_radius": 2.0, "neck_theta": 0.1}}
+
+
 class TestMake:
-    @pytest.mark.parametrize("name, params", [
-        ("round", {}),
-        ("scaled", {"c": 1.2}),
-        ("bump", {"eta": 0.5}),
-        ("tendril", {"length": 1.0, "width": 0.1}),
-        ("bubble", {"area_radius": 2.0, "neck_theta": 0.1}),
-    ])
+    @pytest.mark.parametrize("name, params", VALID_PARAMS.items())
     def test_dispatch_and_validate(self, name, params):
         metric = make(name, **params)
         assert metric.name == name
@@ -38,11 +40,36 @@ class TestMake:
             make("torus")
 
     def test_catalog_covers_families(self):
+        """One row per constructor parameter, each with a meaning and a
+        nonempty range."""
         assert set(FAMILY_CATALOG) == set(FAMILIES)
-        for name, catalog in FAMILY_CATALOG.items():
-            for pname, (admissible, meaning) in catalog.items():
-                assert isinstance(admissible, str) and admissible
-                assert isinstance(meaning, str) and meaning
+        for name, rows in FAMILY_CATALOG.items():
+            assert set(rows) == set(fam.DEFAULTS[name]) - {"grid"}
+            for row in rows.values():
+                assert isinstance(row.meaning, str) and row.meaning
+                assert row.low < row.high
+
+    @pytest.mark.parametrize("name, params", VALID_PARAMS.items())
+    def test_constructor_refuses_outside_its_rows(self, name, params):
+        """Each constructor refuses a value outside a row's range through
+        the guard, with the row's range text, before building anything."""
+        for pname, row in FAMILY_CATALOG[name].items():
+            below = row.low if not row.closed else np.nextafter(row.low,
+                                                                -np.inf)
+            for value in (below, row.high, np.nan, -np.inf):
+                with pytest.raises(DomainError) as info:
+                    FAMILIES[name](**{**params, pname: float(value)},
+                                   grid=None)
+                assert str(info.value) == (
+                    f"{name} {pname} must lie in {row.interval}, "
+                    f"got {float(value)}")
+
+    def test_make_refuses_missing_and_unknown(self):
+        with pytest.raises(DomainError, match=r"requires parameter\(s\): "
+                           r"area_radius, neck_theta"):
+            make("bubble")
+        with pytest.raises(DomainError, match="'eta' not accepted"):
+            make("scaled", c=1.5, eta=0.5)
 
 
 class TestScaled:
@@ -418,6 +445,18 @@ class TestBubble:
     def test_comparison_holds(self):
         rep = validate(bubble_sphere(3.0, 0.05))
         assert rep.ok
+
+    @pytest.mark.parametrize("area_radius, neck_theta", [
+        (1e308, 0.05), (2.0, 1e-310), (2.0, 5e-324)])
+    def test_overflowing_fiber_radius_refused(self, area_radius, neck_theta):
+        """area_radius / sin at the plateau center overflows: refused by
+        name, with no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError,
+                               match="not a finite number") as info:
+                bubble_sphere(area_radius, neck_theta)
+        assert info.value.constraint == "area_radius"
 
     def test_degenerate_neck_rejected(self):
         with pytest.raises((ConstructionError, DomainError,

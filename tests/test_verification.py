@@ -20,9 +20,9 @@ WIDE_PARAMS = ClassParams(volume_max=40.0, diameter_max=10.0,
                           mass_max=3.0, cheeger_min=0.1)
 
 
-def _suite(name, pot, ledger=None, tolerance=None):
+def _suite(name, pot, ledger=None):
     """One suite alone, on its own evaluation."""
-    return run_all_checks(pot, ledger, tolerance, suites=(name,))
+    return run_all_checks(pot, ledger, suites=(name,))
 
 
 @pytest.fixture(scope="module")
@@ -180,11 +180,16 @@ class TestGlobalSuite:
         assert _check("x", 1.0 + 5e-10, 1.0, 1e-9).verdict == "pass"
         assert _check("x", 2.0, 1.0, 1e-9).margin == pytest.approx(-1.0)
 
-    def test_tolerance_override(self, round_potential,
-                                wide_ledger):
-        checks = _suite("global", round_potential,
-                        wide_ledger, tolerance=1e-3)
-        assert all(c.tolerance == 1e-3 for c in checks)
+    def test_every_check_reads_tol_disc(self, round_potential, wide_ledger):
+        """No setting overrides a check's tolerance: each check that runs
+        carries the tolerance of the metric's own grid, widened only for
+        the witness checks by their set's boundary layer."""
+        tol = tol_disc(round_potential.metric)
+        checks = [c for c in run_all_checks(round_potential, wide_ledger)
+                  if c.verdict != "skipped"]
+        witness = [c for c in checks if "witness" in c.label]
+        assert len(witness) == 2 and all(c.tolerance >= tol for c in witness)
+        assert {c.tolerance for c in checks if c not in witness} == {tol}
 
 
 class TestSequences:
