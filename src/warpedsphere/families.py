@@ -1,14 +1,26 @@
 """Built-in metric families used by the verification suites.
 
-Every family hands its metric one profile jet, `profiles(t, order=2)`,
-which gives phi, f and their analytic first and second derivatives
-(phi, f, dphi, df, d2phi, d2f) on the nodes t from one pass, or only
-(phi, f) for order 0; terms the profiles share are computed once.  So
-curvature and the quadrature potential solver never need finite
-differences.  All constructions keep phi >= 1 and f >= sin, i.e. they
-dominate the round metric pointwise.  `FAMILY_CATALOG` has one row per
-parameter; its guard `require_params`, called first by every
-constructor, and the `families` listing both read the rows.
+Every family hands its metric one profile jet,
+`profiles(t, sin, cos, order=2)`, which gives phi, f and their analytic
+first and second derivatives (phi, f, dphi, df, d2phi, d2f) on the nodes
+t, in any order, from their sines and cosines in one pass, or only
+(phi, f) for order 0, which reads no cosines; terms the profiles share
+are computed once.  So curvature and the quadrature potential solver
+never need finite differences.  All constructions keep phi >= 1 and
+f >= sin, i.e. they dominate the round metric pointwise.
+
+Bump, tendril and bubble are the round sphere plus a modulation of
+compact support.  `_on_support` evaluates the modulation on the nodes
+inside its support only, with its own arithmetic, and fills every other
+node with the round jet from the given trig; the bits are those of the
+modulation evaluated everywhere, up to the sign of a zero d2f at
+theta = 0, a pole value that scalar curvature replaces by extrapolation.
+A width that a profile divides by squared is refused once its square
+underflows to 0, since its support would then hold no node.
+
+`FAMILY_CATALOG` has one row per parameter; its guard `require_params`,
+called first by every constructor, and the `families` listing both read
+the rows.
 """
 
 from __future__ import annotations
@@ -73,11 +85,64 @@ def _plateau(x, band, order=2):
     return s, s1 * (-np.sign(x) / band), s2 / band**2
 
 
-def _modulated_sine(t, g, dg, d2g):
+def _modulated_sine(sin, cos, g, dg, d2g):
     """f = sin(theta) (1 + g) and its first and second derivatives."""
-    sin, cos = np.sin(t), np.cos(t)
     return (sin * (1.0 + g), cos * (1.0 + g) + sin * dg,
             -sin * (1.0 + g) + 2.0 * cos * dg + sin * d2g)
+
+
+def _round_jet(sin, cos, order):
+    """The round sphere's jet from the nodes' trig: phi 1, f sin, dphi 0,
+    df cos, d2phi 0, d2f -sin; (phi, f) for order 0."""
+    one = np.ones_like(sin)
+    if not order:
+        return one, sin
+    zero = np.zeros_like(sin)
+    return one, sin, zero, cos, zero, -sin
+
+
+def _on_support(lo, hi, modulation):
+    """The profile jet of a metric that leaves the round sphere only on
+    [lo, hi].
+
+    `modulation(t, sin, cos, order)` is evaluated on the nodes in [lo, hi]
+    alone, which may come in any order, and gives the jet there, None for
+    an entry that stays round; every other node gets the round jet.  The
+    modulation must equal the round jet off [lo, hi].  For one of
+    x = (t - c) / w supported on |x| < 1, the rounded c - w and c + w
+    bound its support: rounding is monotone, so a node t < fl(c - w) has
+    t - c < -w and hence x <= -1."""
+
+    def profiles(t, sin, cos, order=2):
+        jet = _round_jet(sin, cos, order)
+        inside = np.flatnonzero((t >= lo) & (t <= hi))
+        if not inside.size:
+            return jet
+        if inside[-1] - inside[0] == inside.size - 1:
+            # consecutive nodes, as on a sorted grid: take views and write
+            # one block; an index array costs the tendril, whose support
+            # holds most of its nodes, more than the restriction saves
+            inside = slice(inside[0], inside[-1] + 1)
+        part = modulation(t[inside], sin[inside],
+                          cos[inside] if order else None, order)
+        out = []
+        for y, p in zip(jet, part):
+            if p is not None:
+                y = y.copy()
+                y[inside] = p
+            out.append(y)
+        return tuple(out)
+
+    return profiles
+
+
+def _require_square(constraint, w, label):
+    """Refuse a length w whose square, which a profile divides by,
+    underflows to 0: every node where that profile is flat would read
+    0 / 0, and no node would lie inside its support.  `label` names w."""
+    if w * w == 0.0:
+        raise ConstructionError(
+            constraint, f"{label} is too narrow: its square underflows to 0")
 
 
 # ----------------------------------------------------------------------
@@ -87,12 +152,12 @@ def _modulated_sine(t, g, dg, d2g):
 def _sphere_profiles(c):
     """phi = c, f = c sin (multiplying by c = 1 is exact)."""
 
-    def profiles(t, order=2):
-        phi, f = np.full_like(t, c), c * np.sin(t)
+    def profiles(t, sin, cos, order=2):
+        phi, f = np.full_like(t, c), c * sin
         if not order:
             return phi, f
         zero = np.zeros_like(t)
-        return phi, f, zero, c * np.cos(t), zero, -f
+        return phi, f, zero, c * cos, zero, -f
 
     return profiles
 
@@ -123,20 +188,23 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
     require_params("bump", params)
     if not (theta0 - width >= 0.0 and theta0 + width <= PI):
         raise ConstructionError("support", "bump support must sit inside (0, pi)")
+    _require_square("width", width, f"bump width {width:g}")
     grid = grid or default_grid("uniform")
     amp = eta * BUMP_PEAK
 
-    def profiles(t, order=2):
+    def modulation(t, sin, cos, order):
         x = (t - theta0) / width
         if not order:
             g = amp * _bump(x, 0)
-            return 1.0 + g, np.sin(t) * (1.0 + g)
+            return 1.0 + g, sin * (1.0 + g)
         b, b1, b2 = _bump(x)
         g, dg, d2g = amp * b, amp * b1 / width, amp * b2 / width**2
-        f, df, d2f = _modulated_sine(t, g, dg, d2g)
+        f, df, d2f = _modulated_sine(sin, cos, g, dg, d2g)
         return 1.0 + g, f, dg, df, d2g, d2f
 
-    return WarpedMetric.from_profiles(grid, profiles, "bump", params)
+    return WarpedMetric.from_profiles(
+        grid, _on_support(theta0 - width, theta0 + width, modulation),
+        "bump", params)
 
 
 def _gcorr(t):
@@ -274,7 +342,7 @@ def _tendril_shape(breaks, thin=True):
 THIN_LIMIT = 0.37
 
 
-def _tendril_layout(length, width, theta0):
+def _tendril_layout(width, theta0):
     """Breakpoints (b0..b5) of the squash profile and the mode flag."""
     if theta0 is None:
         theta0 = 2.5 * width
@@ -344,24 +412,23 @@ def tendril_sphere(length: float, width: float = 0.1,
     """
     require_params("tendril",
                    {"length": length, "width": width, "theta0": theta0})
-    theta0, breaks, thin = _tendril_layout(length, width, theta0)
+    theta0, breaks, thin = _tendril_layout(width, theta0)
     grid = grid or tendril_grid(breaks)
     shape = _tendril_shape(breaks, thin)
     c_max = _tendril_normalize(length, shape, breaks)
 
-    def profiles(t, order=2):
+    def modulation(t, sin, cos, order):
         if not order:
-            return (1.0 - c_max * shape(t, 0)) ** -0.5, np.sin(t)
+            return (1.0 - c_max * shape(t, 0)) ** -0.5, None
         s, ds, d2s = shape(t)
         r = 1.0 - c_max * s
-        phi, f = r ** -0.5, np.sin(t)
         r15 = r**-1.5
-        return (phi, f, 0.5 * c_max * ds * r15, np.cos(t),
+        return (r ** -0.5, None, 0.5 * c_max * ds * r15, None,
                 0.75 * (c_max * ds) ** 2 * r**-2.5 + 0.5 * c_max * d2s * r15,
-                -f)
+                None)
 
     return WarpedMetric.from_profiles(
-        grid, profiles, "tendril",
+        grid, _on_support(breaks[0], breaks[-1], modulation), "tendril",
         {"length": length, "width": width, "theta0": theta0, "c_max": c_max})
 
 
@@ -490,19 +557,22 @@ def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,
         raise ConstructionError(
             "area_radius", "requested fiber radius does not exceed the "
             "round one at the plateau center")
+    _require_square("band", band, f"bubble band {band:g}")
+    _require_square("span", halfw, f"bubble span {span:g} (half-width "
+                    f"neck_theta * span / 2 = {halfw:g})")
 
-    def profiles(t, order=2):
+    def modulation(t, sin, cos, order):
         x = (t - mid) / halfw
-        one = np.ones_like(t)
         if not order:
-            return one, np.sin(t) * (1.0 + gmax * _plateau(x, band, 0))
+            return None, sin * (1.0 + gmax * _plateau(x, band, 0))
         p, p1, p2 = _plateau(x, band)
-        f, df, d2f = _modulated_sine(t, gmax * p, gmax * p1 / halfw,
+        f, df, d2f = _modulated_sine(sin, cos, gmax * p, gmax * p1 / halfw,
                                      gmax * p2 / halfw**2)
-        zero = np.zeros_like(t)
-        return one, f, zero, df, zero, d2f
+        return None, f, None, df, None, d2f
 
-    return WarpedMetric.from_profiles(grid, profiles, "bubble", params)
+    return WarpedMetric.from_profiles(
+        grid, _on_support(mid - halfw, mid + halfw, modulation), "bubble",
+        params)
 
 
 FAMILIES = {

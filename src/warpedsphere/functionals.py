@@ -131,6 +131,8 @@ class _PolarGrids:
     """The sub-grids [0, r] and [pi - r, pi] of every r in POLAR_RADII,
     in that order, concatenated; they depend on no input."""
     nodes: np.ndarray
+    sin: np.ndarray         # sin of the nodes
+    cos: np.ndarray         # cos of the nodes
     sin_safe: np.ndarray    # sin of the nodes, 1.0 where sin <= 1e-9
     poles: np.ndarray       # indices of the nodes where sin <= 1e-9
     pieces: tuple           # (slice of nodes, its Simpson rule) per grid
@@ -138,17 +140,19 @@ class _PolarGrids:
 
 @cache
 def _polar_grids() -> _PolarGrids:
-    """The polar sub-grids, their sines and Simpson rules, built once per
-    process on first use."""
+    """The polar sub-grids, their sines, cosines and Simpson rules, built
+    once per process on first use."""
     grids = [np.linspace(lo, hi, POLAR_SUBGRID_N) for r in POLAR_RADII
              for lo, hi in ((0.0, r), (PI - r, PI))]
     nodes = np.concatenate(grids)
     sin = np.concatenate([np.sin(s) for s in grids])
+    cos = np.concatenate([np.cos(s) for s in grids])
     poles = np.flatnonzero(~(sin > 1e-9))
-    sin[poles] = 1.0
+    sin_safe = sin.copy()
+    sin_safe[poles] = 1.0
     pieces = tuple((slice(i * POLAR_SUBGRID_N, (i + 1) * POLAR_SUBGRID_N),
                     simpson_rule(s)) for i, s in enumerate(grids))
-    return _PolarGrids(nodes, sin, poles, pieces)
+    return _PolarGrids(nodes, sin, cos, sin_safe, poles, pieces)
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -316,10 +320,11 @@ class Evaluation:
         pole limit of f/sin -- only on their pole nodes.
         """
         grids, metric = _polar_grids(), self.metric
-        s = grids.nodes
-        phi, f = metric.jet(s, 0)
+        s, poles = grids.nodes, grids.poles
+        phi, f = metric.jet(s, 0, sin=grids.sin)
         fos = f / grids.sin_safe
-        fos[grids.poles] = metric.jet(s[grids.poles])[3]
+        fos[poles] = metric.jet(s[poles], sin=grids.sin[poles],
+                                cos=grids.cos[poles])[3]
         fos = np.abs(fos)
         ratio = np.interp(s, self.pot.theta, self.pot.ratio)
         integrand = ratio * phi * fos**2

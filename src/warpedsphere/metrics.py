@@ -5,6 +5,13 @@ theta in [0, pi].  Smooth closure at the poles requires f(0) = f(pi) = 0
 and f'(0) = phi(0), f'(pi) = phi(pi).  Everything downstream (potential
 solvers, functionals, verification suites) consumes the `WarpedMetric`
 container defined here.
+
+A profile jet is evaluated on nodes together with their sines and
+cosines: a `NodeSet` and `WarpedMetric.from_profiles` pass their grid's
+cached ones (no cosines for an order-0 read), and `WarpedMetric.jet`
+computes them once for nodes that belong to no grid, unless its caller
+holds them.  A jet entry may be such a trig array itself, which is
+read-only, so no reader writes into a jet.
 """
 
 from __future__ import annotations
@@ -29,8 +36,10 @@ CLOSURE_TOL = 1e-8
 BALL_SUBGRID_N = 4001
 
 
-#: an analytic profile jet: profiles(t, order=2) gives (phi, f, dphi, df,
-#: d2phi, d2f) on the nodes t, and profiles(t, 0) gives (phi, f) only
+#: an analytic profile jet: profiles(t, sin, cos, order=2) gives (phi, f,
+#: dphi, df, d2phi, d2f) on the nodes t, in any order, whose sines and
+#: cosines are sin and cos; profiles(t, sin, None, 0) gives (phi, f) only.
+#: An entry may be sin or cos itself
 ProfileFns = Callable[..., tuple]
 
 #: the entries of a profile jet, in order
@@ -43,9 +52,10 @@ class NodeSet:
     grid, and the metric's profile jet evaluated there when first read,
     at the order read, with the pole-safe fields built on it.  The nodes,
     rules, sines and cosines are the grid's own, shared by every metric
-    on that grid.  It holds the profile functions and never its metric:
-    a reference back would make a cycle, and a dropped metric's arrays
-    would stay resident until the cyclic garbage collector ran.
+    on that grid; the jet is evaluated on the grid's sines, and its
+    cosines for order 2.  It holds the profile functions and never its
+    metric: a reference back would make a cycle, and a dropped metric's
+    arrays would stay resident until the cyclic garbage collector ran.
 
     Both orders are evaluated with numpy's overflow and invalid-value
     warnings silenced, as in `WarpedMetric.from_profiles`; a summary
@@ -56,7 +66,8 @@ class NodeSet:
 
     def _evaluate(self, order: int) -> tuple:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return self.profiles(self.t, order)
+            return self.profiles(self.t, self.sin, self.cos if order else None,
+                                 order)
 
     @cached_property
     def jet(self) -> tuple:
@@ -116,7 +127,7 @@ def _table_profiles(theta: np.ndarray, phi: np.ndarray,
         return (dphi, df, np.gradient(dphi, theta, edge_order=2),
                 np.gradient(df, theta, edge_order=2))
 
-    def profiles(t, order=2):
+    def profiles(t, sin, cos, order=2):
         samples = (phi, f) + (derivatives() if order else ())
         return tuple(np.interp(t, theta, y) for y in samples)
 
@@ -177,7 +188,7 @@ class WarpedMetric:
         DegenerateMetricError naming the first one, so numpy's overflow
         and invalid-value warnings are silenced while it is computed."""
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            jet = profiles(grid.nodes)
+            jet = profiles(grid.nodes, grid.sin, grid.cos)
         for label, y in zip(JET_LABELS, jet):
             bad = ~np.isfinite(y)
             if bad.any():
@@ -204,11 +215,18 @@ class WarpedMetric:
             return self.profiles
         return _table_profiles(self.theta, self.phi, self.f)
 
-    def jet(self, t: np.ndarray, order: int = 2) -> tuple:
+    def jet(self, t: np.ndarray, order: int = 2, sin: np.ndarray = None,
+            cos: np.ndarray = None) -> tuple:
         """(phi, f, dphi, df, d2phi, d2f) on the nodes t; (phi, f) for
-        order 0.  A sampled table is interpolated linearly, which is
-        exact at the grid nodes."""
-        return self._profile_jet(np.asarray(t, dtype=float), order)
+        order 0.  `sin` and `cos` are those of t, if the caller holds
+        them; otherwise they are computed here, cos only for order 2.  A
+        sampled table is interpolated linearly, which is exact at the
+        grid nodes."""
+        t = np.asarray(t, dtype=float)
+        sin = np.sin(t) if sin is None else sin
+        if order and cos is None:
+            cos = np.cos(t)
+        return self._profile_jet(t, sin, cos if order else None, order)
 
     @cached_property
     def on_grid(self) -> NodeSet:
@@ -392,11 +410,12 @@ def ball_volume(metric: WarpedMetric, center_theta: float, r: float) -> float:
     q = center_theta
     lo, hi = max(0.0, q - r), min(PI, q + r)
     t = np.linspace(lo, hi, BALL_SUBGRID_N)
-    phi, f = metric.jet(t, 0)
+    sin = np.sin(t)
+    phi, f = metric.jet(t, 0, sin=sin)
     if q < 1e-12 or q > PI - 1e-12:
         cap = np.full_like(t, 2.0)  # polar center: full fibers inside
     else:
-        s = np.clip(np.sin(t) * np.sin(q), 1e-300, None)
+        s = np.clip(sin * np.sin(q), 1e-300, None)
         c = (np.cos(r) - np.cos(t) * np.cos(q)) / s
         cap = np.clip(1.0 - c, 0.0, 2.0)
     return 2.0 * PI * integrate(phi * f**2 * cap, t)

@@ -153,6 +153,10 @@ class TestInputContract:
         (["pointpick", "--family", "bump", "--param", "eta=1",
           "--param", "width=1e-300", "--param", "theta0=1"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1e300"], None),
+        (["analyze", "--family", "bubble", "--param", "area_radius=2",
+          "--param", "neck_theta=0.05", "--param", "band=1e-200"], None),
+        (["analyze", "--family", "bubble", "--param", "area_radius=2",
+          "--param", "neck_theta=0.05", "--param", "span=1e-300"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1e150"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1e300",
           "--radius", "0.7"], None),
@@ -190,6 +194,7 @@ class TestInputContract:
             "verify-bubble-neck-theta-1e-310",
             "pointpick-bubble-neck-theta-5e-324", "analyze-bump-width-1e-300",
             "pointpick-bump-width-1e-300", "pointpick-bump-eta-1e300",
+            "analyze-bubble-band-1e-200", "analyze-bubble-span-1e-300",
             "pointpick-bump-eta-1e150", "pointpick-bump-eta-1e300-radius",
             "ini-suites-sequence-family", "analyze-pointpick-radius-abc",
             "pointpick-volume-max-abc",

@@ -17,6 +17,7 @@ from warpedsphere.errors import (ConstructionError, DegenerateMetricError,
                                  DomainError)
 from warpedsphere.families import BUMP_PEAK, FAMILIES, FAMILY_CATALOG
 from warpedsphere.grids import PI, simpson_rule
+from warpedsphere.metrics import JET_LABELS, NodeSet
 from warpedsphere.potential import _derivative_high_order
 
 from conftest import REFERENCE_BUILDERS
@@ -155,7 +156,7 @@ class TestTendril:
 
 def _c_max(length, width, theta0=None):
     """Squash depth of a tendril, from the root finder in `fam._brentq`."""
-    _, breaks, thin = fam._tendril_layout(length, width, theta0)
+    _, breaks, thin = fam._tendril_layout(width, theta0)
     shape = fam._tendril_shape(breaks, thin)
     return fam._tendril_normalize(length, shape, breaks)
 
@@ -252,7 +253,7 @@ def _normalize_oracle(length, shape, breaks):
 def _normalize_outcome(normalize, length, width, theta0):
     """c_max as float.hex(), or the ConstructionError raised."""
     try:
-        _, breaks, thin = fam._tendril_layout(length, width, theta0)
+        _, breaks, thin = fam._tendril_layout(width, theta0)
         return normalize(length, fam._tendril_shape(breaks, thin),
                          breaks).hex()
     except ConstructionError as exc:
@@ -270,7 +271,7 @@ NORMALIZE_LAYOUTS = [(0.05, None), (0.07, None), (0.05, 0.1), (0.03, 0.2),
                                                   (0.3, 1.0, False)])
 def test_tendril_shape_order_zero_is_the_profile(width, theta0, thin):
     """shape(t, 0) is shape(t)[0] bit for bit, on every branch."""
-    _, breaks, is_thin = fam._tendril_layout(1.0, width, theta0)
+    _, breaks, is_thin = fam._tendril_layout(width, theta0)
     assert is_thin == thin
     shape = fam._tendril_shape(breaks, thin)
     t = np.sort(np.concatenate([np.linspace(0.0, PI, 20001), breaks]))
@@ -317,7 +318,7 @@ class TestTendrilNormalize:
         assert len(asked) > 2 and len(passes) == len(asked)
 
     def test_sweep_covers_every_outcome(self):
-        thin = [fam._tendril_layout(1.0, w, t0)[2]
+        thin = [fam._tendril_layout(w, t0)[2]
                 for w, t0 in NORMALIZE_LAYOUTS[:8]]
         assert any(thin) and not all(thin)
         outcomes = {_normalize_outcome(fam._tendril_normalize, length, 0.1,
@@ -343,7 +344,7 @@ def _tendril_breaks():
     for width in widths:
         for k in (2.0, 2.5, 3.1):
             try:
-                yield fam._tendril_layout(1.0, width, k * width)[1]
+                yield fam._tendril_layout(width, k * width)[1]
             except ConstructionError:
                 pass
 
@@ -415,7 +416,7 @@ class TestJet:
         assert np.array_equal(metric.on_grid.jet[0], metric.phi)
         assert np.array_equal(metric.on_grid.jet[1], metric.f)
         # the build samples the order-2 jet; order 0 gives the same bits
-        phi, f = metric.profiles(metric.theta, 0)
+        phi, f = metric.profiles(metric.theta, metric.grid.sin, None, 0)
         assert phi.tobytes() == metric.phi.tobytes()
         assert f.tobytes() == metric.f.tobytes()
 
@@ -428,6 +429,114 @@ class TestJet:
             err = np.max(np.abs(_derivative_high_order(y, t) - dy))
             scale = max(1.0, float(np.max(np.abs(dy))))
             assert err <= JET_DERIVATIVE_TOL[name] * scale, (name, err)
+
+
+def _support_ends(name, params):
+    """The colatitudes where the family's modulation leaves the round
+    jet: its support ends, as written in the family's parameters and as
+    the family rounds them."""
+    if name == "bump":
+        theta0, width = params.get("theta0", PI / 2), params.get("width", 0.6)
+        return [theta0 - width, theta0 + width]
+    if name == "bubble":
+        neck, span = params["neck_theta"], params.get("span", 0.85)
+        lo = neck * (1.0 - span)
+        mid, halfw = 0.5 * (lo + neck), 0.5 * (neck - lo)
+        return [lo, neck, mid - halfw, mid + halfw]
+    if name == "tendril":
+        _, breaks, _ = fam._tendril_layout(params.get("width", 0.1),
+                                           params.get("theta0"))
+        return [breaks[0], breaks[-1]]
+    return []
+
+
+SUPPORT_CASES = [
+    ("round", {}), ("scaled", {"c": 3.0}),
+    ("bump", {"eta": 1.0}), ("bump", {"eta": 4.0, "width": 0.3,
+                                      "theta0": 0.3}),
+    ("bump", {"eta": 2.0, "width": 0.7, "theta0": 1.1}),
+    ("tendril", {"length": 1.0, "width": 0.1}),
+    ("tendril", {"length": 1.5, "width": 0.25}),
+    ("bubble", {"area_radius": 2.0, "neck_theta": 0.05}),
+    ("bubble", {"area_radius": 3.0, "neck_theta": 0.3, "span": 0.5,
+                "band": 0.2}),
+]
+
+
+class TestSupport:
+    """A family evaluates its modulation only on the nodes of its support
+    and fills the others with the round jet from the nodes' own trig; no
+    node order, trig source or support end changes a bit."""
+
+    @staticmethod
+    def _metric_with_ends(name, params):
+        """The family on a grid holding every support end and its two
+        neighbouring floats on each side."""
+        ends = np.array(_support_ends(name, params))
+        below, above = np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)
+        extra = np.concatenate([ends, below, np.nextafter(below, -np.inf),
+                                above, np.nextafter(above, np.inf)])
+        nodes = fam._distinct_sorted(np.concatenate(
+            [np.linspace(0.0, PI, 401), extra[(extra > 0.0) & (extra < PI)]]))
+        metric = make(name, grid=RadialGrid(nodes), **params)
+        assert np.isin(ends[(ends > 0.0) & (ends < PI)], nodes).all()
+        return metric
+
+    @pytest.mark.parametrize("name, params", SUPPORT_CASES)
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_jet_is_bit_identical_in_any_node_order(self, name, params,
+                                                    order):
+        metric = self._metric_with_ends(name, params)
+        t = metric.theta
+        # the build's jet, and a fresh node set's order-0 read
+        cached = (metric.on_grid.jet if order else
+                  NodeSet(metric.grid, metric.profiles).leading)
+        assert len(cached) == (6 if order else 2)
+        perm = np.random.default_rng(11).permutation(t.size)
+        for got in (metric.jet(t, order),
+                    tuple(y[np.argsort(perm)]
+                          for y in metric.jet(t[perm], order))):
+            for label, a, b in zip(JET_LABELS, cached, got):
+                assert a.tobytes() == b.tobytes(), (name, order, label)
+
+    @pytest.mark.parametrize("name, params", SUPPORT_CASES)
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_support_drops_no_node(self, name, params, order, monkeypatch):
+        """Against the modulation evaluated on every node, the jet changes
+        no value: a boundary node left out of the support would show in
+        dphi, which leaves 0 within two floats inside a bump or tendril
+        end.  The round fill's d2f = -sin is -0.0 at theta = 0, where the
+        modulation computes +0.0, so values are compared, not bits."""
+        metric = self._metric_with_ends(name, params)
+        grid, t = metric.grid, metric.theta
+        cos = grid.cos if order else None
+        restricted = metric.profiles(t, grid.sin, cos, order)
+        on_support = fam._on_support
+
+        def everywhere(lo, hi, modulation):
+            return on_support(-np.inf, np.inf, modulation)
+
+        monkeypatch.setattr(fam, "_on_support", everywhere)
+        reference = make(name, grid=grid, **params).profiles(
+            t, grid.sin, cos, order)
+        for label, a, b in zip(JET_LABELS, restricted, reference):
+            assert np.array_equal(a, b), (name, order, label)
+
+    def test_support_nodes_leave_the_round_jet(self):
+        """Within two floats inside each end a node is modulated: dphi is
+        not 0 there, so the drop test above can see it."""
+        for name, params in SUPPORT_CASES:
+            if name not in ("bump", "tendril"):
+                continue
+            metric = self._metric_with_ends(name, params)
+            dphi = metric.on_grid.jet[2]
+            lo, hi = _support_ends(name, params)[:2]
+            for end, inward in ((lo, np.inf), (hi, -np.inf)):
+                one = np.nextafter(end, inward)
+                inside = np.isin(metric.theta,
+                                 [one, np.nextafter(one, inward)])
+                if 0.0 < end < PI:
+                    assert np.any(dphi[inside] != 0.0), (name, end)
 
 
 class TestBubble:
@@ -445,6 +554,27 @@ class TestBubble:
     def test_comparison_holds(self):
         rep = validate(bubble_sphere(3.0, 0.05))
         assert rep.ok
+
+    @pytest.mark.parametrize("build, constraint", [
+        (lambda: bubble_sphere(2.0, 0.05, band=1e-200), "band"),
+        (lambda: bubble_sphere(2.0, 0.05, span=1e-300), "span"),
+        (lambda: bump_sphere(1.0, theta0=1.0, width=1e-300), "width")])
+    def test_underflowing_square_refused(self, build, constraint,
+                                         monkeypatch):
+        """A width whose square underflows to 0 would read 0 / 0 where the
+        profile is flat and leave its support without a node: refused by
+        name before any profile is evaluated, with no numpy warning."""
+        def no_build(*args):
+            raise AssertionError("a profile was evaluated")
+
+        monkeypatch.setattr(fam.WarpedMetric, "from_profiles", no_build)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError,
+                               match=f"{constraint} .* underflows to 0"
+                               ) as info:
+                build()
+        assert info.value.constraint == constraint
 
     @pytest.mark.parametrize("area_radius, neck_theta", [
         (1e308, 0.05), (2.0, 1e-310), (2.0, 5e-324)])

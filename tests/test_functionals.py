@@ -130,9 +130,9 @@ class TestEvaluation:
             return refine(*args)
 
         def counting_build(cls, grid, profiles, name, params):
-            def counted(t, order=2):
+            def counted(t, sin, cos, order=2):
                 node_sets.append((order, np.array(t)))
-                return profiles(t, order)
+                return profiles(t, sin, cos, order)
 
             built.append(build(grid, counted, name, params))
             return built[-1]
@@ -178,9 +178,9 @@ class TestEvaluation:
         def counting_build(cls, grid, profiles, name, params):
             calls = []
 
-            def counted(t, order=2):
+            def counted(t, sin, cos, order=2):
                 calls.append((order, np.array(t)))
-                return profiles(t, order)
+                return profiles(t, sin, cos, order)
 
             built.append((build(grid, counted, name, params), calls))
             return built[-1][0]

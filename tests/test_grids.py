@@ -188,7 +188,7 @@ def _assert_matches_scipy(y, x):
 
 
 def _tendril_nodes(width):
-    _, breaks, _ = _tendril_layout(1.0, width, None)
+    _, breaks, _ = _tendril_layout(width, None)
     return tendril_grid(breaks).nodes
 
 
@@ -295,7 +295,7 @@ def _node_set(kind, n):
         return np.linspace(0.0, PI, n)
     if kind == "graded":
         return 0.5 * PI * (1.0 - np.cos(np.linspace(0.0, PI, n)))
-    _, breaks, _ = _tendril_layout(1.0, 0.1, None)
+    _, breaks, _ = _tendril_layout(0.1, None)
     nodes = tendril_grid(breaks).nodes
     start = int(np.searchsorted(nodes, breaks[3])) - n // 2
     return nodes[start:start + n]

@@ -72,11 +72,11 @@ def test_scalar_curvature_matches_symbolic_oracle():
                              sp.diff(f_e, th), sp.diff(phi_e, th, 2),
                              sp.diff(f_e, th, 2))]
 
-    def profiles(t, order=2):
+    def profiles(t, sin, cos, order=2):
         return tuple(fn(t) for fn in fns[:6 if order else 2])
 
     grid = RadialGrid.uniform(801)
-    phi, f = profiles(grid.nodes, 0)
+    phi, f = profiles(grid.nodes, grid.sin, None, 0)
     metric = WarpedMetric(grid=grid, phi=phi, f=f, name="oracle",
                           profiles=profiles)
     t = grid.nodes
