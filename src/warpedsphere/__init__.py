@@ -13,9 +13,8 @@ from .errors import (ConfigError, ConstructionError, DegenerateMetricError,
 from .grids import RadialGrid, refine_nodes
 from .metrics import (ClassParams, GeometrySummary, MembershipReport,
                       ValidationReport, WarpedMetric, ball_volume,
-                      cheeger_levelset, class_membership, load_profile_table,
-                      scalar_curvature, scalar_deficit, summarize, validate,
-                      volume)
+                      cheeger_levelset, load_profile_table, scalar_curvature,
+                      scalar_deficit, summarize, validate, volume)
 from .distance import diameter_bounds, meridian_arclength
 from .families import (FAMILIES, FAMILY_CATALOG, bubble_sphere, bump_sphere,
                        make, round_sphere, scaled_sphere, tendril_sphere)

@@ -31,8 +31,7 @@ from typing import Callable
 from .errors import (ConfigError, ResidualGuardError, SolverError,
                      WarpedSphereError)
 from .grids import MAX_NODES, MIN_NODES, RadialGrid
-from .metrics import (ClassParams, class_membership, load_profile_table,
-                      summarize)
+from .metrics import ClassParams, load_profile_table, summarize
 from . import families as fam
 from .functionals import point_pick, require_pick_radius
 from .potential import solve_quadrature
@@ -174,24 +173,19 @@ def _emit(config: dict, s: dict, csv_text: Callable[[], str],
 
 
 def _summary_blocks(metric, params: ClassParams) -> dict:
-    """The metric, summary and membership blocks of a report."""
-    summary = summarize(metric)
-    member = class_membership(summary, params)
-    return {
-        "metric": {"name": metric.name, "params": metric.params,
-                   "grid_n": metric.grid.n},
-        "summary": {key: getattr(summary, key) for key in (
-            "volume", "diameter_lower", "diameter_upper", "mass",
-            "cheeger_surrogate")} | {"validation_ok": summary.validation.ok},
-        "membership": {"admitted": member.admitted, **vars(member)},
-    }
+    """The metric block of a report, and `summarize`'s two records as its
+    summary and membership blocks."""
+    summary, membership = summarize(metric, params)
+    return {"metric": {"name": metric.name, "params": metric.params,
+                       "grid_n": metric.grid.n},
+            "summary": summary, "membership": membership}
 
 
 def cmd_analyze(config: dict, s: dict) -> int:
     blocks = _summary_blocks(_build_metric(s), s["class"])
     _emit(config, s, lambda: rep.key_value_csv(
         (f"{group}.{key}", value) for group in ("summary", "membership")
-        for key, value in blocks[group].items()), **blocks)
+        for key, value in vars(blocks[group]).items()), **blocks)
     return EXIT_PASS
 
 
@@ -227,11 +221,11 @@ def cmd_sequence(config: dict, s: dict) -> int:
 
 def cmd_pointpick(config: dict, s: dict) -> int:
     metric, radius = _build_metric(s), s["suites"]["pointpick_radius"]
-    summarize(metric)   # before the scan: an overflowing metric is bad input
-    result = point_pick(metric, radius)
-    block = {"radius": radius, **vars(result)}
-    _emit(config, s, lambda: rep.key_value_csv(block.items()),
-          pointpick=block)
+    # before the scan: an overflowing metric is bad input
+    summary, _ = summarize(metric, s["class"])
+    result = point_pick(metric, radius, summary)
+    _emit(config, s, lambda: rep.key_value_csv(vars(result).items()),
+          pointpick=result)
     return EXIT_PASS if result.certificate_ok else EXIT_FAIL
 
 

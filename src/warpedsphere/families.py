@@ -16,7 +16,7 @@ node with the round jet from the given trig; the bits are those of the
 modulation evaluated everywhere, up to the sign of a zero d2f at
 theta = 0, a pole value that scalar curvature replaces by extrapolation.
 A width that a profile divides by squared is refused once its square
-underflows to 0, since its support would then hold no node.
+underflows to 0, as is a bump or bubble support holding no grid node.
 
 `FAMILY_CATALOG` has one row per parameter; its guard `require_params`,
 called first by every constructor, and the `families` listing both read
@@ -136,6 +136,15 @@ def _on_support(lo, hi, modulation):
     return profiles
 
 
+def _require_node(grid, lo, hi, constraint, label):
+    """Refuse a support [lo, hi], as `_on_support` receives it, that holds
+    no node of `grid`.  `label` names the parameter at fault."""
+    i = np.searchsorted(grid.nodes, lo)
+    if i == grid.n or grid.nodes[i] > hi:
+        raise ConstructionError(constraint, f"{label} leaves no node of "
+                                f"the grid in its support [{lo:g}, {hi:g}]")
+
+
 def _require_square(constraint, w, label):
     """Refuse a length w whose square, which a profile divides by,
     underflows to 0: every node where that profile is flat would read
@@ -190,6 +199,8 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
         raise ConstructionError("support", "bump support must sit inside (0, pi)")
     _require_square("width", width, f"bump width {width:g}")
     grid = grid or default_grid("uniform")
+    lo, hi = theta0 - width, theta0 + width
+    _require_node(grid, lo, hi, "width", f"bump width {width:g}")
     amp = eta * BUMP_PEAK
 
     def modulation(t, sin, cos, order):
@@ -202,9 +213,8 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
         f, df, d2f = _modulated_sine(sin, cos, g, dg, d2g)
         return 1.0 + g, f, dg, df, d2g, d2f
 
-    return WarpedMetric.from_profiles(
-        grid, _on_support(theta0 - width, theta0 + width, modulation),
-        "bump", params)
+    return WarpedMetric.from_profiles(grid, _on_support(lo, hi, modulation),
+                                      "bump", params)
 
 
 def _gcorr(t):
@@ -560,6 +570,8 @@ def bubble_sphere(area_radius: float, neck_theta: float, span: float = 0.85,
     _require_square("band", band, f"bubble band {band:g}")
     _require_square("span", halfw, f"bubble span {span:g} (half-width "
                     f"neck_theta * span / 2 = {halfw:g})")
+    _require_node(grid, mid - halfw, mid + halfw, "neck_theta",
+                  f"bubble neck_theta {neck_theta:g}")
 
     def modulation(t, sin, cos, order):
         x = (t - mid) / halfw

@@ -31,8 +31,8 @@ from .grids import ANALYTIC_REFINE, PI, cumulative, simpson_rule
 # no longer called here; still importable as functionals.integrate, a
 # binding the benchmark's tracer tests look up
 from .grids import integrate  # noqa: F401
-from .metrics import (NodeSet, WarpedMetric, ball_volume, scalar_curvature,
-                      volume)
+from .metrics import (GeometrySummary, NodeSet, WarpedMetric, ball_volume,
+                      scalar_curvature)
 from .potential import PotentialSolution, flux_residual
 
 #: flux-law residual above which functional evaluation is refused
@@ -409,6 +409,8 @@ def good_set_volumes(pot: PotentialSolution, tau: float, t: float,
 
 @dataclass(frozen=True)
 class PointPickResult:
+    """The `pointpick` block of a report, fields in CSV order."""
+    radius: float
     q_colat: float
     sum_ball_volumes: float
     certificate_rhs: float
@@ -422,20 +424,21 @@ def require_pick_radius(r: float) -> None:
         raise DomainError("point-pick radius must lie in (0, 0.5]")
 
 
-def point_pick(metric: WarpedMetric, r: float) -> PointPickResult:
+def point_pick(metric: WarpedMetric, r: float,
+               summary: GeometrySummary) -> PointPickResult:
     """Antipodal pole pair minimizing the two round-ball g-volumes.
 
     Scans candidate colatitudes q in [0, pi/2]; the certificate compares
-    the best pair against 10^12 r^3 V.  Radii above 1e-4 sit outside the
-    packing argument's regime and are flagged as such.
+    the best pair against 10^12 r^3 V, V the summary's volume.  Radii
+    above 1e-4, outside the packing argument's regime, are flagged.
     """
     require_pick_radius(r)
     qs = np.linspace(0.0, PI / 2, N_SCAN)
     sums = np.array([ball_volume(metric, q, r)
                      + ball_volume(metric, PI - q, r) for q in qs])
     i = int(np.argmin(sums))
-    rhs = 1e12 * r**3 * volume(metric)
-    return PointPickResult(q_colat=float(qs[i]),
+    rhs = 1e12 * r**3 * summary.volume
+    return PointPickResult(radius=r, q_colat=float(qs[i]),
                            sum_ball_volumes=float(sums[i]),
                            certificate_rhs=rhs,
                            certificate_ok=bool(sums[i] < rhs),

@@ -12,6 +12,9 @@ cached ones (no cosines for an order-0 read), and `WarpedMetric.jet`
 computes them once for nodes that belong to no grid, unless its caller
 holds them.  A jet entry may be such a trig array itself, which is
 read-only, so no reader writes into a jet.
+
+`summarize` judges a metric once against the class bounds; its two
+records are a report's `summary` and `membership` blocks as written.
 """
 
 from __future__ import annotations
@@ -315,7 +318,6 @@ class ValidationReport:
     closure_defect: float
     comparison_margin_phi: float
     comparison_margin_f: float
-    messages: tuple
 
     @property
     def ok(self) -> bool:
@@ -324,21 +326,16 @@ class ValidationReport:
 
 def validate(metric: WarpedMetric) -> ValidationReport:
     """Check pole closure and the pointwise comparison g >= round."""
-    msgs = []
     df = metric.on_grid.jet[3]
     d0 = abs(df[0] - metric.phi[0])
     # closure at theta = pi requires |f'(pi)| = phi(pi) with f > 0 on (0, pi)
     d1 = abs(abs(df[-1]) - metric.phi[-1])
     defect = max(d0, d1)
-    closure = defect <= CLOSURE_TOL
-    if not closure:
-        msgs.append(f"pole closure defect {defect:.3e} exceeds {CLOSURE_TOL:.1e}")
     m_phi = float(np.min(metric.phi - 1.0))
     m_f = float(np.min(metric.f - metric.on_grid.sin))
+    closure = defect <= CLOSURE_TOL
     comparison = m_phi >= -COMPARISON_TOL and m_f >= -COMPARISON_TOL
-    if not comparison:
-        msgs.append("metric fails the pointwise comparison with the round sphere")
-    return ValidationReport(closure, comparison, defect, m_phi, m_f, tuple(msgs))
+    return ValidationReport(closure, comparison, defect, m_phi, m_f)
 
 
 # ----------------------------------------------------------------------
@@ -427,16 +424,19 @@ def ball_volume(metric: WarpedMetric, center_theta: float, r: float) -> float:
 
 @dataclass(frozen=True)
 class GeometrySummary:
+    """The `summary` block of a report, fields in CSV order."""
     volume: float
     diameter_lower: float
     diameter_upper: float
     mass: float
     cheeger_surrogate: float
-    validation: ValidationReport
+    validation_ok: bool
 
 
 @dataclass(frozen=True)
 class MembershipReport:
+    """The `membership` block of a report, fields in CSV order."""
+    admitted: bool
     comparison_ok: bool
     volume_ok: bool
     diameter_ok: bool
@@ -444,18 +444,23 @@ class MembershipReport:
     cheeger_fails: bool  # surrogate < Lambda certifies genuine failure
     cheeger_provisional: bool
 
-    @property
-    def admitted(self) -> bool:
-        return (self.comparison_ok and self.volume_ok and self.diameter_ok
-                and self.mass_ok and not self.cheeger_fails)
 
+def summarize(metric: WarpedMetric, params: ClassParams
+              ) -> tuple[GeometrySummary, MembershipReport]:
+    """The geometry summary of the metric and its admissibility against
+    the class bounds (V, D, m_bar, Lambda).
 
-def summarize(metric: WarpedMetric) -> GeometrySummary:
-    """The geometry summary of the metric.  A summary quantity that is not
-    finite refuses the metric with a DegenerateMetricError: no verdict
-    can rest on it.  numpy's overflow and invalid-value warnings are
-    therefore silenced while the quantities are computed; the refusal
-    names the first one that is not finite."""
+    A summary quantity that is not finite refuses the metric with a
+    DegenerateMetricError: no verdict can rest on it.  numpy's overflow
+    and invalid-value warnings are therefore silenced while the
+    quantities are computed; the refusal names the first one that is not
+    finite.
+
+    The Cheeger condition can only be *refuted* here: the level-set
+    surrogate upper-bounds the true isoperimetric constant, so
+    surrogate < Lambda is a certificate of failure, while
+    surrogate >= Lambda leaves membership provisional.
+    """
     from .distance import diameter_bounds
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lo, hi = diameter_bounds(metric)
@@ -467,28 +472,14 @@ def summarize(metric: WarpedMetric) -> GeometrySummary:
             raise DegenerateMetricError(
                 f"summary {key} is {value}, not a finite number; the metric "
                 f"cannot be reported")
-    return GeometrySummary(**values, validation=validate(metric))
-
-
-def class_membership(summary: GeometrySummary,
-                     params: ClassParams) -> MembershipReport:
-    """Test the summarized metric's admissibility against (V, D, m_bar,
-    Lambda).
-
-    The Cheeger condition can only be *refuted* here: the level-set
-    surrogate upper-bounds the true isoperimetric constant, so
-    surrogate < Lambda is a certificate of failure, while
-    surrogate >= Lambda leaves membership provisional.
-    """
-    cheeger_fails = summary.cheeger_surrogate < params.cheeger_min
-    return MembershipReport(
-        comparison_ok=summary.validation.comparison_ok,
-        volume_ok=summary.volume <= params.volume_max,
-        diameter_ok=summary.diameter_upper <= params.diameter_max,
-        mass_ok=summary.mass <= params.mass_max,
-        cheeger_fails=cheeger_fails,
-        cheeger_provisional=not cheeger_fails,
-    )
+    checks = validate(metric)
+    cheeger_fails = values["cheeger_surrogate"] < params.cheeger_min
+    flags = (checks.comparison_ok, values["volume"] <= params.volume_max,
+             hi <= params.diameter_max, values["mass"] <= params.mass_max)
+    admitted = all(flags) and not cheeger_fails
+    return (GeometrySummary(**values, validation_ok=checks.ok),
+            MembershipReport(admitted, *flags, cheeger_fails,
+                             not cheeger_fails))
 
 
 def load_profile_table(path) -> WarpedMetric:

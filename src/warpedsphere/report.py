@@ -2,9 +2,9 @@
 
 One JSON document per run with schema
 {run_id, config_hash, seed, timestamp, config, checks: [...]} plus the
-command's blocks (summary, sequence, pointpick, ...), and CSV
-flattenings: the check table, the convergence table and key,value
-tables.
+command's blocks, the library's own records as they are (summary,
+membership, ledger, sequence, pointpick), and CSV flattenings: the
+check table, the convergence table and key,value tables.
 Identical configuration and seed yield byte-identical reports except for
 the timestamp field; file writes go through a temp file and rename.
 

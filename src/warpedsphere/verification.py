@@ -22,7 +22,7 @@ from .families import make
 from .functionals import (POLAR_RADII, Evaluation, good_set_volumes,
                           set_measure, sublevel_round_volume)
 from .grids import PI
-from .metrics import ClassParams, WarpedMetric, class_membership, summarize
+from .metrics import ClassParams, WarpedMetric, summarize
 from .potential import PotentialSolution
 
 #: quadrature-noise coefficient, calibrated on the round sphere by
@@ -311,10 +311,9 @@ def run_sequence(spec: SequenceSpec, params: ClassParams
     entries = []
     for i, fam_params in enumerate(spec.schedule, start=1):
         try:
-            s = summarize(make(spec.family, **fam_params))
-            member = class_membership(s, params)
+            s, member = summarize(make(spec.family, **fam_params), params)
             entries.append(SequenceEntry(
-                index=i, params=dict(fam_params), valid=s.validation.ok,
+                index=i, params=dict(fam_params), valid=s.validation_ok,
                 m=s.mass, volume=s.volume,
                 volume_gap=abs(s.volume - ROUND_VOLUME),
                 diameter_lower=s.diameter_lower,

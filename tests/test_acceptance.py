@@ -15,8 +15,7 @@ import pytest
 
 from warpedsphere import (ClassParams, Evaluation, RadialGrid, SequenceSpec,
                           bubble_sphere, bump_sphere,
-                          cheeger_levelset, class_membership,
-                          constant_ledger, point_pick,
+                          cheeger_levelset, constant_ledger, point_pick,
                           round_sphere, run_all_checks, run_sequence,
                           scalar_deficit, scaled_sphere,
                           solve_quadrature, summarize, tendril_sphere,
@@ -142,7 +141,8 @@ def test_criterion_5_spot_values():
         assert abs(cheeger - 4.0 / PI) <= 1e-4
 
         r = 0.1
-        pick = point_pick(metric, r)
+        summary, _ = summarize(metric, ClassParams(40.0, 10.0, 1.0, 1.0))
+        pick = point_pick(metric, r, summary)
         closed_form = 2.0 * (2.0 * PI * r - PI * np.sin(2.0 * r))
         assert abs(pick.sum_ball_volumes - closed_form) <= 1e-6
         assert pick.certificate_ok  # 1e12 * r^3 * 2 pi^2, trivially true
@@ -176,8 +176,7 @@ def test_criterion_7_bubble_membership_failure():
         cheegers, gaps, ms = [], [], []
         for a in range(1, 7):
             metric = bubble_sphere(float(a), 0.05)
-            s = summarize(metric)
-            member = class_membership(s, params)
+            s, member = summarize(metric, params)
             assert member.cheeger_fails, a
             assert not member.admitted, a
             cheegers.append(s.cheeger_surrogate)
@@ -196,10 +195,11 @@ def test_criterion_7_bubble_membership_failure():
 
 def test_criterion_8_tendril_insensitivity():
     with criterion(8, "tendril schedule: m -> 0, gap -> 0, diameter keeps"):
+        params = ClassParams(40.0, 10.0, 1.0, 1.0)
         ms, gaps = [], []
         for i in range(1, 11):
             metric = tendril_sphere(1.0, 2.0 ** -i)
-            s = summarize(metric)
+            s, _ = summarize(metric, params)
             assert s.diameter_lower >= PI + 0.5, i
             ms.append(s.mass)
             gaps.append(abs(s.volume - ROUND_VOLUME))

@@ -153,6 +153,12 @@ class TestInputContract:
         (["pointpick", "--family", "bump", "--param", "eta=1",
           "--param", "width=1e-300", "--param", "theta0=1"], None),
         (["pointpick", "--family", "bump", "--param", "eta=1e300"], None),
+        (["analyze", "--family", "bump", "--param", "eta=1",
+          "--param", "width=1e-150", "--param", "theta0=1"], None),
+        (["analyze", "--family", "bump", "--param", "eta=1",
+          "--param", "width=1e-4", "--param", "theta0=1.0001"], None),
+        (["analyze", "--family", "bubble", "--param", "area_radius=2",
+          "--param", "neck_theta=1e-160"], None),
         (["analyze", "--family", "bubble", "--param", "area_radius=2",
           "--param", "neck_theta=0.05", "--param", "band=1e-200"], None),
         (["analyze", "--family", "bubble", "--param", "area_radius=2",
@@ -194,6 +200,8 @@ class TestInputContract:
             "verify-bubble-neck-theta-1e-310",
             "pointpick-bubble-neck-theta-5e-324", "analyze-bump-width-1e-300",
             "pointpick-bump-width-1e-300", "pointpick-bump-eta-1e300",
+            "bump-support-without-node", "bump-support-between-nodes",
+            "bubble-support-without-node",
             "analyze-bubble-band-1e-200", "analyze-bubble-span-1e-300",
             "pointpick-bump-eta-1e150", "pointpick-bump-eta-1e300-radius",
             "ini-suites-sequence-family", "analyze-pointpick-radius-abc",
@@ -350,7 +358,7 @@ class TestInputContract:
                                                         monkeypatch, capsys):
         """An out-of-range radius is refused by name before any summary
         is paid for, also when the metric's summary would overflow."""
-        def no_summary(metric):
+        def no_summary(metric, params):
             raise AssertionError("summarized before the radius check")
 
         monkeypatch.setattr(cli, "summarize", no_summary)
@@ -560,6 +568,27 @@ class TestSubcommands:
                      "--radius", "0.1", "--output", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["pointpick"]["certificate_ok"] is True
+
+    @pytest.mark.parametrize("family", ["bump", "tendril", "bubble"])
+    def test_sequence_member_is_its_analyze(self, family, capsys):
+        """Each member of a `sequence` reports, bit for bit, what `analyze`
+        of the same family parameters reports, under the same bounds."""
+        assert main(["sequence", "--family", family, "--count", "3"]) == 0
+        entries = json.loads(capsys.readouterr().out)["sequence"]["entries"]
+        assert len(entries) == 3
+        for entry in entries:
+            params = [flag for key, value in entry["params"].items()
+                      for flag in ("--param", f"{key}={value!r}")]
+            assert main(["analyze", "--family", family, *params]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            summary, membership = doc["summary"], doc["membership"]
+            assert [entry[key] for key in (
+                "valid", "m", "volume", "diameter_lower", "diameter_upper",
+                "admitted", "comparison_ok", "cheeger_fails")] == [
+                summary["validation_ok"], summary["mass"], summary["volume"],
+                summary["diameter_lower"], summary["diameter_upper"],
+                membership["admitted"], membership["comparison_ok"],
+                membership["cheeger_fails"]]
 
     @pytest.mark.parametrize("argv,keys,cells", [
         (["analyze", "--family", "bubble", "--param", "area_radius=2",

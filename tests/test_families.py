@@ -522,6 +522,33 @@ class TestSupport:
         for label, a, b in zip(JET_LABELS, restricted, reference):
             assert np.array_equal(a, b), (name, order, label)
 
+    @pytest.mark.parametrize("build, constraint", [
+        (lambda: bump_sphere(1.0, theta0=1.0, width=1e-150), "width"),
+        (lambda: bump_sphere(1.0, theta0=1.0001, width=1e-4), "width"),
+        (lambda: bubble_sphere(2.0, 1e-160), "neck_theta")],
+        ids=["bump-width-1e-150", "bump-between-nodes", "bubble-neck-1e-160"])
+    def test_support_without_a_node_refused(self, build, constraint):
+        """A support that holds no node of the family's default grid would
+        leave the round sphere under the family's name: refused by the
+        parameter at fault, with no numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError,
+                               match="leaves no node of the grid") as info:
+                build()
+        assert info.value.constraint == constraint
+
+    def test_support_holding_one_node_is_built(self):
+        """The check reads the support as `_on_support` does, ends
+        included: a bump whose rounded support is one grid node is built,
+        and leaves the round sphere at that node."""
+        grid = RadialGrid.uniform(2001)
+        theta0 = float(grid.nodes[637])
+        metric = bump_sphere(1.0, theta0=theta0, width=1e-150, grid=grid)
+        assert theta0 - 1e-150 == theta0 + 1e-150 == theta0
+        bumped = np.flatnonzero(metric.phi != 1.0)
+        assert bumped.tolist() == [637]
+
     def test_support_nodes_leave_the_round_jet(self):
         """Within two floats inside each end a node is modulated: dphi is
         not 0 there, so the drop test above can see it."""

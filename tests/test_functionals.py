@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from warpedsphere import (ClassParams, constant_ledger, good_set_volumes,
                           point_pick, round_sphere, scalar_deficit,
-                          weighted_median)
+                          summarize, weighted_median)
 from warpedsphere import (cli, families, functionals, grids, metrics,
                           verification)
 from warpedsphere.errors import DomainError, ResidualGuardError
@@ -457,20 +457,26 @@ class TestGoodSets:
 
 
 class TestPointPick:
-    def test_round_closed_form(self, round_metric):
+    @pytest.fixture
+    def round_summary(self, round_metric):
+        return summarize(round_metric, ClassParams(40.0, 10.0, 1.0, 1.0))[0]
+
+    def test_round_closed_form(self, round_metric, round_summary):
         r = 0.1
-        res = point_pick(round_metric, r)
+        res = point_pick(round_metric, r, round_summary)
         expected = 2.0 * (2.0 * PI * r - PI * np.sin(2.0 * r))
         assert res.sum_ball_volumes == pytest.approx(expected, abs=1e-6)
         assert res.certificate_ok
+        assert res.radius == r
+        assert res.certificate_rhs == 1e12 * r**3 * round_summary.volume
 
-    def test_monotone_in_radius(self, round_metric):
-        sums = [point_pick(round_metric, r).sum_ball_volumes
+    def test_monotone_in_radius(self, round_metric, round_summary):
+        sums = [point_pick(round_metric, r, round_summary).sum_ball_volumes
                 for r in (0.05, 0.1, 0.2)]
         assert sums[0] < sums[1] < sums[2]
 
-    def test_radius_validated(self, round_metric):
+    def test_radius_validated(self, round_metric, round_summary):
         with pytest.raises(DomainError):
-            point_pick(round_metric, 0.0)
+            point_pick(round_metric, 0.0, round_summary)
         with pytest.raises(DomainError):
-            point_pick(round_metric, 0.6)
+            point_pick(round_metric, 0.6, round_summary)

@@ -9,8 +9,7 @@ import pytest
 
 from warpedsphere import (ClassParams, RadialGrid, WarpedMetric,
                           ball_volume, bubble_sphere, bump_sphere,
-                          cheeger_levelset, class_membership,
-                          load_profile_table, round_sphere,
+                          cheeger_levelset, load_profile_table, round_sphere,
                           scalar_curvature, scalar_deficit, scaled_sphere,
                           summarize, validate, volume)
 from warpedsphere.errors import DegenerateMetricError, StructuralError
@@ -19,6 +18,9 @@ from warpedsphere.grids import PI, refine_nodes
 from conftest import REFERENCE_BUILDERS, write_profile_table
 
 ROUND_VOLUME = 2.0 * PI**2
+
+#: the default class bounds (V, D, m_bar, Lambda)
+CLASS_PARAMS = ClassParams(40.0, 10.0, 1.0, 1.0)
 
 
 def _symbolic_scalar_curvature(phi_expr, f_expr, theta_sym):
@@ -332,8 +334,8 @@ class TestAnalyticAgainstTable:
                 getattr(RadialGrid, spacing)(n))
             path = tmp_path / f"{family}-{n}.txt"
             write_profile_table(metric, path)
-            exact, table = summarize(metric), summarize(
-                load_profile_table(path))
+            exact, _ = summarize(metric, CLASS_PARAMS)
+            table, _ = summarize(load_profile_table(path), CLASS_PARAMS)
             assert table.cheeger_surrogate == exact.cheeger_surrogate
             drifts.append([abs(getattr(table, k) / getattr(exact, k) - 1.0)
                            for k in self.FIELDS])
@@ -344,31 +346,28 @@ class TestAnalyticAgainstTable:
 
 class TestMembership:
     def test_round_admitted(self):
-        rep = class_membership(summarize(round_sphere()),
-                               ClassParams(40.0, 10.0, 1.0, 1.0))
+        _, rep = summarize(round_sphere(), CLASS_PARAMS)
         assert rep.admitted
         assert rep.comparison_ok
         assert not rep.cheeger_fails
 
     def test_mass_cap_enforced(self):
-        rep = class_membership(summarize(bump_sphere(1.0)),
-                               ClassParams(40.0, 10.0, 0.1, 1.0))
+        _, rep = summarize(bump_sphere(1.0), ClassParams(40.0, 10.0, 0.1, 1.0))
         assert not rep.mass_ok
         assert not rep.admitted
 
     def test_bubble_fails_cheeger(self):
-        rep = class_membership(summarize(bubble_sphere(2.0, 0.05)),
-                               ClassParams(40.0, 10.0, 1e6, 1.0))
+        _, rep = summarize(bubble_sphere(2.0, 0.05),
+                           ClassParams(40.0, 10.0, 1e6, 1.0))
         assert rep.cheeger_fails
         assert not rep.admitted
 
     def test_admitted_is_the_conjunction_of_flags(self, reference_metrics):
-        params = ClassParams(40.0, 10.0, 1.0, 1.0)
         metrics = list(reference_metrics.values()) + [
             bubble_sphere(2.0, 0.05), scaled_sphere(2.65)]
         verdicts = []
         for metric in metrics:
-            rep = class_membership(summarize(metric), params)
+            _, rep = summarize(metric, CLASS_PARAMS)
             assert rep.admitted == (rep.comparison_ok and rep.volume_ok
                                     and rep.diameter_ok and rep.mass_ok
                                     and not rep.cheeger_fails)
@@ -377,7 +376,7 @@ class TestMembership:
 
     def test_summary_fields_finite(self, reference_metrics):
         for metric in reference_metrics.values():
-            s = summarize(metric)
+            s, _ = summarize(metric, CLASS_PARAMS)
             assert np.isfinite(s.volume) and s.volume > 0
             assert s.diameter_upper >= s.diameter_lower > 0
             assert np.isfinite(s.mass) and s.mass >= 0

@@ -235,7 +235,7 @@ class TestSequences:
     def test_programming_error_propagates(self, monkeypatch):
         """Only the package's own errors become `error` rows: a fault of
         the program, such as a TypeError, ends the sequence."""
-        def broken(metric):
+        def broken(metric, params):
             raise TypeError("summarize got a bad argument")
 
         monkeypatch.setattr(verification, "summarize", broken)
