@@ -114,15 +114,12 @@ def _ratio_on(pot: PotentialSolution) -> np.ndarray:
          - 2.0 * df_i / f_i)
     cum = cumulative(q, fine[inner])      # zero at fine[1]
     logr = np.empty(fine.size)
-    logr[0], logr[-1] = logr_nodes[0], logr_nodes[-1]
-    j = np.arange(1, fine.size - 1)
-    cell = j // k
-    interior = (cell >= 1) & (cell <= n - 3)
-    ji = j[interior]
-    ci = cell[interior]
-    logr[ji] = logr_nodes[ci] + cum[ji - 1] - cum[ci * k - 1]
-    jb = j[~interior]
-    logr[jb] = np.interp(fine[jb], t, logr_nodes)
+    for pole_cell in (slice(None, k), slice((n - 2) * k, None)):
+        logr[pole_cell] = np.interp(fine[pole_cell], t, logr_nodes)
+    # row c - 1 is cum on interior cell c, from its left node on
+    block = cum[k - 1:(n - 2) * k - 1].reshape(n - 3, k)
+    logr[k:(n - 2) * k] = (logr_nodes[1:-2, None] + block
+                           - block[:, :1]).ravel()
     return np.exp(logr)
 
 
@@ -133,7 +130,6 @@ class _PolarGrids:
     nodes: np.ndarray
     sin: np.ndarray         # sin of the nodes
     cos: np.ndarray         # cos of the nodes
-    sin_safe: np.ndarray    # sin of the nodes, 1.0 where sin <= 1e-9
     poles: np.ndarray       # indices of the nodes where sin <= 1e-9
     pieces: tuple           # (slice of nodes, its Simpson rule) per grid
 
@@ -148,11 +144,9 @@ def _polar_grids() -> _PolarGrids:
     sin = np.concatenate([np.sin(s) for s in grids])
     cos = np.concatenate([np.cos(s) for s in grids])
     poles = np.flatnonzero(~(sin > 1e-9))
-    sin_safe = sin.copy()
-    sin_safe[poles] = 1.0
     pieces = tuple((slice(i * POLAR_SUBGRID_N, (i + 1) * POLAR_SUBGRID_N),
                     simpson_rule(s)) for i, s in enumerate(grids))
-    return _PolarGrids(nodes, sin, cos, sin_safe, poles, pieces)
+    return _PolarGrids(nodes, sin, cos, poles, pieces)
 
 
 def weighted_median(values: np.ndarray, weights: np.ndarray) -> float:
@@ -322,7 +316,8 @@ class Evaluation:
         grids, metric = _polar_grids(), self.metric
         s, poles = grids.nodes, grids.poles
         phi, f = metric.jet(s, 0, sin=grids.sin)
-        fos = f / grids.sin_safe
+        fos = np.divide(f, grids.sin, out=np.empty_like(f),
+                        where=grids.sin > 1e-9)
         fos[poles] = metric.jet(s[poles], sin=grids.sin[poles],
                                 cos=grids.cos[poles])[3]
         fos = np.abs(fos)

@@ -98,21 +98,16 @@ class NodeSet:
     def fos(self) -> np.ndarray:
         """f / sin, with the pole limit f'(pole) = phi(pole) filled in."""
         s, f, df = self.sin, self.jet[1], self.jet[3]
-        out = np.empty_like(s)
-        safe = s > 1e-9
-        out[safe] = f[safe] / s[safe]
-        out[~safe] = df[~safe]
-        return np.abs(out)
+        return np.abs(np.divide(f, s, out=df.copy(), where=s > 1e-9))
 
     @cached_property
     def sf(self) -> np.ndarray:
         """sin * f'/f, finite at the poles (limit cos * phi/phi = +-1)."""
         s, f, df, fos = self.sin, self.jet[1], self.jet[3], self.fos
-        sgn = np.where(self.t <= PI / 2, 1.0, -1.0)
-        out = np.empty_like(s)
-        safe = np.abs(f) > 1e-12
-        out[safe] = s[safe] * df[safe] / f[safe]
-        out[~safe] = sgn[~safe] * np.abs(df[~safe]) / fos[~safe]
+        poles = ~(np.abs(f) > 1e-12)
+        out = np.divide(s * df, f, out=np.empty_like(s), where=~poles)
+        sgn = np.where(self.t[poles] <= PI / 2, 1.0, -1.0)
+        out[poles] = sgn * np.abs(df[poles]) / fos[poles]
         return out
 
 
@@ -333,7 +328,7 @@ def validate(metric: WarpedMetric) -> ValidationReport:
     defect = max(d0, d1)
     m_phi = float(np.min(metric.phi - 1.0))
     m_f = float(np.min(metric.f - metric.on_grid.sin))
-    closure = defect <= CLOSURE_TOL
+    closure = bool(defect <= CLOSURE_TOL)
     comparison = m_phi >= -COMPARISON_TOL and m_f >= -COMPARISON_TOL
     return ValidationReport(closure, comparison, defect, m_phi, m_f)
 

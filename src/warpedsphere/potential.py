@@ -70,11 +70,7 @@ class PotentialSolution:
 def _regular_cot_term(phi, dphi, p_side, s, c):
     """(phi - p) cot(theta) from the sines s and cosines c of the nodes,
     with the pole limits phi'(pole) filled in."""
-    out = np.empty_like(s)
-    safe = s > 1e-9
-    out[safe] = (phi[safe] - p_side[safe]) * c[safe] / s[safe]
-    out[~safe] = dphi[~safe]
-    return out
+    return np.divide((phi - p_side) * c, s, out=dphi.copy(), where=s > 1e-9)
 
 
 def log_ratio_parts(metric: WarpedMetric):
@@ -145,30 +141,20 @@ def _derivative_high_order(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """High-order first derivative on an arbitrary strictly increasing grid.
 
     Node i uses the STENCIL nodes centred on it (shifted inward at the
-    ends).  Its finite-difference weights come from Fornberg's recursion
-    (Fornberg 1988, Math. Comp. 51) for derivative orders 0 and 1, run
-    for every node at once: each scalar step of the recursion is one
-    array operation over the nodes, and no linear system is solved.
-    c1 to c5 keep the names of the paper's algorithm.
+    ends) and takes the derivative at x_i of their interpolant in Newton
+    form, sum_k y[x_0..x_k] prod_{m<k} (x - x_m).  Each level of divided
+    differences is one array expression over all consecutive windows of
+    the grid; the running node product and its derivative at x_i
+    accumulate the sum, so no weights are formed and no system is solved.
     """
-    n = x.size
-    first = np.clip(np.arange(n) - STENCIL // 2, 0, n - STENCIL)
-    xs = [x[first + m] for m in range(STENCIL)]
-    w0 = [np.ones(n)] + [None] * (STENCIL - 1)    # interpolation weights
-    w1 = [np.zeros(n)] + [None] * (STENCIL - 1)   # first-derivative weights
-    c1, c4 = 1.0, xs[0] - x
-    for i in range(1, STENCIL):
-        c2, c5, c4 = 1.0, c4, xs[i] - x
-        for j in range(i):
-            c3 = xs[i] - xs[j]
-            c2 = c2 * c3
-            if j == i - 1:
-                w1[i] = c1 * (w0[i - 1] - c5 * w1[i - 1]) / c2
-                w0[i] = -c1 * c5 * w0[i - 1] / c2
-            w1[j] = (c4 * w1[j] - w0[j]) / c3
-            w0[j] = c4 * w0[j] / c3
-        c1 = c2
-    return sum(w * y[first + m] for m, w in enumerate(w1))
+    first = np.clip(np.arange(x.size) - STENCIL // 2, 0, x.size - STENCIL)
+    dd, prod, dprod, out = y, 1.0, 0.0, 0.0
+    for k in range(1, STENCIL):
+        dd = (dd[1:] - dd[:-1]) / (x[k:] - x[:-k])
+        gap = x - x[first + k - 1]
+        prod, dprod = prod * gap, dprod * gap + prod
+        out = out + dd[first] * dprod
+    return out
 
 
 @dataclass(frozen=True)

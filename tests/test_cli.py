@@ -334,6 +334,15 @@ class TestInputContract:
         assert capsys.readouterr().err == (
             "error: f must vanish at both poles\n")
 
+    @pytest.mark.xfail(strict=True, reason="sin^(3c-3) underflows in the "
+                       "solve and the flux guard refuses the zeros "
+                       "(ROADMAP item 11)")
+    def test_verify_scaled_at_large_radius(self, capsys):
+        """The round sphere of radius 120 has an exact potential, so
+        verify must reach a verdict on it, not exit 3."""
+        assert main(["verify", "--family", "scaled",
+                     "--param", "c=120"]) in (0, 1)
+
     def test_output_error_names_the_requested_path(self, tmp_path, capsys):
         """A report that cannot be written exits 2 with one line naming the
         requested path, never the randomly named temp file, and leaves no
@@ -619,6 +628,21 @@ class TestSubcommands:
         for value in table.values():
             assert value in ("true", "false") or \
                 value == format(float(value), ".17g")
+
+    def test_failed_pole_closure_is_a_lower_case_bool(self, tmp_path, capsys):
+        """phi = 2 with f = sin misses the closure f'(pole) = phi(pole), so
+        validation fails, and its CSV cell is written like every other
+        bool."""
+        t = np.linspace(0.0, np.pi, 1001)
+        path = tmp_path / "profile.txt"
+        np.savetxt(path, np.column_stack([t, np.full_like(t, 2.0),
+                                          np.sin(t)]), fmt="%.17e")
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[metric]\nprofile = {path}\n")
+        assert main(["analyze", str(cfg), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "summary.validation_ok,false" in lines
+        assert "membership.admitted,false" in lines
 
     def test_families_lists_all(self, capsys):
         assert main(["families"]) == 0

@@ -15,7 +15,7 @@ import pytest
 
 from warpedsphere import (RadialGrid, flux_residual, load_profile_table,
                           solve_quadrature)
-from warpedsphere import verification
+from warpedsphere import potential, verification
 from warpedsphere.functionals import (POLAR_RADII, Evaluation, _Fields,
                                       _polar_grids, set_measure,
                                       weighted_median)
@@ -357,6 +357,40 @@ def _reader_slices(metric):
     out.append((fine, slice(1, -1)))                       # _ratio_on
     out.append((fine, np.sin(fine) > 1e-9))                # cot term
     return out
+
+
+#: the five families on uniform and graded grids of three sizes, and
+#: tendril on its own grid
+QUOTIENT_CASES = tuple(f"{name}-{kind}-{n}" for name in REFERENCE_NAMES
+                       for kind in ("uniform", "graded")
+                       for n in (1001, 2001, 4001)) + ("tendril-enriched",)
+
+
+class TestPoleQuotients:
+    """f/sin, sin f'/f and the regular cot term divide with one masked
+    divide and fill the pole nodes with their limits; the gather/scatter
+    oracles above write the same bytes, pole nodes included."""
+
+    @pytest.mark.parametrize("case", QUOTIENT_CASES)
+    def test_masked_divide_equals_gather_scatter(self, case):
+        name, kind, *n = case.split("-")
+        metric = REFERENCE_BUILDERS[name](
+            getattr(RadialGrid, kind)(int(n[0])) if n else None)
+        p0, ppi = metric.phi[0], metric.phi[-1]
+        for ns in (metric.on_grid, metric.on_fine):
+            t, (phi, f, dphi, df, _, _) = ns.t, ns.jet
+            # both masks hold the poles, so their limits are compared too
+            assert np.all(np.sin(t[[0, -1]]) <= 1e-9)
+            assert np.all(np.abs(f[[0, -1]]) <= 1e-12)
+            fos = _f_over_sin(t, f, df)
+            assert ns.fos.tobytes() == fos.tobytes()
+            assert ns.sf.tobytes() == \
+                _sin_fprime_over_f(t, f, df, fos).tobytes()
+            p_side = np.where(t < PI / 2, p0, ppi)
+            got = potential._regular_cot_term(phi, dphi, p_side, ns.sin,
+                                              ns.cos)
+            assert got.tobytes() == \
+                _regular_cot_term(phi, dphi, p_side, t).tobytes()
 
 
 class TestPolarBatch:

@@ -6,6 +6,8 @@ import time
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpedsphere import (RadialGrid, flux_residual, pde_residual,
                           round_sphere, solve_quadrature, tendril_sphere)
@@ -252,16 +254,18 @@ def _derivative_by_recursion(y, x, stencil=9):
 
 
 class TestHighOrderDerivative:
-    """The array-wide recursion against Fornberg's recursion node by node.
+    """The Newton form against Fornberg's recursion node by node.
 
-    Both evaluate sum_m w_m y_m with weights that carry rounding errors,
-    so at each node they can differ by a few eps sum_m |w_m| max|y|.  The
-    tolerance is 16 times that.  Per unit of max|y| it is 1e-10 on
-    uniform grids (9e-11 at n = 1001 to 4e-10 at n = 4001, at the
-    one-sided stencils of the ends), and larger only where a stencil is
-    ill-conditioned: the closely spaced nodes of a graded grid at the
-    poles, and the enriched tendril grid, which has neighbouring gaps of
-    2e-7 and 4e-4.
+    Both give the derivative of the same nine-node interpolant: the
+    oracle as sum_m w_m y_m, the Newton form from divided differences.
+    Each carries rounding errors of a few eps sum_m |w_m| max|y| per
+    node, so the tolerance is 16 times that.  Per unit of max|y| it is
+    1e-10 on uniform grids (9e-11 at n = 1001 to 4e-10 at n = 4001, at
+    the one-sided stencils of the ends), and larger only where a stencil
+    is ill-conditioned: the closely spaced nodes of a graded grid at the
+    poles, the enriched tendril grid, which has neighbouring gaps of
+    2e-7 and 4e-4, and the random grids, whose neighbouring gaps differ
+    by up to a factor 1e4.
     """
 
     GRIDS = {
@@ -272,9 +276,8 @@ class TestHighOrderDerivative:
         "tendril-enriched": lambda: tendril_sphere(2.0, 0.1, 0.3).theta,
     }
 
-    @pytest.mark.parametrize("grid", list(GRIDS))
-    def test_matches_recursion_on_smooth_data(self, grid):
-        x = self.GRIDS[grid]()
+    @staticmethod
+    def _assert_matches_recursion(x):
         stencils = _recursion_stencils(x)
         size = np.array([np.abs(w).sum() for _, w in stencils])
         for y in (np.sin(3.0 * x), np.exp(x) * np.cos(x)):
@@ -282,6 +285,18 @@ class TestHighOrderDerivative:
             slow = np.array([w @ y[sl] for sl, w in stencils])
             tol = 16.0 * np.finfo(float).eps * size * np.max(np.abs(y))
             assert np.all(np.abs(fast - slow) <= tol)
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_matches_recursion_on_smooth_data(self, grid):
+        self._assert_matches_recursion(self.GRIDS[grid]())
+
+    @given(st.lists(st.floats(0.0, 4.0), min_size=32, max_size=399))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_matches_recursion_on_random_grids(self, log_gaps):
+        # 33 to 400 nodes on [0, pi]; neighbouring gaps differ by up
+        # to a factor 1e4
+        x = np.concatenate([[0.0], np.cumsum(10.0 ** np.array(log_gaps))])
+        self._assert_matches_recursion(x * (PI / x[-1]))
 
     @pytest.mark.parametrize("grid", ["uniform-1001", "uniform-4001",
                                       "graded-2001", "tendril-enriched"])
