@@ -217,17 +217,30 @@ def bump_sphere(eta: float, theta0: float = PI / 2, width: float = 0.6,
                                       "bump", params)
 
 
-def _gcorr(t):
-    """sin(t) cos(t)^2: the weight whose reciprocal decay is scalar-flat."""
-    return np.sin(t) * np.cos(t) ** 2
+def _ramp(a, b, falling):
+    """The quintic ramp from 0 at a up to 1 at b, or from 1 down to 0 if
+    `falling`, as a piece of `_tendril_shape`."""
+    w, sign = b - a, -1.0 if falling else 1.0
+
+    def piece(t, order):
+        S = _smootherstep((t - a) / w, order)
+        if not order:
+            return (1.0 - S if falling else S),
+        S, S1, S2 = S
+        return 1.0 - S if falling else S, sign * S1 / w, sign * S2 / w**2
+
+    return piece
 
 
-def _gcorr_d1(t):
-    return np.cos(t) ** 3 - 2.0 * np.sin(t) ** 2 * np.cos(t)
-
-
-def _gcorr_d2(t):
-    return np.sin(t) * (2.0 * np.sin(t) ** 2 - 7.0 * np.cos(t) ** 2)
+def _decay_jet(t, order=2):
+    """g = sin cos^2, the weight whose reciprocal decay is scalar-flat,
+    from one sine and cosine of t; with order 2 also k = g'/g and k'."""
+    sn, cs = np.sin(t), np.cos(t)
+    g = sn * cs**2
+    if not order:
+        return g,
+    k = (cs**3 - 2.0 * sn**2 * cs) / g
+    return g, k, sn * (2.0 * sn**2 - 7.0 * cs**2) / g - k**2
 
 
 def _tendril_shape(breaks, thin=True):
@@ -235,116 +248,78 @@ def _tendril_shape(breaks, thin=True):
     derivatives; c = c_max * shape with phi = (1 - c)^(-1/2).
     `shape(t, order=0)` gives the profile alone, by the same arithmetic.
 
-    In thin mode the regions between the breakpoints b0..b5 are: quintic
-    rise, flat plateau, a quintic blend in the exponent onto the exact
-    1 / (sin cos^2) decay (scalar-flat), the exact decay itself, and a
-    quintic taper back to zero.  Within (0, CORRIDOR_STAR) only the
+    The shape is one table of rows (lo, hi, piece) over the breakpoints
+    b0..b5: a quintic rise on [b0, b1), a plateau of 1 on [b1, b2), then
+    in thin mode a quintic blend in the exponent onto the exact
+    1 / (sin cos^2) decay (scalar-flat) on [b2, b3), the exact decay
+    itself on [b3, b4) and a quintic taper back to zero, the decay times
+    a falling ramp, on [b4, b5).  Within (0, CORRIDOR_STAR) only the
     taper creates a curvature deficit; it is proportional to the decayed
     profile there.  Thick profiles release with a single quintic fall
-    over [b2, b5] instead.
+    over [b2, b5) instead.  `piece(t, order)` gives (s,) or (s, ds, d2s)
+    on the nodes of its row; the shape is 0 outside [b0, b5).
     """
     b0, b1, b2, b3, b4, b5 = breaks
-
-    def pieces(t, order=2):
-        t = np.asarray(t, dtype=float)
-        s = np.zeros_like(t)
-        if order:
-            ds = np.zeros_like(t)
-            d2s = np.zeros_like(t)
-
-        # quintic rise on [b0, b1]
-        m = (t >= b0) & (t < b1)
-        if np.any(m):
-            x = (t[m] - b0) / (b1 - b0)
-            if not order:
-                s[m] = _smootherstep(x, 0)
-            else:
-                S, S1, S2 = _smootherstep(x)
-                s[m] = S
-                ds[m] = S1 / (b1 - b0)
-                d2s[m] = S2 / (b1 - b0) ** 2
-
-        # plateau on [b1, b2]
-        m = (t >= b1) & (t < b2)
-        s[m] = 1.0
-
-        if not thin:
-            m = (t >= b2) & (t < b5)
-            if np.any(m):
-                x = (t[m] - b2) / (b5 - b2)
-                if not order:
-                    s[m] = 1.0 - _smootherstep(x, 0)
-                else:
-                    S, S1, S2 = _smootherstep(x)
-                    s[m] = 1.0 - S
-                    ds[m] = -S1 / (b5 - b2)
-                    d2s[m] = -S2 / (b5 - b2) ** 2
-            return (s, ds, d2s) if order else s
-
-        # log-slope blend on [b2, b3]: (ln s)' ramps from 0 down to the
-        # scalar-flat slope -k(b3); since k decreases with theta, the
-        # slope stays above -k(theta) pointwise, so no deficit appears
+    rows = [(b0, b1, _ramp(b0, b1, False)),
+            (b1, b2, lambda t, order: (1.0, 0.0, 0.0))]
+    if not thin:
+        rows.append((b2, b5, _ramp(b2, b5, True)))
+    else:
         delta = b3 - b2
-        g3 = _gcorr(b3)
-        k3 = _gcorr_d1(b3) / g3
-        dk3 = _gcorr_d2(b3) / g3 - k3**2
-        m = (t >= b2) & (t < b3)
-        if np.any(m):
-            x = (t[m] - b2) / delta
+        # a width too narrow to resolve overflows here, as the shape
+        # itself does where `_tendril_normalize` refuses it by name
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            g3, k3, dk3 = _decay_jet(b3)
+            # ln of the blend value at b3, where the exact branch takes over
+            s_mid = np.exp(-0.5 * k3 * delta + 0.05 * dk3 * delta**2)
+        fall = _ramp(b4, b5, True)
+
+        def blend(t, order):
+            # (ln s)' ramps from 0 down to the scalar-flat slope -k(b3);
+            # since k decreases with theta, the slope stays above
+            # -k(theta) pointwise, so no deficit appears
+            x = (t - b2) / delta
             intS = 2.5 * x**4 - 3.0 * x**5 + x**6
             int_rho = x**5 / 5.0 - x**4 / 4.0
-            h = -k3 * delta * intS - dk3 * delta**2 * int_rho
-            s[m] = np.exp(h)
-            if order:
-                S, S1, _ = _smootherstep(x)
-                rho = x**3 * (x - 1.0)
-                rho1 = 4.0 * x**3 - 3.0 * x**2
-                h1 = -k3 * S - dk3 * delta * rho
-                h2 = -k3 * S1 / delta - dk3 * rho1
-                ds[m] = s[m] * h1
-                d2s[m] = s[m] * (h2 + h1**2)
-
-        # ln of the blend value at b3, where the exact branch takes over
-        h_mid = -0.5 * k3 * delta + 0.05 * dk3 * delta**2
-        s_mid = np.exp(h_mid)
-
-        # exact scalar-flat decay on [b3, b4]
-        m = (t >= b3) & (t < b4)
-        if np.any(m):
-            tm = t[m]
-            g = _gcorr(tm)
-            s[m] = s_mid * g3 / g
-            if order:
-                k = _gcorr_d1(tm) / g
-                dk = _gcorr_d2(tm) / g - k**2
-                ds[m] = -s[m] * k
-                d2s[m] = s[m] * (k**2 - dk)
-
-        # quintic taper on [b4, b5]
-        m = (t >= b4) & (t < b5)
-        if np.any(m):
-            tm = t[m]
-            x = (tm - b4) / (b5 - b4)
-            g = _gcorr(tm)
-            base = s_mid * g3 / g
+            s = np.exp(-k3 * delta * intS - dk3 * delta**2 * int_rho)
             if not order:
-                s[m] = base * (1.0 - _smootherstep(x, 0))
-            else:
-                dx = 1.0 / (b5 - b4)
-                k = _gcorr_d1(tm) / g
-                dk = _gcorr_d2(tm) / g - k**2
-                base1 = -base * k
-                base2 = base * (k**2 - dk)
-                S, S1, S2 = _smootherstep(x)
-                T = 1.0 - S
-                T1 = -S1 * dx
-                T2 = -S2 * dx**2
-                s[m] = base * T
-                ds[m] = base1 * T + base * T1
-                d2s[m] = base2 * T + 2.0 * base1 * T1 + base * T2
-        return (s, ds, d2s) if order else s
+                return s,
+            S, S1, _ = _smootherstep(x)
+            rho = x**3 * (x - 1.0)
+            h1 = -k3 * S - dk3 * delta * rho
+            h2 = -k3 * S1 / delta - dk3 * (4.0 * x**3 - 3.0 * x**2)
+            return s, s * h1, s * (h2 + h1**2)
 
-    return pieces
+        def decay(t, order):
+            jet = _decay_jet(t, order)
+            s = s_mid * g3 / jet[0]
+            if not order:
+                return s,
+            _, k, dk = jet
+            return s, -s * k, s * (k**2 - dk)
+
+        def taper(t, order):
+            (a, *da), (r, *dr) = decay(t, order), fall(t, order)
+            if not order:
+                return a * r,
+            (a1, a2), (r1, r2) = da, dr
+            return a * r, a1 * r + a * r1, a2 * r + 2.0 * a1 * r1 + a * r2
+
+        rows += [(b2, b3, blend), (b3, b4, decay), (b4, b5, taper)]
+
+    def shape(t, order=2):
+        t = np.asarray(t, dtype=float)
+        out = [np.zeros_like(t) for _ in range(3 if order else 1)]
+        for lo, hi, piece in rows:
+            m = (t >= lo) & (t < hi)
+            if m.any():
+                # a constant piece gives all three entries at any order;
+                # zip writes those the order asks for
+                for y, p in zip(out, piece(t[m], order)):
+                    y[m] = p
+        return tuple(out) if order else out[0]
+
+    return shape
 
 
 #: a squash profile whose tail stays below this colatitude can use the

@@ -22,6 +22,11 @@ and cosines.  A metric's node sets (`metrics.NodeSet`) read them from
 their grid; `integrate` and `cumulative` build a rule for one use, for
 node sets that occur once (band slices, ball sub-grids).
 
+`_derivative_high_order` is the STENCIL-node first derivative on any
+strictly increasing nodes: the potential's residual self-check
+differentiates the flux with it, and a sampled table takes f' at its
+poles from it.
+
 The families' default grids are built once per process (`default_grid`)
 and shared, read-only, by every metric built on them, so the node-only
 work of a sequence of metrics on one default grid is done once.
@@ -268,3 +273,27 @@ def node_weights(x: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
     return w
+
+
+#: nodes per finite-difference stencil of `_derivative_high_order`
+STENCIL = 9
+
+
+def _derivative_high_order(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """High-order first derivative on an arbitrary strictly increasing grid.
+
+    Node i uses the STENCIL nodes centred on it (shifted inward at the
+    ends) and takes the derivative at x_i of their interpolant in Newton
+    form, sum_k y[x_0..x_k] prod_{m<k} (x - x_m).  Each level of divided
+    differences is one array expression over all consecutive windows of
+    the grid; the running node product and its derivative at x_i
+    accumulate the sum, so no weights are formed and no system is solved.
+    """
+    first = np.clip(np.arange(x.size) - STENCIL // 2, 0, x.size - STENCIL)
+    dd, prod, dprod, out = y, 1.0, 0.0, 0.0
+    for k in range(1, STENCIL):
+        dd = (dd[1:] - dd[:-1]) / (x[k:] - x[:-k])
+        gap = x - x[first + k - 1]
+        prod, dprod = prod * gap, dprod * gap + prod
+        out = out + dd[first] * dprod
+    return out

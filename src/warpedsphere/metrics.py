@@ -27,7 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMetricError, StructuralError
-from .grids import PI, RadialGrid, integrate
+from .grids import (PI, STENCIL, RadialGrid, _derivative_high_order,
+                    integrate)
 
 #: slop admitted in the pointwise comparison checks (phi >= 1, f >= sin)
 COMPARISON_TOL = 1e-12
@@ -116,14 +117,21 @@ def _table_profiles(theta: np.ndarray, phi: np.ndarray,
     """The profile jet of samples (phi, f) on the nodes theta: the samples
     and their finite-difference derivatives, the latter computed on the
     first order-2 read, interpolated linearly, which is exact at the
-    nodes."""
+    nodes.
+
+    f' at the two poles, which pole closure compares with phi there, is
+    that of the STENCIL-node interpolant: `np.gradient`'s one-sided error
+    would exceed CLOSURE_TOL on the round sphere itself.  The second
+    derivatives are `np.gradient`'s of its own first derivatives."""
 
     @cache
     def derivatives() -> tuple:
         dphi = np.gradient(phi, theta, edge_order=2)
         df = np.gradient(f, theta, edge_order=2)
-        return (dphi, df, np.gradient(dphi, theta, edge_order=2),
-                np.gradient(df, theta, edge_order=2))
+        d2f = np.gradient(df, theta, edge_order=2)
+        df[0] = _derivative_high_order(f[:STENCIL], theta[:STENCIL])[0]
+        df[-1] = _derivative_high_order(f[-STENCIL:], theta[-STENCIL:])[-1]
+        return dphi, df, np.gradient(dphi, theta, edge_order=2), d2f
 
     def profiles(t, sin, cos, order=2):
         samples = (phi, f) + (derivatives() if order else ())

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import SolverError
-from .grids import ANALYTIC_REFINE, PI, cumulative, integrate
+from .grids import (ANALYTIC_REFINE, PI, _derivative_high_order,
+                    cumulative, integrate)
 from .metrics import WarpedMetric
 
 #: snap tolerance for recognizing phi(pole) == 1 exactly
@@ -43,9 +44,6 @@ RESIDUAL_BAND = 0.1
 
 #: largest PDE residual sup a solved potential may self-report
 RESIDUAL_TOL = 1e-4
-
-#: nodes per finite-difference stencil of the residual self-check
-STENCIL = 9
 
 
 @dataclass(frozen=True)
@@ -136,26 +134,6 @@ def solve_quadrature(metric: WarpedMetric) -> PotentialSolution:
 # ----------------------------------------------------------------------
 # residual
 # ----------------------------------------------------------------------
-
-def _derivative_high_order(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """High-order first derivative on an arbitrary strictly increasing grid.
-
-    Node i uses the STENCIL nodes centred on it (shifted inward at the
-    ends) and takes the derivative at x_i of their interpolant in Newton
-    form, sum_k y[x_0..x_k] prod_{m<k} (x - x_m).  Each level of divided
-    differences is one array expression over all consecutive windows of
-    the grid; the running node product and its derivative at x_i
-    accumulate the sum, so no weights are formed and no system is solved.
-    """
-    first = np.clip(np.arange(x.size) - STENCIL // 2, 0, x.size - STENCIL)
-    dd, prod, dprod, out = y, 1.0, 0.0, 0.0
-    for k in range(1, STENCIL):
-        dd = (dd[1:] - dd[:-1]) / (x[k:] - x[:-k])
-        gap = x - x[first + k - 1]
-        prod, dprod = prod * gap, dprod * gap + prod
-        out = out + dd[first] * dprod
-    return out
-
 
 @dataclass(frozen=True)
 class ResidualReport:

@@ -644,6 +644,23 @@ class TestSubcommands:
         assert "summary.validation_ok,false" in lines
         assert "membership.admitted,false" in lines
 
+    @pytest.mark.parametrize("n", [1001, 2001, 4001])
+    @pytest.mark.parametrize("phi, closes", [(1.0, True), (2.0, False)])
+    def test_sampled_table_validation(self, n, phi, closes, tmp_path,
+                                      capsys):
+        """The round sphere sampled on a uniform grid passes validation,
+        and phi = 2 with f = sin fails it, at every table size."""
+        t = np.linspace(0.0, np.pi, n)
+        path = tmp_path / "profile.txt"
+        np.savetxt(path, np.column_stack([t, np.full_like(t, phi),
+                                          np.sin(t)]), fmt="%.17e")
+        cfg = tmp_path / "scenario.ini"
+        cfg.write_text(f"[metric]\nprofile = {path}\n")
+        assert main(["analyze", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["summary"]["validation_ok"] is closes
+        assert report["membership"]["admitted"] is closes
+
     def test_families_lists_all(self, capsys):
         assert main(["families"]) == 0
         text = capsys.readouterr().out

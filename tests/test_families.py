@@ -16,9 +16,8 @@ from warpedsphere.distance import meridian_arclength
 from warpedsphere.errors import (ConstructionError, DegenerateMetricError,
                                  DomainError)
 from warpedsphere.families import BUMP_PEAK, FAMILIES, FAMILY_CATALOG
-from warpedsphere.grids import PI, simpson_rule
-from warpedsphere.metrics import JET_LABELS, NodeSet
-from warpedsphere.potential import _derivative_high_order
+from warpedsphere.grids import PI, _derivative_high_order, simpson_rule
+from warpedsphere.metrics import JET_LABELS, NodeSet, scalar_curvature
 
 from conftest import REFERENCE_BUILDERS
 
@@ -137,6 +136,22 @@ class TestTendril:
     def test_support_must_fit(self):
         with pytest.raises(ConstructionError):
             tendril_sphere(1.0, 0.1, theta0=0.05)  # theta0 < 1.5 width
+
+    @pytest.mark.parametrize("width", [0.05, 0.07, 2.0**-4, 2.0**-6,
+                                       2.0**-10])
+    def test_thin_profile_is_scalar_flat_after_the_blend(self, width):
+        """R = 6 on the exact decay [b3, b4) up to round-off (7.3e-11 at
+        width 2**-10), and R >= 6 on the log-slope blend [b2, b3), whose
+        slope stays above the scalar-flat one (least R - 6: 2.1e-6)."""
+        _, (_, _, b2, b3, b4, _), thin = fam._tendril_layout(width, None)
+        assert thin
+        metric = tendril_sphere(1.0, width)
+        for nodes in (metric.on_grid, metric.on_fine):
+            R, t = scalar_curvature(nodes), nodes.t
+            decay, blend = (t >= b3) & (t < b4), (t >= b2) & (t < b3)
+            assert decay.sum() > 100 and blend.sum() > 100
+            assert np.max(np.abs(R[decay] - 6.0)) <= 1e-9
+            assert np.min(R[blend]) >= 6.0
 
     def test_zero_length_is_round(self):
         metric = tendril_sphere(0.0, 0.1, 0.3)
@@ -267,15 +282,173 @@ NORMALIZE_LAYOUTS = [(0.05, None), (0.07, None), (0.05, 0.1), (0.03, 0.2),
                      (0.1, 0.05), (1e-17, 0.3)]
 
 
-@pytest.mark.parametrize("width, theta0, thin", [(0.05, None, True),
-                                                  (0.3, 1.0, False)])
-def test_tendril_shape_order_zero_is_the_profile(width, theta0, thin):
+#: (width, theta0) of every squash shape the shape tests evaluate: the
+#: normalization layouts that fit and the `sequence` schedule widths
+SHAPE_LAYOUTS = ([layout for layout in NORMALIZE_LAYOUTS
+                  if layout != (0.1, 0.05)]
+                 + [(2.0**-k, None) for k in (1, 2, 6, 12, 24)])
+
+
+def _shape_case(width, theta0):
+    """The breakpoints, mode flag and 40,001 nodes plus the breakpoints on
+    which the shape tests evaluate the layout."""
+    _, breaks, thin = fam._tendril_layout(width, theta0)
+    t = np.sort(np.concatenate([np.linspace(0.0, PI, 40001), breaks]))
+    return breaks, thin, t
+
+
+def test_shape_layouts_cover_both_modes_and_crowded_breakpoints():
+    cases = [_shape_case(*layout) for layout in SHAPE_LAYOUTS]
+    assert {thin for _, thin, _ in cases} == {True, False}
+    assert any(np.min(np.diff(breaks)) < PI / 40000 for breaks, _, _ in cases)
+
+
+@pytest.mark.parametrize("width, theta0", SHAPE_LAYOUTS)
+def test_tendril_shape_order_zero_is_the_profile(width, theta0):
     """shape(t, 0) is shape(t)[0] bit for bit, on every branch."""
-    _, breaks, is_thin = fam._tendril_layout(width, theta0)
-    assert is_thin == thin
+    breaks, thin, t = _shape_case(width, theta0)
     shape = fam._tendril_shape(breaks, thin)
-    t = np.sort(np.concatenate([np.linspace(0.0, PI, 20001), breaks]))
     assert np.array_equal(shape(t, 0), shape(t)[0])
+
+
+def _gcorr(t):
+    """sin(t) cos(t)^2: the weight whose reciprocal decay is scalar-flat."""
+    return np.sin(t) * np.cos(t) ** 2
+
+
+def _gcorr_d1(t):
+    return np.cos(t) ** 3 - 2.0 * np.sin(t) ** 2 * np.cos(t)
+
+
+def _gcorr_d2(t):
+    return np.sin(t) * (2.0 * np.sin(t) ** 2 - 7.0 * np.cos(t) ** 2)
+
+
+def _tendril_shape_oracle(breaks, thin=True):
+    """`fam._tendril_shape` as first written, piece by piece and order by
+    order, with its `_gcorr` helpers above."""
+    b0, b1, b2, b3, b4, b5 = breaks
+    _smootherstep = fam._smootherstep
+
+    def pieces(t, order=2):
+        t = np.asarray(t, dtype=float)
+        s = np.zeros_like(t)
+        if order:
+            ds = np.zeros_like(t)
+            d2s = np.zeros_like(t)
+
+        # quintic rise on [b0, b1]
+        m = (t >= b0) & (t < b1)
+        if np.any(m):
+            x = (t[m] - b0) / (b1 - b0)
+            if not order:
+                s[m] = _smootherstep(x, 0)
+            else:
+                S, S1, S2 = _smootherstep(x)
+                s[m] = S
+                ds[m] = S1 / (b1 - b0)
+                d2s[m] = S2 / (b1 - b0) ** 2
+
+        # plateau on [b1, b2]
+        m = (t >= b1) & (t < b2)
+        s[m] = 1.0
+
+        if not thin:
+            m = (t >= b2) & (t < b5)
+            if np.any(m):
+                x = (t[m] - b2) / (b5 - b2)
+                if not order:
+                    s[m] = 1.0 - _smootherstep(x, 0)
+                else:
+                    S, S1, S2 = _smootherstep(x)
+                    s[m] = 1.0 - S
+                    ds[m] = -S1 / (b5 - b2)
+                    d2s[m] = -S2 / (b5 - b2) ** 2
+            return (s, ds, d2s) if order else s
+
+        # log-slope blend on [b2, b3]: (ln s)' ramps from 0 down to the
+        # scalar-flat slope -k(b3); since k decreases with theta, the
+        # slope stays above -k(theta) pointwise, so no deficit appears
+        delta = b3 - b2
+        g3 = _gcorr(b3)
+        k3 = _gcorr_d1(b3) / g3
+        dk3 = _gcorr_d2(b3) / g3 - k3**2
+        m = (t >= b2) & (t < b3)
+        if np.any(m):
+            x = (t[m] - b2) / delta
+            intS = 2.5 * x**4 - 3.0 * x**5 + x**6
+            int_rho = x**5 / 5.0 - x**4 / 4.0
+            h = -k3 * delta * intS - dk3 * delta**2 * int_rho
+            s[m] = np.exp(h)
+            if order:
+                S, S1, _ = _smootherstep(x)
+                rho = x**3 * (x - 1.0)
+                rho1 = 4.0 * x**3 - 3.0 * x**2
+                h1 = -k3 * S - dk3 * delta * rho
+                h2 = -k3 * S1 / delta - dk3 * rho1
+                ds[m] = s[m] * h1
+                d2s[m] = s[m] * (h2 + h1**2)
+
+        # ln of the blend value at b3, where the exact branch takes over
+        h_mid = -0.5 * k3 * delta + 0.05 * dk3 * delta**2
+        s_mid = np.exp(h_mid)
+
+        # exact scalar-flat decay on [b3, b4]
+        m = (t >= b3) & (t < b4)
+        if np.any(m):
+            tm = t[m]
+            g = _gcorr(tm)
+            s[m] = s_mid * g3 / g
+            if order:
+                k = _gcorr_d1(tm) / g
+                dk = _gcorr_d2(tm) / g - k**2
+                ds[m] = -s[m] * k
+                d2s[m] = s[m] * (k**2 - dk)
+
+        # quintic taper on [b4, b5]
+        m = (t >= b4) & (t < b5)
+        if np.any(m):
+            tm = t[m]
+            x = (tm - b4) / (b5 - b4)
+            g = _gcorr(tm)
+            base = s_mid * g3 / g
+            if not order:
+                s[m] = base * (1.0 - _smootherstep(x, 0))
+            else:
+                dx = 1.0 / (b5 - b4)
+                k = _gcorr_d1(tm) / g
+                dk = _gcorr_d2(tm) / g - k**2
+                base1 = -base * k
+                base2 = base * (k**2 - dk)
+                S, S1, S2 = _smootherstep(x)
+                T = 1.0 - S
+                T1 = -S1 * dx
+                T2 = -S2 * dx**2
+                s[m] = base * T
+                ds[m] = base1 * T + base * T1
+                d2s[m] = base2 * T + 2.0 * base1 * T1 + base * T2
+        return (s, ds, d2s) if order else s
+
+    return pieces
+
+
+@pytest.mark.parametrize("width, theta0", SHAPE_LAYOUTS)
+def test_tendril_shape_matches_its_first_form(width, theta0):
+    """The table of pieces gives the profile of the piecewise first form
+    bit for bit at both orders; thick shapes keep all three entries bit
+    for bit, and thin ones their derivatives within 4 ulp."""
+    breaks, thin, t = _shape_case(width, theta0)
+    shape = fam._tendril_shape(breaks, thin)
+    oracle = _tendril_shape_oracle(breaks, thin)
+    jet, want = shape(t), oracle(t)
+    assert shape(t, 0).tobytes() == oracle(t, 0).tobytes()
+    assert jet[0].tobytes() == want[0].tobytes()
+    for got, ref in zip(jet[1:], want[1:]):
+        if thin:
+            np.testing.assert_allclose(got, ref, rtol=4 * np.finfo(float).eps,
+                                       atol=0.0)
+        else:
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestTendrilNormalize:

@@ -13,7 +13,8 @@ from warpedsphere import (ClassParams, RadialGrid, WarpedMetric,
                           scalar_curvature, scalar_deficit, scaled_sphere,
                           summarize, validate, volume)
 from warpedsphere.errors import DegenerateMetricError, StructuralError
-from warpedsphere.grids import PI, refine_nodes
+from warpedsphere.grids import (PI, STENCIL, _derivative_high_order,
+                               refine_nodes)
 
 from conftest import REFERENCE_BUILDERS, write_profile_table
 
@@ -239,6 +240,22 @@ class TestProfileTable:
         # derived quantities survive the round trip
         assert volume(loaded) == pytest.approx(volume(metric), rel=1e-8)
 
+    @pytest.mark.parametrize("n", [1001, 2001, 4001])
+    def test_sampled_round_sphere_closes_at_the_poles(self, n, tmp_path):
+        """f' at the poles comes from the 9-node interpolant, so the exact
+        round sphere sampled on a uniform grid meets the closure
+        f'(pole) = phi(pole) within CLOSURE_TOL (its defect was 3.3e-6
+        at n 1001 with np.gradient's one-sided difference), and phi = 2
+        with f = sin still misses it by 1."""
+        t = np.linspace(0.0, PI, n)
+        for phi, defect in ((1.0, 0.0), (2.0, 1.0)):
+            path = tmp_path / f"phi{phi:g}.txt"
+            np.savetxt(path, np.column_stack([t, np.full_like(t, phi),
+                                              np.sin(t)]), fmt="%.17e")
+            report = validate(load_profile_table(path))
+            assert report.closure_defect == pytest.approx(defect, abs=1e-13)
+            assert report.smooth_closure is (phi == 1.0)
+
 
 class TestJet:
     """`WarpedMetric.jet` and the jets cached on the grid nodes and on the
@@ -261,12 +278,17 @@ class TestJet:
             assert np.array_equal(f, full[1])
 
     def test_table_jet_is_exact_at_the_nodes(self, table):
-        t = table.theta
+        """The jet at the nodes is np.gradient's, but for f' at the two
+        poles, which is the STENCIL-node interpolant's; the second
+        derivatives are np.gradient's of np.gradient's."""
+        t, f = table.theta, table.f
         dphi = np.gradient(table.phi, t, edge_order=2)
-        df = np.gradient(table.f, t, edge_order=2)
-        expected = (table.phi, table.f, dphi, df,
-                    np.gradient(dphi, t, edge_order=2),
-                    np.gradient(df, t, edge_order=2))
+        df = np.gradient(f, t, edge_order=2)
+        d2f = np.gradient(df, t, edge_order=2)
+        df[0] = _derivative_high_order(f[:STENCIL], t[:STENCIL])[0]
+        df[-1] = _derivative_high_order(f[-STENCIL:], t[-STENCIL:])[-1]
+        expected = (table.phi, f, dphi, df,
+                    np.gradient(dphi, t, edge_order=2), d2f)
         for got, want in zip(table.on_grid.jet, expected):
             assert np.array_equal(got, want)
 
