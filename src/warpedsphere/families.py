@@ -418,9 +418,8 @@ def tendril_sphere(length: float, width: float = 0.1,
 
 
 def _tendril_normalize(length, shape, breaks):
-    """Solve int (phi - 1) d theta = length for the squash depth c_max."""
-    if length == 0.0:
-        return 0.0
+    """Solve int (phi - 1) d theta = length for the squash depth c_max;
+    a shape that is not finite is refused by `width`, at length 0 too."""
     segs = [np.linspace(a, b, 4001) for a, b in zip(breaks[:-1], breaks[1:])]
     # consecutive segments share an endpoint; drop each repeat
     t = np.concatenate([segs[0]] + [seg[1:] for seg in segs[1:]])
@@ -435,6 +434,8 @@ def _tendril_normalize(length, shape, breaks):
             "width", f"tendril squash profile is {s[i]} at theta = "
             f"{t[i]:.6g}, not a finite number; the tendril width is too "
             f"small to resolve")
+    if length == 0.0:
+        return 0.0
     simpson = simpson_rule(t)
     buf = np.empty_like(s)
 

@@ -8,13 +8,15 @@ check table, the convergence table and key,value tables.
 Identical configuration and seed yield byte-identical reports except for
 the timestamp field; file writes go through a temp file and rename.
 
-`report_json` writes the scenario's own objects in one pass, as
+`report_json` writes the scenario's own objects as
 `json.dumps(tree, sort_keys=True, indent=2)` writes their plain tree
 (json's `indent` would send it through the pure-Python encoder).  In that
 tree a dataclass is the dict of its fields, an ndarray its list, and a
 numpy scalar its `.item()`.  So a numpy NaN is written `NaN`, as json
 writes a float NaN, while a non-finite *Python* float is written as its
-quoted repr (`"nan"`, `"inf"`).  Dict keys must be strings.
+quoted repr (`"nan"`, `"inf"`).  Dict keys must be strings.  One pass of
+`_write` writes containers, records and leaves alike; each dataclass
+type's sorted, quoted keys are planned once, on its first record.
 
 `sha256` is the interpreter's built-in one (`_sha2` on Python 3.12+,
 `_sha256` before), as in CPython's own `random` module: `hashlib` loads
@@ -25,8 +27,8 @@ digests are the same; `hashlib` is the fallback where neither exists.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
-import math
 import os
 import tempfile
 from datetime import datetime, timezone
@@ -80,39 +82,18 @@ def build_report(config: dict, seed: Optional[int],
     }
 
 
-def _scalar(obj) -> str:
-    """The text of a leaf by the rules in the module docstring; past
-    them, as `json` writes a str, float, None, bool or int, subclasses
-    included."""
-    if type(obj) is float and obj - obj != 0.0:
-        return _quote(repr(obj))
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        obj = obj.item()
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
-        return float.__repr__(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} "
-                    f"is not JSON serializable")
+@functools.cache
+def _key_plan(kind: type) -> tuple:
+    """The (quoted key + ": ", field name) pairs of the dataclass type
+    `kind`, sorted by name: planned once per exact type."""
+    return tuple((_quote(name) + ": ", name) for name in
+                 sorted(f.name for f in dataclasses.fields(kind)))
 
 
 def _write(obj, pad: str, out: list) -> None:
     """Append the text of obj, indented by `pad`, to out, by the rules in
-    the module docstring."""
+    the module docstring; past them, a leaf as `json` writes a str,
+    float, None, bool or int, subclasses included."""
     if isinstance(obj, dict):
         items = [(_quote(k) + ": ", v) for k, v in sorted(obj.items())]
         brackets = "{}"
@@ -121,11 +102,28 @@ def _write(obj, pad: str, out: list) -> None:
                  (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
         brackets = "[]"
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        items = [(_quote(f.name) + ": ", getattr(obj, f.name)) for f in
-                 sorted(dataclasses.fields(obj), key=lambda f: f.name)]
+        items = [(key, getattr(obj, name))
+                 for key, name in _key_plan(type(obj))]
         brackets = "{}"
     else:
-        out.append(_scalar(obj))
+        if isinstance(obj, (np.floating, np.integer, np.bool_)):
+            obj = obj.item()
+        elif type(obj) is float and obj - obj != 0.0:
+            obj = repr(obj)        # a non-finite Python float: "nan", "inf"
+        if isinstance(obj, str):
+            text = _quote(obj)
+        elif isinstance(obj, float):
+            # a numpy or subclass non-finite float: NaN, Infinity
+            text = "NaN" if obj != obj else \
+                float.__repr__(obj).replace("inf", "Infinity")
+        elif obj is None or isinstance(obj, bool):
+            text = "null" if obj is None else "true" if obj else "false"
+        elif isinstance(obj, int):
+            text = int.__repr__(obj)
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            f"is not JSON serializable")
+        out.append(text)
         return
     if not items:
         out.append(brackets)

@@ -13,11 +13,12 @@ with C_Q calibrated once on the round sphere and frozen.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, WarpedSphereError
+from .errors import ConfigError, DomainError, SolverError, WarpedSphereError
 from .families import make
 from .functionals import (POLAR_RADII, Evaluation, good_set_volumes,
                           set_measure, sublevel_round_volume)
@@ -52,9 +53,16 @@ class CheckResult:
 
 def _check(label: str, lhs: float, rhs: float, tol: float,
            **inputs) -> CheckResult:
-    margin = float(rhs) - float(lhs)
+    """The verdict of lhs <= rhs within tol; a side that is not finite
+    is no verdict, so the potential is refused (SolverError)."""
+    lhs, rhs = float(lhs), float(rhs)
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise SolverError(f"check {label} has lhs {lhs} and rhs {rhs}, not "
+                          f"both finite; the potential cannot be measured "
+                          f"on this metric")
+    margin = rhs - lhs
     verdict = "pass" if margin >= -tol else "fail"
-    return CheckResult(label=label, lhs=float(lhs), rhs=float(rhs),
+    return CheckResult(label=label, lhs=lhs, rhs=rhs,
                        margin=margin, tolerance=float(tol),
                        verdict=verdict, inputs=inputs)
 
@@ -244,6 +252,8 @@ def run_all_checks(pot: PotentialSolution, ledger: dict[str, float],
     All of them read one Evaluation, so the residual guard runs once and
     each shared field or integral is computed once; the evaluation is
     dropped on return.  No suite named means no evaluation and no checks.
+    numpy's floating-point warnings are silenced, as in `summarize`; a check
+    whose lhs or rhs is then not finite refuses the potential.
     """
     require_suites(suites)
     names = [name for name in SUITES if name in suites]
@@ -251,7 +261,9 @@ def run_all_checks(pot: PotentialSolution, ledger: dict[str, float],
         return []
     ev = Evaluation(pot)
     tol = tol_disc(pot.metric)
-    return [c for name in names for c in _SUITE_BODIES[name](ev, ledger, tol)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return [c for name in names
+                for c in _SUITE_BODIES[name](ev, ledger, tol)]
 
 
 # ----------------------------------------------------------------------

@@ -140,6 +140,8 @@ class TestInputContract:
         (["analyze"], b"[grid]\nn = %(x)s\n"),
         (["analyze", "--family", "tendril", "--param", "length=2.3",
           "--param", "width=1e-300"], None),
+        (["analyze", "--family", "tendril", "--param", "length=0",
+          "--param", "width=1e-300"], None),
         (["verify", "--family", "bubble", "--param", "area_radius=0.3",
           "--param", "neck_theta=1e-300"], None),
         (["analyze", "--family", "bubble", "--param", "area_radius=1e308",
@@ -196,6 +198,7 @@ class TestInputContract:
             "ini-duplicate-section", "ini-no-section-header",
             "ini-line-without-equals", "ini-not-utf8",
             "ini-interpolation-missing", "tendril-width-1e-300",
+            "tendril-length-0-width-1e-300",
             "bubble-neck-theta-1e-300", "analyze-bubble-area-radius-1e308",
             "verify-bubble-neck-theta-1e-310",
             "pointpick-bubble-neck-theta-5e-324", "analyze-bump-width-1e-300",
@@ -342,6 +345,28 @@ class TestInputContract:
         verify must reach a verdict on it, not exit 3."""
         assert main(["verify", "--family", "scaled",
                      "--param", "c=120"]) in (0, 1)
+
+    @pytest.mark.xfail(strict=True, reason="a finger too thin for "
+                       "`tendril_grid` fails the solver's residual "
+                       "self-check, exit 3 (ROADMAP item 10)")
+    def test_verify_unresolved_tendril_is_refused(self, capsys):
+        """At theta0 0.3, widths from 2e-3 down leave the finger
+        unresolved; that is bad input, exit 2, not solver trouble."""
+        assert main(["verify", "--family", "tendril", "--param", "length=1",
+                     "--param", "width=1e-3", "--param", "theta0=0.3"]) == 2
+
+    def test_non_finite_check_is_refused(self, capsys):
+        """A tendril 2e-6 wide is admitted, but its functionals overflow:
+        the first check with a side that is not finite refuses the
+        potential in one `solver error:` line, exit 3, with no numpy
+        warning and no report."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--family", "tendril", "--param",
+                         "length=1", "--param", "width=2e-6"]) == 3
+        assert capsys.readouterr() == ("", (
+            "solver error: check eq_2_2 has lhs inf and rhs nan, not both "
+            "finite; the potential cannot be measured on this metric\n"))
 
     def test_output_error_names_the_requested_path(self, tmp_path, capsys):
         """A report that cannot be written exits 2 with one line naming the

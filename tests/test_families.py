@@ -237,6 +237,18 @@ class TestBrentqPort:
             tendril_sphere(1e-20, 0.1)
         assert info.value.constraint == "length"
 
+    @pytest.mark.parametrize("length", [0.0, 2.3])
+    def test_unresolvable_width_is_construction_error(self, length):
+        """A squash shape that is not finite is refused by `width`, with
+        no numpy warning, even at length 0, where the tendril is the
+        round sphere."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstructionError,
+                               match="width is too small") as info:
+                tendril_sphere(length, 1e-300)
+        assert info.value.constraint == "width"
+
 
 def _normalize_oracle(length, shape, breaks):
     """`fam._tendril_normalize` as first written: nodes merged by

@@ -195,13 +195,37 @@ class _Pair:
     second: object
 
 
+@dataclasses.dataclass(frozen=True)
+class _Backwards:
+    """Fields declared out of name order."""
+    zeta: object
+    alpha: object
+    mid: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _Extended(_Backwards):
+    """A subclass that adds a field, sorted between its base's."""
+    beta: object
+
+
+@dataclasses.dataclass(frozen=True)
+class _Other:
+    """Shares the field name `alpha` with `_Backwards`."""
+    omega: object
+    alpha: object
+
+
 _TREES = st.recursive(
     _LEAVES,
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.dictionaries(_TEXT, children, max_size=5),
-        st.builds(_Pair, children, children)),
+        st.builds(_Pair, children, children),
+        st.builds(_Backwards, children, children, children),
+        st.builds(_Extended, children, children, children, children),
+        st.builds(_Other, children, children)),
     max_leaves=40)
 
 
@@ -251,9 +275,15 @@ class TestReportJson:
         assert count > 0
 
     def test_built_report(self):
+        """Records of every type, a subclass first and then its base, are
+        written with their own sorted keys."""
         doc = build_report({"grid": {"n": "501"}}, 3, _checks(),
                            timestamp="t", x=np.float64(np.nan),
-                           y=np.arange(3))
+                           y=np.arange(3),
+                           records=[_Extended(1, "a", None, 2.5),
+                                    _Backwards(0.5, [], {"k": True}),
+                                    _Other(np.int64(3), "b"),
+                                    _Pair(_Other(1, 2), _Backwards(3, 4, 5))])
         assert report_json(doc) == _json_text(doc)
 
     def test_refuses_what_json_refuses(self):
