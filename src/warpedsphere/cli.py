@@ -185,7 +185,7 @@ def cmd_analyze(config: dict, s: dict) -> int:
     blocks = _summary_blocks(_build_metric(s), s["class"])
     _emit(config, s, lambda: rep.key_value_csv(
         (f"{group}.{key}", value) for group in ("summary", "membership")
-        for key, value in vars(blocks[group]).items()), **blocks)
+        for key, value in blocks[group]._asdict().items()), **blocks)
     return EXIT_PASS
 
 
@@ -224,7 +224,7 @@ def cmd_pointpick(config: dict, s: dict) -> int:
     # before the scan: an overflowing metric is bad input
     summary, _ = summarize(metric, s["class"])
     result = point_pick(metric, radius, summary)
-    _emit(config, s, lambda: rep.key_value_csv(vars(result).items()),
+    _emit(config, s, lambda: rep.key_value_csv(result._asdict().items()),
           pointpick=result)
     return EXIT_PASS if result.certificate_ok else EXIT_FAIL
 

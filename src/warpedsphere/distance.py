@@ -12,14 +12,17 @@ On that strip the diameter is the meridian length L_tot:
   give d(x, y) <= min(L(a) + L(b), 2 L_tot - L(a) - L(b)) <= L_tot,
   with L(a), L(b) the arclength colatitudes of x and y;
 * the two poles are exactly L_tot apart;
-* so a scan of the cheapest explicit path over every sampled pair
-  has maximum L_tot, bit for bit, whenever f >= 0.
+* so the diameter is L_tot whenever f >= 0.
+
+`diameter_bounds` still reports the upper end L_tot + L_tot /
+(n_sample - 1), the value a scan of n_sample sampled colatitudes once
+certified, so that the `diameter_upper` of every stored report stays
+bit-identical.
 """
 
 from __future__ import annotations
 
 from .grids import ANALYTIC_REFINE
-from .metrics import WarpedMetric
 
 
 def meridian_arclength(metric: WarpedMetric):
@@ -38,13 +41,10 @@ def diameter_bounds(metric: WarpedMetric, n_sample: int = 512):
     """Certified bracket [lower, upper] for the diameter.
 
     lower: the pole-to-pole meridian length L_tot (exact distance).
-    upper: the largest pair distance over n_sample colatitudes equally
-    spaced in arclength, at worst-case fiber angle pi, which is L_tot by
-    the module docstring, plus one subsample gap L_tot / (n_sample - 1):
-    distance is 1-Lipschitz in each endpoint's arclength, so the gap
-    extends the sampled maximum to all pairs.
+    upper: L_tot + L_tot / (n_sample - 1), L_tot plus one gap of
+    n_sample colatitudes equally spaced in arclength.  The diameter is
+    L_tot (module docstring), so the gap is slack; it is kept so that
+    every stored `diameter_upper` stays bit-identical.
     """
     _, L_tot = meridian_arclength(metric)
-    lower = L_tot
-    upper = L_tot + L_tot / (n_sample - 1)
-    return lower, max(upper, lower)
+    return L_tot, L_tot + L_tot / (n_sample - 1)

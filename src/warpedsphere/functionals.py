@@ -21,8 +21,8 @@ under the round metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,8 +57,7 @@ def require_valid(pot: PotentialSolution) -> None:
             f"{GUARD_TOL:.1e}; functional values would be meaningless")
 
 
-@dataclass(frozen=True)
-class CoreIntegrals:
+class CoreIntegrals(NamedTuple):
     i_csc2: float     # int csc^2 |grad u| dV_g
     i_align: float    # int csc^2 (|grad u| + g(grad u, grad theta)) dV_g
     i_mass: float     # int |spacetime Hessian|^2 / |grad u| dV_g
@@ -67,24 +66,21 @@ class CoreIntegrals:
     grad_l2: float
 
 
-@dataclass(frozen=True)
-class AlignmentConstants:
+class AlignmentConstants(NamedTuple):
     a: float
     sigma: float
     attained_l1_gap_ratio: float
     attained_l1_gap_u: float
 
 
-@dataclass(frozen=True)
-class ShellSelection:
+class ShellSelection(NamedTuple):
     sigma_p: float
     sigma_mp: float
     shell_integral_p: float
     shell_integral_mp: float
 
 
-@dataclass(frozen=True)
-class _Fields:
+class _Fields(NamedTuple):
     """Potential fields on the quadrature node set `ns` of the metric."""
     ns: NodeSet
     ratio: np.ndarray    # |grad u| / sin
@@ -123,8 +119,7 @@ def _ratio_on(pot: PotentialSolution) -> np.ndarray:
     return np.exp(logr)
 
 
-@dataclass(frozen=True)
-class _PolarGrids:
+class _PolarGrids(NamedTuple):
     """The sub-grids [0, r] and [pi - r, pi] of every r in POLAR_RADII,
     in that order, concatenated; they depend on no input."""
     nodes: np.ndarray
@@ -378,8 +373,7 @@ def sublevel_round_volume(pot: PotentialSolution, pole: int, r: float,
 # good sets and point picking
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoodSetReport:
+class GoodSetReport(NamedTuple):
     tau: float
     t: float
     vol_E_g: float                  # |E_{tau,g,t}| under dV_g
@@ -402,8 +396,7 @@ def good_set_volumes(pot: PotentialSolution, tau: float, t: float,
     )
 
 
-@dataclass(frozen=True)
-class PointPickResult:
+class PointPickResult(NamedTuple):
     """The `pointpick` block of a report, fields in CSV order."""
     radius: float
     q_colat: float

@@ -34,7 +34,6 @@ work of a sequence of metrics on one default grid is done once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
@@ -62,18 +61,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
 class RadialGrid:
     """Strictly increasing colatitude samples covering [0, pi], and what
     depends on them alone, each computed on first read and then kept:
     the refined grid, the three quadrature rules, sines and cosines.
-    The kept arrays are read-only."""
+    The kept arrays are read-only.  Grids compare by identity."""
 
-    nodes: np.ndarray
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        object.__setattr__(self, "nodes", nodes)
+    def __init__(self, nodes: np.ndarray):
+        self.nodes = nodes = np.asarray(nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < MIN_NODES:
             raise StructuralError(f"grid needs at least {MIN_NODES} nodes")
         if not (abs(nodes[0]) < 1e-15 and abs(nodes[-1] - PI) < 1e-12):

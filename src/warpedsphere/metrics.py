@@ -20,12 +20,12 @@ records are a report's `summary` and `membership` blocks as written.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .distance import diameter_bounds
 from .errors import DegenerateMetricError, StructuralError
 from .grids import (PI, STENCIL, RadialGrid, _derivative_high_order,
                     integrate)
@@ -50,7 +50,6 @@ ProfileFns = Callable[..., tuple]
 JET_LABELS = ("phi", "f", "dphi", "df", "d2phi", "d2f")
 
 
-@dataclass(frozen=True, eq=False)
 class NodeSet:
     """One node set of a metric, its grid nodes or its refined nodes: the
     grid, and the metric's profile jet evaluated there when first read,
@@ -65,8 +64,8 @@ class NodeSet:
     warnings silenced, as in `WarpedMetric.from_profiles`; a summary
     quantity that is not finite is refused by name (`summarize`)."""
 
-    grid: RadialGrid
-    profiles: ProfileFns
+    def __init__(self, grid: RadialGrid, profiles: ProfileFns):
+        self.grid, self.profiles = grid, profiles
 
     def _evaluate(self, order: int) -> tuple:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -140,7 +139,6 @@ def _table_profiles(theta: np.ndarray, phi: np.ndarray,
     return profiles
 
 
-@dataclass(frozen=True)
 class WarpedMetric:
     """A warped-product metric sampled on a radial grid.
 
@@ -154,21 +152,17 @@ class WarpedMetric:
     caches.  A reader of phi and f alone takes a node set's `leading`,
     so a geometry summary never evaluates derivatives on the refined
     nodes.  `quadrature` is the node set of analytic integrands.
+    Metrics compare by identity.
     """
 
-    grid: RadialGrid
-    phi: np.ndarray
-    f: np.ndarray
-    name: str = "custom"
-    profiles: Optional[ProfileFns] = None
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=float)
-        f = np.asarray(self.f, dtype=float)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "f", f)
-        n = self.grid.n
+    def __init__(self, grid: RadialGrid, phi: np.ndarray, f: np.ndarray,
+                 name: str = "custom", profiles: Optional[ProfileFns] = None,
+                 params: Optional[dict] = None):
+        self.grid, self.name, self.profiles = grid, name, profiles
+        self.params = {} if params is None else params
+        self.phi = phi = np.asarray(phi, dtype=float)
+        self.f = f = np.asarray(f, dtype=float)
+        n = grid.n
         if phi.shape != (n,) or f.shape != (n,):
             raise StructuralError("profile samples must match the grid length")
         if np.any(~np.isfinite(phi)) or np.any(~np.isfinite(f)):
@@ -205,8 +199,8 @@ class WarpedMetric:
                     f"cannot be built")
         metric = cls(grid=grid, phi=jet[0], f=jet[1], name=name,
                      profiles=profiles, params=dict(params))
-        on_grid = metric.__dict__["on_grid"] = NodeSet(grid, profiles)
-        on_grid.__dict__["jet"] = jet
+        metric.on_grid = NodeSet(grid, profiles)
+        metric.on_grid.jet = jet
         return metric
 
     @property
@@ -257,20 +251,14 @@ class WarpedMetric:
         return scalar_deficit(self)
 
 
-@dataclass(frozen=True)
 class ClassParams:
     """Admissibility thresholds (V, D, m_bar, Lambda)."""
 
-    volume_max: float
-    diameter_max: float
-    mass_max: float
-    cheeger_min: float
-
-    def __post_init__(self):
-        for label, v in (("volume_max", self.volume_max),
-                         ("diameter_max", self.diameter_max),
-                         ("mass_max", self.mass_max),
-                         ("cheeger_min", self.cheeger_min)):
+    def __init__(self, volume_max: float, diameter_max: float,
+                 mass_max: float, cheeger_min: float):
+        self.volume_max, self.diameter_max = volume_max, diameter_max
+        self.mass_max, self.cheeger_min = mass_max, cheeger_min
+        for label, v in vars(self).items():
             if not (0.0 < v < np.inf):
                 raise StructuralError(f"{label} must be positive and finite")
 
@@ -314,8 +302,7 @@ def scalar_curvature(nodes: NodeSet) -> np.ndarray:
 # validation
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     smooth_closure: bool
     comparison_ok: bool
     closure_defect: float
@@ -425,8 +412,7 @@ def ball_volume(metric: WarpedMetric, center_theta: float, r: float) -> float:
 # class membership
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GeometrySummary:
+class GeometrySummary(NamedTuple):
     """The `summary` block of a report, fields in CSV order."""
     volume: float
     diameter_lower: float
@@ -436,8 +422,7 @@ class GeometrySummary:
     validation_ok: bool
 
 
-@dataclass(frozen=True)
-class MembershipReport:
+class MembershipReport(NamedTuple):
     """The `membership` block of a report, fields in CSV order."""
     admitted: bool
     comparison_ok: bool
@@ -464,7 +449,6 @@ def summarize(metric: WarpedMetric, params: ClassParams
     surrogate < Lambda is a certificate of failure, while
     surrogate >= Lambda leaves membership provisional.
     """
-    from .distance import diameter_bounds
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         lo, hi = diameter_bounds(metric)
         values = {"volume": volume(metric), "diameter_lower": lo,

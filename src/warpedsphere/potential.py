@@ -27,7 +27,7 @@ pointwise PDE residual, computed from the solution samples alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +46,7 @@ RESIDUAL_BAND = 0.1
 RESIDUAL_TOL = 1e-4
 
 
-@dataclass(frozen=True)
-class PotentialSolution:
+class PotentialSolution(NamedTuple):
     """A radial potential with the derived fields functionals consume."""
 
     metric: WarpedMetric
@@ -128,15 +127,14 @@ def solve_quadrature(metric: WarpedMetric) -> PotentialSolution:
         raise SolverError(
             f"quadrature potential failed self-check: residual sup "
             f"{res.sup:.3e} exceeds {RESIDUAL_TOL:.1e}")
-    return replace(sol, residual_sup=res.sup, residual_l2=res.l2)
+    return sol._replace(residual_sup=res.sup, residual_l2=res.l2)
 
 
 # ----------------------------------------------------------------------
 # residual
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidualReport:
+class ResidualReport(NamedTuple):
     theta: np.ndarray
     residual: np.ndarray
     sup: float

@@ -11,11 +11,13 @@ the timestamp field; file writes go through a temp file and rename.
 `report_json` writes the scenario's own objects as
 `json.dumps(tree, sort_keys=True, indent=2)` writes their plain tree
 (json's `indent` would send it through the pure-Python encoder).  In that
-tree a dataclass is the dict of its fields, an ndarray its list, and a
+tree a record (a tuple with `_fields`: every record of the package is a
+`NamedTuple`) is the dict of its fields, tested before the rule that
+makes any other tuple or list a list; an ndarray is its list, and a
 numpy scalar its `.item()`.  So a numpy NaN is written `NaN`, as json
 writes a float NaN, while a non-finite *Python* float is written as its
 quoted repr (`"nan"`, `"inf"`).  Dict keys must be strings.  One pass of
-`_write` writes containers, records and leaves alike; each dataclass
+`_write` writes containers, records and leaves alike; each record
 type's sorted, quoted keys are planned once, on its first record.
 
 `sha256` is the interpreter's built-in one (`_sha2` on Python 3.12+,
@@ -26,7 +28,6 @@ digests are the same; `hashlib` is the fallback where neither exists.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import os
@@ -84,10 +85,10 @@ def build_report(config: dict, seed: Optional[int],
 
 @functools.cache
 def _key_plan(kind: type) -> tuple:
-    """The (quoted key + ": ", field name) pairs of the dataclass type
+    """The (quoted key + ": ", field name) pairs of the record type
     `kind`, sorted by name: planned once per exact type."""
-    return tuple((_quote(name) + ": ", name) for name in
-                 sorted(f.name for f in dataclasses.fields(kind)))
+    return tuple((_quote(name) + ": ", name)
+                 for name in sorted(kind._fields))
 
 
 def _write(obj, pad: str, out: list) -> None:
@@ -97,14 +98,14 @@ def _write(obj, pad: str, out: list) -> None:
     if isinstance(obj, dict):
         items = [(_quote(k) + ": ", v) for k, v in sorted(obj.items())]
         brackets = "{}"
+    elif isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        items = [(key, getattr(obj, name))
+                 for key, name in _key_plan(type(obj))]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple, np.ndarray)):
         items = [("", v) for v in
                  (obj.tolist() if isinstance(obj, np.ndarray) else obj)]
         brackets = "[]"
-    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        items = [(key, getattr(obj, name))
-                 for key, name in _key_plan(type(obj))]
-        brackets = "{}"
     else:
         if isinstance(obj, (np.floating, np.integer, np.bool_)):
             obj = obj.item()

@@ -14,7 +14,7 @@ with C_Q calibrated once on the round sphere and frozen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +40,14 @@ def tol_disc(metric: WarpedMetric) -> float:
     return max(1e-6, C_Q * h * h)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     label: str
     lhs: float
     rhs: float
     margin: float            # rhs - lhs
     tolerance: float
     verdict: str             # "pass" | "fail" | "skipped"
-    inputs: dict = field(default_factory=dict)
+    inputs: dict
 
 
 def _check(label: str, lhs: float, rhs: float, tol: float,
@@ -270,19 +269,13 @@ def run_all_checks(pot: PotentialSolution, ledger: dict[str, float],
 # sequence experiments
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(NamedTuple):
     family: str
     schedule: tuple                 # tuple of parameter dicts
     name: str = ""
 
-    def __post_init__(self):
-        if not self.schedule:
-            raise DomainError("schedule must be nonempty")
 
-
-@dataclass(frozen=True)
-class SequenceEntry:
+class SequenceEntry(NamedTuple):
     """One schedule member; a member that fails to build keeps the
     defaults and its error."""
     index: int
@@ -299,8 +292,7 @@ class SequenceEntry:
     cheeger_fails: bool = False
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     spec: SequenceSpec
     entries: tuple
     m_decreasing: bool
@@ -318,8 +310,11 @@ def run_sequence(spec: SequenceSpec, params: ClassParams
     reported in place and the sequence continues.  fitted_k is the
     smallest constant K with gap_i <= K * m_i^(1/24) over the valid
     indices, realizing the advertised convergence rate (the deficit
-    norm power 1/48 expressed through m = norm^(1/2)).
+    norm power 1/48 expressed through m = norm^(1/2)).  An empty
+    schedule is refused with a DomainError.
     """
+    if not spec.schedule:
+        raise DomainError("schedule must be nonempty")
     entries = []
     for i, fam_params in enumerate(spec.schedule, start=1):
         try:

@@ -9,8 +9,6 @@ with that sign fixed; `picard_bvp` is the damped Picard loop that freezes
 the sign of each iterate's u' instead.  Both need scipy.
 """
 
-import dataclasses
-
 import numpy as np
 import scipy.linalg
 
@@ -66,7 +64,7 @@ def _solution(metric, epsilon, tb, a, u):
         flux_constant=float(a[i_mid] * du_b[i_mid]), residual_sup=np.nan,
         residual_l2=np.nan)
     res = pde_residual(sol)
-    return dataclasses.replace(sol, residual_sup=res.sup, residual_l2=res.l2)
+    return sol._replace(residual_sup=res.sup, residual_l2=res.l2)
 
 
 def solve_bvp(metric, epsilon=1e-3):

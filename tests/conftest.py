@@ -1,7 +1,5 @@
 """Shared fixtures: reference metrics and their solved potentials."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -50,8 +48,8 @@ def corrupted_potential(round_potential):
     flux residual is far above the guard tolerance."""
     t = round_potential.theta
     s = np.clip(np.sin(t), 1e-12, None)
-    return dataclasses.replace(
-        round_potential, u=np.cos(2.0 * t), du=-2.0 * np.sin(2.0 * t),
+    return round_potential._replace(
+        u=np.cos(2.0 * t), du=-2.0 * np.sin(2.0 * t),
         d2u=-4.0 * np.cos(2.0 * t),
         ratio=np.abs(-2.0 * np.sin(2.0 * t) / s))
 

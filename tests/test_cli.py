@@ -786,6 +786,18 @@ class TestImportFootprint:
             code for _, code in VERIFY_PER_FAMILY.values()]
         assert set(codes) <= {0, 1} and scipy_modules == []
 
+    def test_import_generates_no_dataclasses(self):
+        """Records are NamedTuples and grids and metrics plain classes, so
+        importing the command line loads no `dataclasses`."""
+        script = ("import sys\n"
+                  "import warpedsphere.cli\n"
+                  "print('dataclasses' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(warpedsphere.__file__))
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert done.stdout == "False\n"
+
 
 def _raising(exc):
     def refuse(*args):

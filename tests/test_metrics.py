@@ -159,6 +159,16 @@ class TestConstruction:
             WarpedMetric(grid=grid, phi=np.ones(65),
                          f=np.sin(grid.nodes) + 0.1)
 
+    def test_grids_and_metrics_compare_by_identity(self):
+        """Two grids on equal nodes, or two round metrics, are distinct
+        objects: they compare unequal and hash without reading their
+        arrays, and each equals itself."""
+        for a, b in ((RadialGrid.uniform(33), RadialGrid.uniform(33)),
+                     (round_sphere(), round_sphere())):
+            assert a == a and b == b
+            assert a != b and not a == b
+            assert len({a, b, a}) == 2
+
 
 class TestValidation:
     def test_round_sphere_validates(self):

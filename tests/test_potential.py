@@ -1,6 +1,5 @@
 """Potential solvers: exactness, equivalence, residual guards."""
 
-import dataclasses
 import time
 
 import numpy as np
@@ -62,8 +61,8 @@ class TestResiduals:
     def test_corrupted_potential_flagged(self, round_potential):
         t = round_potential.theta
         s = np.clip(np.sin(t), 1e-12, None)
-        bad = dataclasses.replace(
-            round_potential, u=np.cos(2.0 * t), du=-2.0 * np.sin(2.0 * t),
+        bad = round_potential._replace(
+            u=np.cos(2.0 * t), du=-2.0 * np.sin(2.0 * t),
             d2u=-4.0 * np.cos(2.0 * t),
             ratio=np.abs(-2.0 * np.sin(2.0 * t) / s))
         assert flux_residual(bad) > 1e2

@@ -1,12 +1,12 @@
 """Report serialization: hashing, JSON text, CSV precision, atomic
 writes."""
 
-import dataclasses
 import hashlib
 import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -22,10 +22,10 @@ from warpedsphere.verification import (CheckResult, ConvergenceReport,
 def _checks():
     return [
         CheckResult(label="b_check", lhs=1.0, rhs=2.0, margin=1.0,
-                    tolerance=1e-6, verdict="pass"),
+                    tolerance=1e-6, verdict="pass", inputs={}),
         CheckResult(label="a_check", lhs=1.0 / 3.0, rhs=0.5,
                     margin=0.5 - 1.0 / 3.0, tolerance=1e-6,
-                    verdict="pass"),
+                    verdict="pass", inputs={}),
     ]
 
 
@@ -80,8 +80,9 @@ class TestBuildReport:
 
 
 def _jsonable(obj):
-    """The plain tree `report_json` writes in one pass: dataclasses and
-    numpy values converted to JSON types, recursively.
+    """The plain tree `report_json` writes in one pass: records (tuples
+    with `_fields`) and numpy values converted to JSON types,
+    recursively.
 
     Python floats, strings, ints, bools and None are dispatched on their
     exact type first, so numpy scalars (numpy's float64 is a float) still
@@ -94,11 +95,10 @@ def _jsonable(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, tuple) and hasattr(obj, "_fields"):
+        return {name: _jsonable(v) for name, v in zip(obj._fields, obj)}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
     if isinstance(obj, (np.floating, np.integer, np.bool_)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -106,8 +106,7 @@ def _jsonable(obj):
     return obj
 
 
-@dataclasses.dataclass(frozen=True)
-class _Sample:
+class _Sample(NamedTuple):
     label: str
     value: float
     count: int
@@ -189,28 +188,25 @@ _LEAVES = st.one_of(
     st.lists(_INT64, max_size=4).map(lambda v: np.array(v, np.int64)))
 
 
-@dataclasses.dataclass(frozen=True)
-class _Pair:
+class _Pair(NamedTuple):
     first: object
     second: object
 
 
-@dataclasses.dataclass(frozen=True)
-class _Backwards:
+class _Backwards(NamedTuple):
     """Fields declared out of name order."""
     zeta: object
     alpha: object
     mid: object
 
 
-@dataclasses.dataclass(frozen=True)
-class _Extended(_Backwards):
-    """A subclass that adds a field, sorted between its base's."""
-    beta: object
+#: `_Backwards`' fields and one more, sorted between them; a record type
+#: cannot subclass another with more fields, so it is a type of its own
+_Extended = NamedTuple("_Extended", [(name, object) for name in
+                                     (*_Backwards._fields, "beta")])
 
 
-@dataclasses.dataclass(frozen=True)
-class _Other:
+class _Other(NamedTuple):
     """Shares the field name `alpha` with `_Backwards`."""
     omega: object
     alpha: object
@@ -275,8 +271,8 @@ class TestReportJson:
         assert count > 0
 
     def test_built_report(self):
-        """Records of every type, a subclass first and then its base, are
-        written with their own sorted keys."""
+        """Records of every type, one that extends another's fields first
+        and then that other, are written with their own sorted keys."""
         doc = build_report({"grid": {"n": "501"}}, 3, _checks(),
                            timestamp="t", x=np.float64(np.nan),
                            y=np.arange(3),
@@ -285,6 +281,15 @@ class TestReportJson:
                                     _Other(np.int64(3), "b"),
                                     _Pair(_Other(1, 2), _Backwards(3, 4, 5))])
         assert report_json(doc) == _json_text(doc)
+
+    @pytest.mark.parametrize("box", [list, tuple])
+    def test_record_in_a_container_is_an_object(self, box):
+        """A record is a tuple, but it is written as the object of its
+        fields, inside a list or a plain tuple alike."""
+        text = report_json(box([_Pair(1, (2.0, "s"))]))
+        assert json.loads(text) == [{"first": 1, "second": [2.0, "s"]}]
+        assert text == ('[\n  {\n    "first": 1,\n    "second": [\n'
+                        '      2.0,\n      "s"\n    ]\n  }\n]\n')
 
     def test_refuses_what_json_refuses(self):
         with pytest.raises(TypeError):

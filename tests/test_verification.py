@@ -260,7 +260,8 @@ class TestSequences:
 
     def test_empty_schedule_rejected(self):
         with pytest.raises(ValueError):
-            SequenceSpec(family="bump", schedule=())
+            run_sequence(SequenceSpec(family="bump", schedule=()),
+                         ClassParams(40.0, 10.0, 1.0, 1.0))
 
     def test_bubble_schedule_membership_failure(self):
         spec = SequenceSpec(
