@@ -14,10 +14,10 @@ On that strip the diameter is the meridian length L_tot:
 * the two poles are exactly L_tot apart;
 * so the diameter is L_tot whenever f >= 0.
 
-`diameter_bounds` still reports the upper end L_tot + L_tot /
-(n_sample - 1), the value a scan of n_sample sampled colatitudes once
-certified, so that the `diameter_upper` of every stored report stays
-bit-identical.
+`diameter_bounds` reports the upper end L_tot + L_tot / (n_sample - 1):
+L_tot plus the slack of one gap between n_sample colatitudes equally
+spaced in arclength, kept so that the `diameter_upper` of every stored
+report stays bit-identical.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ def diameter_bounds(metric: WarpedMetric, n_sample: int = 512):
     """Certified bracket [lower, upper] for the diameter.
 
     lower: the pole-to-pole meridian length L_tot (exact distance).
-    upper: L_tot + L_tot / (n_sample - 1), L_tot plus one gap of
+    upper: L_tot + L_tot / (n_sample - 1), L_tot plus one gap between
     n_sample colatitudes equally spaced in arclength.  The diameter is
-    L_tot (module docstring), so the gap is slack; it is kept so that
-    every stored `diameter_upper` stays bit-identical.
+    L_tot (module docstring), so the gap is slack, kept so that every
+    stored `diameter_upper` stays bit-identical.
     """
     _, L_tot = meridian_arclength(metric)
     return L_tot, L_tot + L_tot / (n_sample - 1)
